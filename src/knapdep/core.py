@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterator, Mapping, Optional, Sequence
 
 # Tolerance for fluctuation-bound comparisons (density/size caps).  Values
@@ -145,38 +146,63 @@ class Instance:
 class UtilizationState:
     """Per-knapsack, per-slot committed size; the engine's only mutable state.
 
-    Slots are stored sparsely (absent slot means zero).  Utilization only
-    ever grows: departures are encoded in the time-indexed windows, never
-    by decrementing.
+    Each knapsack holds one dense row of floats indexed by slot (index 0 is
+    unused), sized from ``horizon`` and grown when a window ends past it,
+    so unvalidated instances and a horizon-less state still work.  Slots
+    past the row read zero.  A parallel byte row marks the slots some
+    ``add`` covered, including zero-size adds, which is what ``as_dict``
+    lists.  Utilization only ever grows: departures are encoded in the
+    time-indexed windows, never by decrementing.
     """
 
-    def __init__(self, num_knapsacks: int) -> None:
-        self._z: list[dict[int, float]] = [{} for _ in range(num_knapsacks)]
+    def __init__(self, num_knapsacks: int, horizon: int = 0) -> None:
+        n = max(horizon, 0) + 1
+        self._z: list[list[float]] = [[0.0] * n for _ in range(num_knapsacks)]
+        self._touched: list[bytearray] = [bytearray(n) for _ in range(num_knapsacks)]
 
     @property
     def num_knapsacks(self) -> int:
         return len(self._z)
 
     def get(self, knapsack: int, slot: int) -> float:
-        return self._z[knapsack].get(slot, 0.0)
+        row = self._z[knapsack]
+        return row[slot] if 0 <= slot < len(row) else 0.0
+
+    def window(self, knapsack: int, interval: SlotInterval) -> list[float]:
+        """Utilization of the slots of ``interval``, in slot order."""
+        start = interval.start
+        zs = self._z[knapsack][start:start + interval.duration]
+        if len(zs) < interval.duration:
+            zs.extend([0.0] * (interval.duration - len(zs)))
+        return zs
 
     def snapshot(self, knapsack: int, interval: SlotInterval) -> dict[int, float]:
         """Utilization of every slot in ``interval``, including zeros."""
-        zk = self._z[knapsack]
-        return {t: zk.get(t, 0.0) for t in interval.slots()}
+        return dict(zip(interval.slots(), self.window(knapsack, interval)))
 
     def add(self, knapsack: int, interval: SlotInterval, size: float) -> None:
         if size < 0:
             raise ValueError("utilization updates must be nonnegative")
-        zk = self._z[knapsack]
-        for t in interval.slots():
-            zk[t] = zk.get(t, 0.0) + size
+        row = self._z[knapsack]
+        touched = self._touched[knapsack]
+        start = interval.start
+        stop = start + interval.duration
+        if stop > len(row):
+            row.extend([0.0] * (stop - len(row)))
+            touched.extend(bytes(stop - len(touched)))
+        row[start:stop] = [z + size for z in row[start:stop]]
+        touched[start:stop] = b"\x01" * interval.duration
 
     def as_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly view: knapsack index -> {slot: utilization}."""
+        """JSON-friendly view: knapsack index -> {slot: utilization}.
+
+        Lists exactly the slots some ``add`` covered, in ascending order.
+        """
         return {
-            str(k): {str(t): z for t, z in sorted(zk.items())}
-            for k, zk in enumerate(self._z)
+            str(k): {
+                str(t): row[t] for t in compress(range(len(row)), touched)
+            }
+            for k, (row, touched) in enumerate(zip(self._z, self._touched))
         }
 
 
@@ -434,10 +460,12 @@ def assignment_violations(
 # JSON schema
 # ---------------------------------------------------------------------------
 
-_KNAPSACK_FIELDS = ("capacity", "theta", "duration_lo", "duration_hi", "size_cap")
-_ITEM_FIELDS = ("id", "arrival", "options")
-_OPTION_FIELDS = ("eligible", "size", "value", "start", "duration")
-_INSTANCE_FIELDS = ("horizon", "knapsacks", "items")
+_KNAPSACK_FIELDS = frozenset(
+    ("capacity", "theta", "duration_lo", "duration_hi", "size_cap")
+)
+_ITEM_FIELDS = frozenset(("id", "arrival", "options"))
+_OPTION_FIELDS = frozenset(("eligible", "size", "value", "start", "duration"))
+_INSTANCE_FIELDS = frozenset(("horizon", "knapsacks", "items"))
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -473,7 +501,13 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def _require_fields(obj: Mapping, fields: Sequence[str], where: str) -> None:
+# Each helper below first tries the exact types ``json.loads`` produces and
+# falls through to the general checks, which alone raise, so every error
+# message is the same on either path.
+
+def _require_fields(obj: Mapping, fields: frozenset[str], where: str) -> None:
+    if type(obj) is dict and obj.keys() == fields:
+        return
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object")
     unknown = set(obj) - set(fields)
@@ -486,6 +520,8 @@ def _require_fields(obj: Mapping, fields: Sequence[str], where: str) -> None:
 
 def _number(obj: Mapping, key: str, where: str) -> float:
     v = obj[key]
+    if type(v) is float:
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: field '{key}' must be a number")
     return float(v)
@@ -493,6 +529,8 @@ def _number(obj: Mapping, key: str, where: str) -> float:
 
 def _integer(obj: Mapping, key: str, where: str) -> int:
     v = obj[key]
+    if type(v) is int:
+        return v
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{where}: field '{key}' must be an integer")
     return v
@@ -538,24 +576,24 @@ def instance_from_dict(data: Mapping) -> Instance:
                 raise SchemaError(f"{owhere}: field 'eligible' must be a boolean")
             try:
                 interval = SlotInterval(
-                    start=_integer(oobj, "start", owhere),
-                    duration=_integer(oobj, "duration", owhere),
+                    _integer(oobj, "start", owhere),
+                    _integer(oobj, "duration", owhere),
                 )
             except ValueError as exc:
                 raise SchemaError(f"{owhere}: {exc}") from exc
             options.append(
                 ItemOption(
-                    eligible=oobj["eligible"],
-                    size=_number(oobj, "size", owhere),
-                    value=_number(oobj, "value", owhere),
-                    interval=interval,
+                    oobj["eligible"],
+                    _number(oobj, "size", owhere),
+                    _number(oobj, "value", owhere),
+                    interval,
                 )
             )
         items.append(
             Item(
-                id=_integer(iobj, "id", where),
-                arrival=_integer(iobj, "arrival", where),
-                options=tuple(options),
+                _integer(iobj, "id", where),
+                _integer(iobj, "arrival", where),
+                tuple(options),
             )
         )
     return Instance(horizon=horizon, knapsacks=tuple(knapsacks), items=tuple(items))

@@ -10,7 +10,7 @@ goes to the admissible knapsack of maximum value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     Decision,
@@ -41,10 +41,12 @@ class AdmissionQuery:
 def admit(query: AdmissionQuery) -> tuple[bool, float]:
     """Decide one admission; returns (admissible, threshold value).
 
-    The threshold value is sum(size * phi(z_t)) over the window, straight
-    summation in slot order.  Admissible iff value >= threshold (ties
-    admit) and z_t + size <= capacity in every slot; both comparisons are
-    exact on the computed floats.
+    Checks that the snapshot covers exactly the window's slots, then runs
+    the one-pass check that ``step`` runs on the dense state.  The
+    threshold value is sum(size * phi(z_t)) over the window, added left to
+    right in slot order in the same pass that checks capacity.  Admissible
+    iff value >= threshold (ties admit) and z_t + size <= capacity in every
+    slot; both comparisons are exact on the computed floats.
     """
     z = query.utilization
     if len(z) != query.interval.duration:
@@ -52,21 +54,45 @@ def admit(query: AdmissionQuery) -> tuple[bool, float]:
             f"utilization snapshot has {len(z)} slots for a window of "
             f"{query.interval.duration}"
         )
-    phi_total = 0.0
-    fits = True
     for t in query.interval.slots():
         if t not in z:
             raise ValueError(f"utilization snapshot missing slot {t}")
-        zt = z[t]
-        phi_total += query.size * query.threshold.eval(zt)
-        if zt + query.size > query.capacity:
+    phi, fits = _charge(
+        query.threshold,
+        query.size,
+        query.capacity,
+        [z[t] for t in query.interval.slots()],
+    )
+    return (query.value >= phi and fits), phi
+
+
+def _charge(
+    fn: ThresholdFn, size: float, capacity: float, window: list[float]
+) -> tuple[float, bool]:
+    """Threshold charge and capacity clause of one window, in one pass.
+
+    ``window`` holds the utilization of each slot in slot order.  The
+    charge is added left to right, never with builtin ``sum()``: from
+    Python 3.12 on it sums floats with compensation, so charges, and with
+    them decisions, would depend on the Python version.  ``fits`` is the
+    capacity clause alone.
+    """
+    evaluate = fn.eval
+    phi = 0.0
+    fits = True
+    for z in window:
+        phi += size * evaluate(z)
+        if z + size > capacity:
             fits = False
-    return (query.value >= phi_total and fits), phi_total
+    return phi, fits
 
 
-@dataclass(frozen=True)
-class KnapsackAudit:
-    """Outcome of one per-knapsack admission check."""
+class KnapsackAudit(NamedTuple):
+    """Outcome of one per-knapsack admission check.
+
+    A named tuple because the engine builds one per check, and a frozen
+    dataclass costs about twice as much to construct.
+    """
 
     knapsack: int
     phi: float
@@ -96,26 +122,18 @@ def step(
     best: Optional[int] = None
     best_value = 0.0
     for k, opt in item.eligible_options():
-        snapshot = state.snapshot(k, opt.interval)
-        query = AdmissionQuery(
-            value=opt.value,
-            size=opt.size,
-            interval=opt.interval,
-            threshold=thresholds[k],
-            utilization=snapshot,
-            capacity=specs[k].capacity,
+        phi, fits = _charge(
+            thresholds[k], opt.size, specs[k].capacity, state.window(k, opt.interval)
         )
-        admissible, phi = admit(query)
-        fits = all(z + opt.size <= specs[k].capacity for z in snapshot.values())
-        entries.append(KnapsackAudit(knapsack=k, phi=phi, fits=fits, admissible=admissible))
+        admissible = opt.value >= phi and fits
+        entries.append(KnapsackAudit(k, phi, fits, admissible))
         if admissible and (best is None or opt.value > best_value):
             best = k
             best_value = opt.value
     if best is not None:
         chosen = item.options[best]
         state.add(best, chosen.interval, chosen.size)
-    decision = Decision(item_id=item.id, knapsack=best)
-    return decision, ItemAudit(item_id=item.id, entries=tuple(entries))
+    return Decision(item.id, best), ItemAudit(item.id, tuple(entries))
 
 
 @dataclass
@@ -177,7 +195,7 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
                 f"knapsack {k}: threshold capacity {fn.capacity} does not "
                 f"match spec capacity {spec.capacity}"
             )
-    state = UtilizationState(inst.num_knapsacks)
+    state = UtilizationState(inst.num_knapsacks, inst.horizon)
     decisions: list[Decision] = []
     audits: list[ItemAudit] = []
     profit = 0.0

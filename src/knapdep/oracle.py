@@ -124,7 +124,9 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     when its residual-value bound cannot beat the incumbent; a tighter
     capacity-aware bound is tried before giving up on a cut.  If
     ``node_budget`` nodes are expanded without finishing, the incumbent is
-    returned tagged "upper-bound-only" together with a still-valid bound.
+    returned tagged "upper-bound-only" together with a still-valid bound:
+    the smaller of the subtrees the budget refused and ``upper_bound``,
+    and at least the incumbent.
     """
     N = inst.num_items
     K = inst.num_knapsacks
@@ -213,12 +215,14 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
 
     visit(0, 0.0)
     if exhausted:
+        # Both the refused subtrees' bound and the root relaxation are
+        # valid; report the tighter, never below the incumbent.
         return OfflineSolution(
             assignment=tuple(best_assignment),
             objective=best_value,
             proof="upper-bound-only",
             nodes=nodes,
-            bound=max(best_value, refused_bound),
+            bound=max(best_value, min(refused_bound, upper_bound(inst))),
         )
     return OfflineSolution(
         assignment=tuple(best_assignment),

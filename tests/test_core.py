@@ -1,5 +1,7 @@
 import math
 import random
+from collections import OrderedDict
+from types import MappingProxyType
 
 import pytest
 
@@ -182,6 +184,38 @@ class TestUtilizationState:
         with pytest.raises(ValueError):
             UtilizationState(1).add(0, SlotInterval(1, 1), -1.0)
 
+    def test_reads_past_row_end_are_zero(self):
+        state = UtilizationState(1, horizon=4)
+        state.add(0, SlotInterval(3, 2), 1.0)
+        assert state.get(0, 4) == 1.0
+        assert state.get(0, 5) == 0.0
+        assert state.get(0, 10**6) == 0.0
+        assert state.get(0, 0) == 0.0 and state.get(0, -1) == 0.0
+        assert state.snapshot(0, SlotInterval(4, 3)) == {4: 1.0, 5: 0.0, 6: 0.0}
+        assert state.snapshot(0, SlotInterval(9, 2)) == {9: 0.0, 10: 0.0}
+
+    def test_add_grows_row_past_horizon(self):
+        for horizon in (0, 3):
+            state = UtilizationState(2, horizon=horizon)
+            state.add(1, SlotInterval(2, 5), 0.5)
+            state.add(1, SlotInterval(6, 2), 0.25)
+            assert [state.get(1, t) for t in range(1, 9)] == [
+                0.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25, 0.0,
+            ]
+            assert state.as_dict() == {
+                "0": {},
+                "1": {"2": 0.5, "3": 0.5, "4": 0.5, "5": 0.5, "6": 0.75, "7": 0.25},
+            }
+
+    def test_as_dict_lists_covered_slots_in_order(self):
+        state = UtilizationState(1, horizon=20)
+        state.add(0, SlotInterval(12, 2), 1.0)
+        state.add(0, SlotInterval(3, 2), 0.0)  # zero-size: listed, holds 0.0
+        state.add(0, SlotInterval(9, 1), 2.0)
+        listed = state.as_dict()["0"]
+        assert list(listed) == ["3", "4", "9", "12", "13"]
+        assert listed["3"] == 0.0 and listed["9"] == 2.0
+
 
 class TestAssignmentAudit:
     def test_overfull_slot_detected(self):
@@ -248,3 +282,71 @@ class TestJsonSchema:
     def test_invalid_json_text(self):
         with pytest.raises(SchemaError):
             loads_instance("{not json")
+
+    def test_non_dict_mappings_parse(self):
+        inst = self.roundtrip_instance()
+
+        def frozen(obj):
+            if isinstance(obj, dict):
+                return MappingProxyType({k: frozen(v) for k, v in obj.items()})
+            if isinstance(obj, list):
+                return [frozen(v) for v in obj]
+            return obj
+
+        data = frozen(instance_to_dict(inst))
+        assert not isinstance(data, dict)
+        assert instance_from_dict(data) == inst
+        assert instance_from_dict(OrderedDict(instance_to_dict(inst))) == inst
+
+    def test_integer_number_field_parses_as_float(self):
+        data = instance_to_dict(self.roundtrip_instance())
+        data["knapsacks"][0]["capacity"] = 10
+        data["items"][0]["options"][0]["size"] = 2
+        inst = instance_from_dict(data)
+        assert type(inst.knapsacks[0].capacity) is float
+        assert inst.knapsacks[0].capacity == 10.0
+        assert type(inst.items[0].options[0].size) is float
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("items", 0, "options", 0, "size"), True,
+             "item at position 0, option 0: field 'size' must be a number"),
+            (("items", 1, "options", 1, "value"), False,
+             "item at position 1, option 1: field 'value' must be a number"),
+            (("items", 1, "arrival"), True,
+             "item at position 1: field 'arrival' must be an integer"),
+            (("items", 0, "id"), 0.0,
+             "item at position 0: field 'id' must be an integer"),
+            (("horizon",), True, "instance: field 'horizon' must be an integer"),
+        ],
+    )
+    def test_type_error_messages(self, path, value, message):
+        data = instance_to_dict(self.roundtrip_instance())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(data)
+        assert str(info.value) == message
+
+    def test_field_error_messages(self):
+        data = instance_to_dict(self.roundtrip_instance())
+        data["items"][0]["options"][1]["weight"] = 2
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(data)
+        assert str(info.value) == "item at position 0, option 1: unknown fields ['weight']"
+
+        data = instance_to_dict(self.roundtrip_instance())
+        del data["knapsacks"][0]["theta"]
+        del data["knapsacks"][0]["size_cap"]
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(data)
+        assert str(info.value) == "knapsack 0: missing fields ['size_cap', 'theta']"
+
+        data = instance_to_dict(self.roundtrip_instance())
+        data["items"][1] = [1, 2, 3]
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(data)
+        assert str(info.value) == "item at position 1: expected an object"

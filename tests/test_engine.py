@@ -165,25 +165,35 @@ def uniform_instance(seed, n=20, k=1, horizon=30, theta=4.0, capacity=10.0):
 
 
 def replay_decisions(inst, thresholds):
-    """Independent step-by-step trace: direct predicate evaluation per item."""
+    """Independent step-by-step trace: direct predicate evaluation per item.
+
+    Returns the decisions, the profit and, per item, the audit entries as
+    (knapsack, phi, fits, admissible) tuples.  Charges are added left to
+    right in slot order, not with builtin sum(), which is compensated from
+    Python 3.12 on.
+    """
     z = [dict() for _ in range(inst.num_knapsacks)]
     decisions = []
+    audits = []
     profit = 0.0
     for item in inst.items:
         candidates = []
+        entries = []
         for k, opt in enumerate(item.options):
             if not opt.eligible:
                 continue
             fn = thresholds[k]
-            phi = sum(
-                opt.size * fn.eval(z[k].get(t, 0.0)) for t in opt.interval.slots()
-            )
+            phi = 0.0
+            for t in opt.interval.slots():
+                phi += opt.size * fn.eval(z[k].get(t, 0.0))
             fits = all(
                 z[k].get(t, 0.0) + opt.size <= inst.knapsacks[k].capacity
                 for t in opt.interval.slots()
             )
+            entries.append((k, phi, fits, opt.value >= phi and fits))
             if opt.value >= phi and fits:
                 candidates.append((k, opt.value))
+        audits.append(entries)
         if candidates:
             best_value = max(v for _, v in candidates)
             chosen = min(k for k, v in candidates if v == best_value)
@@ -194,7 +204,7 @@ def replay_decisions(inst, thresholds):
             decisions.append(chosen)
         else:
             decisions.append(None)
-    return decisions, profit
+    return decisions, profit, audits
 
 
 class TestRun:
@@ -217,9 +227,56 @@ class TestRun:
         inst = uniform_instance(seed=42, n=20, k=2)
         thresholds = for_instance(inst)
         result = run(inst, thresholds)
-        expected_decisions, expected_profit = replay_decisions(inst, thresholds)
+        expected_decisions, expected_profit, _ = replay_decisions(inst, thresholds)
         assert [d.knapsack for d in result.decisions] == expected_decisions
         assert result.profit == expected_profit
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 5, 17, 42])
+    def test_every_audit_entry_matches_replay(self, k, seed):
+        inst = uniform_instance(seed=seed, n=60, k=k, horizon=40)
+        thresholds = for_instance(inst)
+        result = run(inst, thresholds)
+        expected_decisions, expected_profit, expected_audits = replay_decisions(
+            inst, thresholds
+        )
+        assert [d.knapsack for d in result.decisions] == expected_decisions
+        assert result.profit == expected_profit
+        got = [
+            [(e.knapsack, e.phi, e.fits, e.admissible) for e in audit.entries]
+            for audit in result.audits
+        ]
+        assert got == expected_audits
+
+    def test_unvalidated_window_past_horizon(self):
+        # run does not validate: a window ending past the horizon is still
+        # charged against its real load and recorded.
+        ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+        items = (
+            Item(0, 1, (ItemOption(True, 4.0, 50.0, SlotInterval(3, 4)),)),
+            Item(1, 2, (ItemOption(True, 7.0, 90.0, SlotInterval(6, 3)),)),
+            Item(2, 2, (ItemOption(True, 5.0, 90.0, SlotInterval(8, 2)),)),
+        )
+        inst = Instance(4, (ks,), items)
+        result = run(inst, [flat()])
+        assert result.assignment() == [0, None, 0]
+        assert result.audits[1].entries[0].fits is False  # 4 + 7 > 10 at slot 6
+        assert result.audits[2].entries[0].phi == 5.0 * flat().eval(0.0) * 2
+        assert result.state.as_dict() == {
+            "0": {"3": 4.0, "4": 4.0, "5": 4.0, "6": 4.0, "8": 5.0, "9": 5.0}
+        }
+
+    def test_admitted_zero_size_option_listed(self):
+        ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+        items = (
+            Item(0, 1, (ItemOption(True, 0.0, 1.0, SlotInterval(2, 2)),)),
+            Item(1, 1, (ItemOption(True, 1.0, 5.0, SlotInterval(5, 1)),)),
+        )
+        result = run(Instance(10, (ks,), items), [flat()])
+        assert result.assignment() == [0, 0]
+        utilization = result.state.as_dict()["0"]
+        assert list(utilization) == ["2", "3", "5"]
+        assert utilization["2"] == 0.0 and utilization["3"] == 0.0
 
     def test_threshold_capacity_mismatch(self):
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)

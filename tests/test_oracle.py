@@ -11,7 +11,7 @@ from knapdep.core import (
     SlotInterval,
     assignment_violations,
 )
-from knapdep.instances import GenSpec, gen_uniform
+from knapdep.instances import GenSpec, gen_uniform, generate
 from knapdep.oracle import solve_bruteforce, solve_exact, upper_bound
 
 
@@ -178,6 +178,19 @@ class TestExact:
         assert full.proof == "exact"
         assert sol.objective <= full.objective
         assert sol.bound >= full.objective
+
+    @pytest.mark.parametrize(
+        "family, n, horizon", [("uniform", 24, 20), ("burst", 32, 20), ("uniform", 60, 40)]
+    )
+    def test_budget_bound_not_looser_than_upper_bound(self, family, n, horizon):
+        # Here the refused subtrees' value sum exceeds the root relaxation
+        # (e.g. 1588.1 vs 864.0 for burst n=32); the tighter one is reported.
+        ks = KnapsackSpec(4.0, 8.0, 2, 6, 4.0)
+        inst = generate(GenSpec(family, n, horizon, (ks, ks), 11))[0]
+        sol = solve_exact(inst, node_budget=15_000)
+        assert sol.proof == "upper-bound-only"
+        assert sol.bound == max(sol.objective, upper_bound(inst))
+        assert sol.objective <= sol.bound
 
     def test_node_count_reported(self):
         inst = random_instance(3, n=6, k=1)
