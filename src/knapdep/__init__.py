@@ -1,7 +1,8 @@
 """Online multiple knapsacks with departing items.
 
-A threshold-based admission engine, an exact offline solver, seeded
-instance generators, and an empirical competitive-ratio benchmark
+Instance validation (whose report carries each knapsack's observed
+ranges), a threshold-based admission engine, an exact offline solver,
+seeded instance generators, and an empirical competitive-ratio benchmark
 harness with a band-constrained gamma tuner.
 """
 
@@ -11,7 +12,6 @@ from .core import (
     Item,
     ItemOption,
     KnapsackSpec,
-    ObservedParams,
     SchemaError,
     SlotInterval,
     UtilizationState,
@@ -21,7 +21,6 @@ from .core import (
     instance_from_dict,
     instance_to_dict,
     loads_instance,
-    observed_parameters,
     validate_instance,
 )
 from .threshold import (
@@ -31,7 +30,7 @@ from .threshold import (
     default_gamma,
     size_precondition,
 )
-from .engine import AdmissionQuery, RunResult, admit, run, step
+from .engine import RunResult, run, step
 from .oracle import OfflineSolution, solve_bruteforce, solve_exact, upper_bound
 from .instances import GenSpec, TraceMapping, gen_staircase, gen_uniform, ingest_trace
 from .bench import BenchConfig, BenchReport, TuneSpec, bench_suite, tune_gamma
@@ -39,7 +38,6 @@ from .bench import BenchConfig, BenchReport, TuneSpec, bench_suite, tune_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissionQuery",
     "BenchConfig",
     "BenchReport",
     "Decision",
@@ -49,7 +47,6 @@ __all__ = [
     "Item",
     "ItemOption",
     "KnapsackSpec",
-    "ObservedParams",
     "OfflineSolution",
     "RunResult",
     "SchemaError",
@@ -60,7 +57,6 @@ __all__ = [
     "TuneSpec",
     "UtilizationState",
     "ValidationReport",
-    "admit",
     "assignment_violations",
     "bench_suite",
     "default_gamma",
@@ -71,7 +67,6 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "loads_instance",
-    "observed_parameters",
     "run",
     "size_precondition",
     "solve_bruteforce",

@@ -161,29 +161,47 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Keys of the --config file shared by bench and tune.
+_CONFIG_KEYS = frozenset(
+    ("instances", "threshold", "exact_cutoff", "crosscheck_cutoff",
+     "node_budget", "jobs", "tuner")
+)
+_TUNER_KEYS = frozenset(("delta", "grid_points"))
+
+
+def _read_config(path: Optional[str]) -> dict:
+    if path is None:
+        return {}
+    cfg = json.loads(Path(path).read_text())
+    _check_keys(cfg, _CONFIG_KEYS, f"config {path}")
+    _check_keys(cfg.get("tuner", {}), _TUNER_KEYS, f"config {path}, tuner")
+    return cfg
+
+
+def _check_keys(obj: object, known: frozenset[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object")
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _layered(flags: dict, file_cfg: dict) -> dict:
+    """Flags given over config file values; keys set by neither are left out."""
+    layered = {key: file_cfg[key] for key in flags if key in file_cfg}
+    layered.update((key, v) for key, v in flags.items() if v is not None)
+    return layered
+
+
 def _bench_config(args: argparse.Namespace, file_cfg: dict) -> bench.BenchConfig:
-    threshold_cfg = file_cfg.get("threshold", _gamma_config(args.gamma))
-    if args.gamma != "auto":
-        threshold_cfg = _gamma_config(args.gamma)
-    return bench.BenchConfig(
-        threshold=threshold_cfg,
-        exact_cutoff=(
-            args.exact_cutoff
-            if args.exact_cutoff is not None
-            else file_cfg.get("exact_cutoff", 18)
-        ),
-        crosscheck_cutoff=(
-            args.crosscheck_cutoff
-            if args.crosscheck_cutoff is not None
-            else file_cfg.get("crosscheck_cutoff", 10)
-        ),
-        node_budget=(
-            args.node_budget
-            if args.node_budget is not None
-            else file_cfg.get("node_budget", 5_000_000)
-        ),
-        jobs=args.jobs if args.jobs is not None else file_cfg.get("jobs", 1),
-    )
+    flags = {
+        "threshold": None if args.gamma is None else _gamma_config(args.gamma),
+        "exact_cutoff": args.exact_cutoff,
+        "crosscheck_cutoff": args.crosscheck_cutoff,
+        "node_budget": args.node_budget,
+        "jobs": args.jobs,
+    }
+    return bench.BenchConfig(**_layered(flags, file_cfg))
 
 
 def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
@@ -195,7 +213,7 @@ def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    file_cfg = _read_config(args.config)
     suite = _load_suite(_suite_sources(args, file_cfg))
     report = bench.bench_suite(suite, _bench_config(args, file_cfg))
     if args.out:
@@ -210,17 +228,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    tuner_cfg = file_cfg.get("tuner", {})
+    file_cfg = _read_config(args.config)
     suite = _load_suite(_suite_sources(args, file_cfg))
+    flags = {"delta": args.delta, "grid_points": args.grid_points}
     spec = bench.TuneSpec(
         training=tuple(inst for _, inst in suite),
-        delta=args.delta if args.delta is not None else tuner_cfg.get("delta", 0.5),
-        grid_points=(
-            args.grid_points
-            if args.grid_points is not None
-            else tuner_cfg.get("grid_points", 11)
-        ),
+        **_layered(flags, file_cfg.get("tuner", {})),
     )
     result = bench.tune_gamma(spec)
     if args.out:
@@ -286,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="engine vs oracle over an instance suite")
     ben.add_argument("--input", nargs="*", default=None, help="instance files or dirs")
     ben.add_argument("--config", default=None, help="experiment config JSON")
-    ben.add_argument("--gamma", default="auto")
+    ben.add_argument("--gamma", default=None, help="number or 'auto' (default: config, else auto)")
     ben.add_argument("--exact-cutoff", type=int, default=None)
     ben.add_argument("--crosscheck-cutoff", type=int, default=None)
     ben.add_argument("--node-budget", type=int, default=None)

@@ -176,10 +176,6 @@ class UtilizationState:
             zs.extend([0.0] * (interval.duration - len(zs)))
         return zs
 
-    def snapshot(self, knapsack: int, interval: SlotInterval) -> dict[int, float]:
-        """Utilization of every slot in ``interval``, including zeros."""
-        return dict(zip(interval.slots(), self.window(knapsack, interval)))
-
     def add(self, knapsack: int, interval: SlotInterval, size: float) -> None:
         if size < 0:
             raise ValueError("utilization updates must be nonnegative")
@@ -276,6 +272,11 @@ def validate_instance(
 
     When ``gamma`` supplies one value per knapsack, the report also checks
     the exponential-threshold size precondition size_cap <= capacity*ln2/gamma.
+
+    ``report.knapsacks`` carries each knapsack's observed density range,
+    duration range and max size over the eligible options that pass the
+    structural checks (no ranges and max size 0 when there are none); this
+    is the one place they are computed.
     """
     report = ValidationReport()
     K = inst.num_knapsacks
@@ -378,46 +379,6 @@ def validate_instance(
             )
         )
     return report
-
-
-@dataclass(frozen=True)
-class ObservedParams:
-    """Tightest fluctuation parameters consistent with one knapsack's items."""
-
-    theta: float
-    alpha: float
-    max_size: float
-
-
-def observed_parameters(inst: Instance) -> list[ObservedParams]:
-    """Observed (theta, alpha, max size) per knapsack over eligible options.
-
-    A knapsack with no eligible item reports the degenerate (1, 1, 0).
-    Order-independent over item permutations.
-    """
-    out: list[ObservedParams] = []
-    for k in range(inst.num_knapsacks):
-        densities: list[float] = []
-        durations: list[int] = []
-        sizes: list[float] = []
-        for item in inst.items:
-            opt = item.options[k]
-            if not opt.eligible:
-                continue
-            densities.append(opt.density())
-            durations.append(opt.interval.duration)
-            sizes.append(opt.size)
-        if not sizes:
-            out.append(ObservedParams(1.0, 1.0, 0.0))
-        else:
-            out.append(
-                ObservedParams(
-                    theta=max(densities),
-                    alpha=max(durations) / min(durations),
-                    max_size=max(sizes),
-                )
-            )
-    return out
 
 
 def assignment_violations(
@@ -549,16 +510,17 @@ def instance_from_dict(data: Mapping) -> Instance:
     for k, kobj in enumerate(data["knapsacks"]):
         where = f"knapsack {k}"
         _require_fields(kobj, _KNAPSACK_FIELDS, where)
+        fields = (
+            _number(kobj, "capacity", where),
+            _number(kobj, "theta", where),
+            _integer(kobj, "duration_lo", where),
+            _integer(kobj, "duration_hi", where),
+            _number(kobj, "size_cap", where),
+        )
+        # Only the constructor's own ValueError gets the location prefix;
+        # a SchemaError from a field already carries it.
         try:
-            knapsacks.append(
-                KnapsackSpec(
-                    capacity=_number(kobj, "capacity", where),
-                    theta=_number(kobj, "theta", where),
-                    duration_lo=_integer(kobj, "duration_lo", where),
-                    duration_hi=_integer(kobj, "duration_hi", where),
-                    size_cap=_number(kobj, "size_cap", where),
-                )
-            )
+            knapsacks.append(KnapsackSpec(*fields))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
 
@@ -574,11 +536,10 @@ def instance_from_dict(data: Mapping) -> Instance:
             _require_fields(oobj, _OPTION_FIELDS, owhere)
             if not isinstance(oobj["eligible"], bool):
                 raise SchemaError(f"{owhere}: field 'eligible' must be a boolean")
+            start = _integer(oobj, "start", owhere)
+            duration = _integer(oobj, "duration", owhere)
             try:
-                interval = SlotInterval(
-                    _integer(oobj, "start", owhere),
-                    _integer(oobj, "duration", owhere),
-                )
+                interval = SlotInterval(start, duration)
             except ValueError as exc:
                 raise SchemaError(f"{owhere}: {exc}") from exc
             options.append(

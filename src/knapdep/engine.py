@@ -4,66 +4,23 @@ Items are processed strictly in input order with irrevocable decisions.
 Per knapsack, an item is charged the summed marginal cost of its window
 at current utilization and admitted only if its value covers the charge
 and capacity holds in every requested slot.  Across knapsacks, the item
-goes to the admissible knapsack of maximum value.
+goes to the admissible knapsack of maximum value.  ``step`` is the one
+admission path; ``run`` calls it once per item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Decision,
     Instance,
     Item,
     KnapsackSpec,
-    SlotInterval,
     UtilizationState,
 )
 from .threshold import ThresholdFn
-
-
-@dataclass(frozen=True)
-class AdmissionQuery:
-    """One admission check: item data against a utilization snapshot.
-
-    ``utilization`` must cover exactly the queried window's slots.
-    """
-
-    value: float
-    size: float
-    interval: SlotInterval
-    threshold: ThresholdFn
-    utilization: Mapping[int, float]
-    capacity: float
-
-
-def admit(query: AdmissionQuery) -> tuple[bool, float]:
-    """Decide one admission; returns (admissible, threshold value).
-
-    Checks that the snapshot covers exactly the window's slots, then runs
-    the one-pass check that ``step`` runs on the dense state.  The
-    threshold value is sum(size * phi(z_t)) over the window, added left to
-    right in slot order in the same pass that checks capacity.  Admissible
-    iff value >= threshold (ties admit) and z_t + size <= capacity in every
-    slot; both comparisons are exact on the computed floats.
-    """
-    z = query.utilization
-    if len(z) != query.interval.duration:
-        raise ValueError(
-            f"utilization snapshot has {len(z)} slots for a window of "
-            f"{query.interval.duration}"
-        )
-    for t in query.interval.slots():
-        if t not in z:
-            raise ValueError(f"utilization snapshot missing slot {t}")
-    phi, fits = _charge(
-        query.threshold,
-        query.size,
-        query.capacity,
-        [z[t] for t in query.interval.slots()],
-    )
-    return (query.value >= phi and fits), phi
 
 
 def _charge(
@@ -114,7 +71,10 @@ def step(
 ) -> tuple[Decision, ItemAudit]:
     """Process one item against the current state; mutates ``state`` on admit.
 
-    Every eligible knapsack is queried; ineligible ones never are.  Among
+    Every eligible knapsack is queried; ineligible ones never are.  The
+    charge is sum(size * phi(z_t)) over the option's window; the option is
+    admissible iff value >= charge (ties admit) and z_t + size <= capacity
+    in every slot, both exact comparisons on the computed floats.  Among
     admissible knapsacks the item goes to the one of maximum value, ties
     to the lowest index.
     """

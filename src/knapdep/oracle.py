@@ -10,10 +10,11 @@ hermetic build keeps CI deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, observed_parameters
+from .core import Instance
 
 # Pruning margin guard: prune a subtree only when its bound trails the
 # incumbent by more than accumulated float error possibly could, so the
@@ -50,16 +51,29 @@ class OfflineSolution:
 
 
 def _prepared(inst: Instance):
-    """Per-item eligible options as (knapsack, size, value, slot keys)."""
-    T = inst.horizon
+    """Per-item eligible options as (knapsack, size, value, slot keys), and
+    the key count.  Slot t of knapsack k is key k*stride + t, the stride
+    spanning windows that end past the horizon (``run`` does not validate).
+    """
+    last = inst.horizon
+    for item in inst.items:
+        for _, opt in item.eligible_options():
+            last = max(last, opt.interval.end)
+    stride = last + 1
     options = []
     for item in inst.items:
         opts = []
         for k, opt in item.eligible_options():
-            keys = tuple(k * (T + 1) + t for t in opt.interval.slots())
+            keys = tuple(k * stride + t for t in opt.interval.slots())
             opts.append((k, opt.size, opt.value, keys))
         options.append(opts)
-    return options
+    return options, inst.num_knapsacks * stride + 1
+
+
+def _density(size: float, value: float, duration: int) -> float:
+    """Value per unit size per slot; unbounded for a zero-size option."""
+    footprint = size * duration
+    return value / footprint if footprint else math.inf
 
 
 def solve_bruteforce(inst: Instance) -> OfflineSolution:
@@ -75,10 +89,9 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
         raise ValueError(
             f"instance too large for brute force: (K+1)^N = {(K + 1) ** N}"
         )
-    options = _prepared(inst)
+    options, num_keys = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
-    T = inst.horizon
-    load = [0.0] * (K * (T + 1) + 1)
+    load = [0.0] * num_keys
 
     best_value = 0.0
     best_assignment: list[Optional[int]] = [None] * N
@@ -130,13 +143,12 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     """
     N = inst.num_items
     K = inst.num_knapsacks
-    options = _prepared(inst)
+    options, num_keys = _prepared(inst)
     # Assignment children explored best value first (ties to lower index),
     # decline last, so dense incumbents appear early and tighten pruning.
     children_of = [sorted(opts, key=lambda o: (-o[2], o[0])) for opts in options]
     caps = [ks.capacity for ks in inst.knapsacks]
-    T = inst.horizon
-    load = [0.0] * (K * (T + 1) + 1)
+    load = [0.0] * num_keys
 
     # Residual max-value sums: suffix_value[i] bounds the total value of
     # items i.. regardless of capacity.
@@ -148,6 +160,8 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     # Capacity-aware bound ingredients: per knapsack, the max density among
     # items i.. and the slots any of them requests.  footprint[i][k] is the
     # tuple of flat slot keys; density_suffix[i][k] the max value density.
+    # A zero-size option's density is inf, so capacity_bound sums to inf
+    # or NaN (inf * 0 residual); neither compares <=, so it never prunes.
     density_suffix = [[0.0] * K for _ in range(N + 1)]
     footprint: list[list[frozenset[int]]] = [
         [frozenset() for _ in range(K)] for _ in range(N + 1)
@@ -157,8 +171,9 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
             density_suffix[i][k] = density_suffix[i + 1][k]
             footprint[i][k] = footprint[i + 1][k]
         for k, size, value, keys in options[i]:
-            d = len(keys)
-            density_suffix[i][k] = max(density_suffix[i][k], value / (size * d))
+            density_suffix[i][k] = max(
+                density_suffix[i][k], _density(size, value, len(keys))
+            )
             footprint[i][k] = footprint[i][k] | frozenset(keys)
 
     def capacity_bound(i: int) -> float:
@@ -240,24 +255,27 @@ def upper_bound(inst: Instance) -> float:
     and per knapsack the max observed density times capacity times the
     number of slots requested by at least one item.  The density term uses
     the larger of the declared theta and the observed maximum so it stays
-    valid even when declared bounds are violated.  A bound, never an
+    valid even when declared bounds are violated; an eligible zero-size
+    option makes it unbounded, leaving the value sum.  A bound, never an
     optimum.
     """
     value_sum = 0.0
     for item in inst.items:
         value_sum += max((opt.value for _, opt in item.eligible_options()), default=0.0)
 
-    observed = observed_parameters(inst)
     capacity_sum = 0.0
     for k, spec in enumerate(inst.knapsacks):
         slots: set[int] = set()
+        density = spec.theta
         for item in inst.items:
             opt = item.options[k]
             if opt.eligible:
                 slots.update(opt.interval.slots())
+                density = max(
+                    density, _density(opt.size, opt.value, opt.interval.duration)
+                )
         if not slots:
             continue
-        density = max(spec.theta, observed[k].theta)
         capacity_sum += density * spec.capacity * len(slots)
 
     return min(value_sum, capacity_sum)

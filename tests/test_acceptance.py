@@ -17,9 +17,10 @@ from knapdep.core import (
     ItemOption,
     KnapsackSpec,
     SlotInterval,
+    UtilizationState,
     assignment_violations,
 )
-from knapdep.engine import AdmissionQuery, admit, run
+from knapdep.engine import run, step
 from knapdep.instances import GenSpec, gen_staircase, gen_uniform
 from knapdep.oracle import solve_bruteforce, solve_exact
 from knapdep.threshold import (
@@ -246,16 +247,15 @@ def test_criterion_5_admission_semantics():
         snapshot = {t: rng.uniform(0.0, capacity) for t in interval.slots()}
         size = rng.uniform(0.0, capacity) + 1e-12
         value = rng.uniform(0.0, 2.0 * gamma * size * duration * capacity)
-        admitted, phi = admit(
-            AdmissionQuery(
-                value=value,
-                size=size,
-                interval=interval,
-                threshold=fn,
-                utilization=snapshot,
-                capacity=capacity,
-            )
-        )
+        # Admission through the engine's one path, ``step``, over a state
+        # seeded slot by slot; 0.0 + z is exact, so the state holds snapshot.
+        state = UtilizationState(1)
+        for t in interval.slots():
+            state.add(0, SlotInterval(t, 1), snapshot[t])
+        item = Item(0, 1, (ItemOption(True, size, value, interval),))
+        spec = KnapsackSpec(capacity, 1.0, 1, 1, capacity)
+        decision, audit = step(item, state, [fn], [spec])
+        (entry,) = audit.entries
         # Left to right in slot order, as the engine adds: builtin sum() of
         # floats is compensated from Python 3.12 on and would differ.
         expected_phi = 0.0
@@ -264,7 +264,11 @@ def test_criterion_5_admission_semantics():
         expected = value >= expected_phi and all(
             snapshot[t] + size <= capacity for t in interval.slots()
         )
-        if admitted != expected or phi != expected_phi:
+        if (
+            decision.admitted != expected
+            or entry.admissible != expected
+            or entry.phi != expected_phi
+        ):
             mismatches += 1
     ok = mismatches == 0
     report_line(

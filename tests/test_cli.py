@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import knapdep
 from knapdep.cli import main
 from knapdep.core import loads_instance
 
@@ -215,3 +217,85 @@ class TestBenchTune:
     def test_missing_input_usage_error(self):
         result = run_pipe(["bench"])
         assert result.returncode == 2
+
+    def test_flags_over_config_over_defaults(self, tmp_path, capsys):
+        paths = self.make_suite(tmp_path, capsys, n=4, count=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [str(p) for p in paths],
+            "threshold": {"kind": "exponential", "gamma": 0.5},
+            "exact_cutoff": 12,
+            "node_budget": None,
+        }))
+        assert cli("bench", "--config", str(cfg)) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["threshold"] == {"kind": "exponential", "gamma": 0.5}
+        assert (config["exact_cutoff"], config["node_budget"]) == (12, None)
+        assert (config["crosscheck_cutoff"], config["jobs"]) == (10, 1)
+
+        assert cli(
+            "bench", "--config", str(cfg), "--gamma", "auto", "--exact-cutoff", "5"
+        ) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["threshold"] == {"kind": "exponential", "gamma": "auto"}
+        assert config["exact_cutoff"] == 5
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("bench", {"exact_cutof": 3}, "unknown keys ['exact_cutof']"),
+            ("tune", {"tuner": {"grid": 3}}, "tuner: unknown keys ['grid']"),
+            ("tune", {"tuner": [3]}, "tuner: expected an object"),
+            ("bench", [1], "expected an object"),
+        ],
+    )
+    def test_bad_config_exits_1(self, tmp_path, capsys, command, body, message):
+        self.make_suite(tmp_path, capsys, n=4, count=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        argv = (command, "--input", str(tmp_path / "suite"), "--config", str(cfg))
+        assert cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: config {cfg}" in err and message in err
+
+
+# Outputs whose arithmetic is IEEE-exact (+, *, / and comparisons), pinned
+# by sha256 so byte identity is checked across commits, not only within
+# one run.  run and bench are left out: their charges go through libm exp,
+# whose last bit is not pinned across platforms.  Burst arrivals draw from
+# random.gauss (libm log and cos) but are rounded to integer slots.
+UNIFORM = ("gen", "--n", "16", "--k", "2", "--t", "30", "--capacity", "4",
+           "--theta", "8", "--eps", "2", "--seed", "5")
+BURST = ("gen", "--family", "burst", "--n", "30", "--k", "2", "--t", "40",
+         "--capacity", "4", "--theta", "8", "--eps", "2", "--seed", "11")
+GOLDEN = {
+    "uniform": "4e463e285294543fd9589e563cb19056d2891de9fa7ce4e3f528efc4b58300fd",
+    "burst": "36e0bc5defa2c8a69a70165c70b9120583dce93db19d1ebf696edf8d3f3ca9e5",
+    "validate": "460cd860e5aad9bddf3aed3412e0c7dd0d671f2fc9ac4320bb14fc36aba840ae",
+    "opt": "b40bc9c9d2225bd73d41b386eae2934a7282932c22ddead8f0e79cc186f42a73",
+    "budget": "6c08e1a602cef56203b52a0ecc254c00507ea0117419d6141e852203e0bf7e33",
+}
+
+
+def test_golden_bytes(tmp_path, capsys):
+    def digest(*argv):
+        assert cli(*argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    uniform, burst = tmp_path / "uniform.json", tmp_path / "burst.json"
+    got = {
+        "uniform": digest(*UNIFORM),
+        "burst": digest(*BURST),
+    }
+    assert cli(*UNIFORM, "--out", str(uniform)) == 0
+    assert cli(*BURST, "--out", str(burst)) == 0
+    capsys.readouterr()
+    got["validate"] = digest("validate", "--input", str(uniform), "--strict")
+    got["opt"] = digest("opt", "--input", str(uniform))
+    got["budget"] = digest("opt", "--input", str(burst), "--node-budget", "2000")
+    assert got == GOLDEN
+
+
+def test_public_names_resolve():
+    for name in knapdep.__all__:
+        assert getattr(knapdep, name) is not None, name

@@ -18,7 +18,6 @@ from knapdep.core import (
     instance_from_dict,
     instance_to_dict,
     loads_instance,
-    observed_parameters,
     validate_instance,
 )
 
@@ -130,25 +129,30 @@ class TestValidate:
 
 
 class TestObservedParameters:
+    """The validate report's per-knapsack observed ranges."""
+
     def test_max_density(self):
         items = [
             single(1.0, d * 1.0, 1, 1, item_id=i)
             for i, d in enumerate([1.0, 3.0, 3.0])
         ]
-        obs = observed_parameters(make_instance(items))
-        assert obs[0].theta == 3.0
+        obs = validate_instance(make_instance(items)).knapsacks
+        assert obs[0].density_range == (1.0, 3.0)
 
     def test_duration_ratio(self):
         items = [single(1.0, 2.0, 1, 2, item_id=0), single(1.0, 6.0, 1, 6, item_id=1)]
-        obs = observed_parameters(make_instance(items, dhi=6))
-        assert obs[0].alpha == 3.0
+        obs = validate_instance(make_instance(items, dhi=6)).knapsacks
+        lo, hi = obs[0].duration_range
+        assert (lo, hi) == (2, 6) and hi / lo == 3.0
 
     def test_degenerate_knapsack(self):
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
         item = Item(0, 1, (opt(1.0, 2.0, 1, 2), opt(0.0, 0.0, 1, 1, eligible=False)))
         inst = Instance(20, (ks, ks), (item,))
-        obs = observed_parameters(inst)
-        assert (obs[1].theta, obs[1].alpha, obs[1].max_size) == (1.0, 1.0, 0.0)
+        obs = validate_instance(inst).knapsacks
+        assert (obs[1].density_range, obs[1].duration_range, obs[1].max_size) == (
+            None, None, 0.0,
+        )
 
     def test_permutation_independent(self):
         rng = random.Random(11)
@@ -156,13 +160,13 @@ class TestObservedParameters:
             single(rng.uniform(0.5, 2.0), rng.uniform(1.0, 9.0), 1, rng.randint(1, 4), item_id=i)
             for i in range(8)
         ]
-        base = observed_parameters(make_instance(items))
+        base = validate_instance(make_instance(items)).knapsacks
         for _ in range(5):
             rng.shuffle(items)
             relabeled = [
                 Item(i, it.arrival, it.options) for i, it in enumerate(items)
             ]
-            assert observed_parameters(make_instance(relabeled)) == base
+            assert validate_instance(make_instance(relabeled)).knapsacks == base
 
 
 class TestUtilizationState:
@@ -175,10 +179,10 @@ class TestUtilizationState:
         assert state.get(0, 7) == 0.0
         assert state.get(1, 5) == 0.0
 
-    def test_snapshot_covers_window(self):
+    def test_window_covers_interval(self):
         state = UtilizationState(1)
         state.add(0, SlotInterval(2, 1), 3.0)
-        assert state.snapshot(0, SlotInterval(1, 3)) == {1: 0.0, 2: 3.0, 3: 0.0}
+        assert state.window(0, SlotInterval(1, 3)) == [0.0, 3.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -191,8 +195,8 @@ class TestUtilizationState:
         assert state.get(0, 5) == 0.0
         assert state.get(0, 10**6) == 0.0
         assert state.get(0, 0) == 0.0 and state.get(0, -1) == 0.0
-        assert state.snapshot(0, SlotInterval(4, 3)) == {4: 1.0, 5: 0.0, 6: 0.0}
-        assert state.snapshot(0, SlotInterval(9, 2)) == {9: 0.0, 10: 0.0}
+        assert state.window(0, SlotInterval(4, 3)) == [1.0, 0.0, 0.0]
+        assert state.window(0, SlotInterval(9, 2)) == [0.0, 0.0]
 
     def test_add_grows_row_past_horizon(self):
         for horizon in (0, 3):
@@ -319,6 +323,10 @@ class TestJsonSchema:
             (("items", 0, "id"), 0.0,
              "item at position 0: field 'id' must be an integer"),
             (("horizon",), True, "instance: field 'horizon' must be an integer"),
+            (("knapsacks", 0, "theta"), "4",
+             "knapsack 0: field 'theta' must be a number"),
+            (("items", 0, "options", 0, "start"), 1.0,
+             "item at position 0, option 0: field 'start' must be an integer"),
         ],
     )
     def test_type_error_messages(self, path, value, message):

@@ -11,7 +11,7 @@ from knapdep.core import (
     UtilizationState,
     assignment_violations,
 )
-from knapdep.engine import AdmissionQuery, admit, run, step
+from knapdep.engine import run, step
 from knapdep.instances import GenSpec, gen_uniform
 from knapdep.threshold import ExponentialThreshold, for_instance
 
@@ -22,83 +22,44 @@ def flat(gamma=LN9, capacity=10.0):
     return ExponentialThreshold(gamma=gamma, capacity=capacity)
 
 
+def check(value, size, interval, fn, utilization, capacity):
+    """One admission check through ``step``: (admissible, phi).
+
+    A single-knapsack item over a state seeded with ``utilization[i]`` in
+    slot ``interval.start + i``; each seed is added to 0.0, which is exact.
+    """
+    state = UtilizationState(1)
+    for t, z in zip(interval.slots(), utilization):
+        state.add(0, SlotInterval(t, 1), z)
+    item = Item(0, 1, (ItemOption(True, size, value, interval),))
+    spec = KnapsackSpec(capacity, 1.0, 1, 1, capacity)
+    decision, audit = step(item, state, [fn], [spec])
+    (entry,) = audit.entries
+    assert decision.admitted == entry.admissible
+    return entry.admissible, entry.phi
+
+
 class TestAdmit:
     def test_empty_knapsack_admits(self):
-        q = AdmissionQuery(
-            value=5.0,
-            size=1.0,
-            interval=SlotInterval(1, 3),
-            threshold=flat(),
-            utilization={1: 0.0, 2: 0.0, 3: 0.0},
-            capacity=10.0,
-        )
-        ok, phi = admit(q)
+        ok, phi = check(5.0, 1.0, SlotInterval(1, 3), flat(), [0.0, 0.0, 0.0], 10.0)
         assert ok and phi == 0.0
 
     def test_half_full_rejects_on_value(self):
         # phi(C/2) = 2 at gamma = ln9, so the charge is 3 slots * 1 * 2 = 6 > 5.
-        q = AdmissionQuery(
-            value=5.0,
-            size=1.0,
-            interval=SlotInterval(1, 3),
-            threshold=flat(),
-            utilization={1: 5.0, 2: 5.0, 3: 5.0},
-            capacity=10.0,
-        )
-        ok, phi = admit(q)
+        ok, phi = check(5.0, 1.0, SlotInterval(1, 3), flat(), [5.0, 5.0, 5.0], 10.0)
         assert not ok
         assert phi == pytest.approx(6.0, rel=1e-12)
 
     def test_capacity_clause_dominates(self):
-        q = AdmissionQuery(
-            value=100.0,
-            size=2.0,
-            interval=SlotInterval(4, 1),
-            threshold=flat(),
-            utilization={4: 9.0},
-            capacity=10.0,
-        )
-        ok, _ = admit(q)
+        ok, _ = check(100.0, 2.0, SlotInterval(4, 1), flat(), [9.0], 10.0)
         assert not ok
 
     def test_tie_admits(self):
         fn = flat(gamma=math.log(2.0), capacity=1.0)
         z = 0.5
         # value == charge exactly and z + size == capacity exactly: both admit.
-        q = AdmissionQuery(
-            value=(1.0 - z) * fn.eval(z),
-            size=1.0 - z,
-            interval=SlotInterval(1, 1),
-            threshold=fn,
-            utilization={1: z},
-            capacity=1.0,
-        )
-        ok, _ = admit(q)
+        ok, _ = check((1.0 - z) * fn.eval(z), 1.0 - z, SlotInterval(1, 1), fn, [z], 1.0)
         assert ok
-
-    def test_short_snapshot_is_contract_error(self):
-        q = AdmissionQuery(
-            value=1.0,
-            size=1.0,
-            interval=SlotInterval(1, 2),
-            threshold=flat(),
-            utilization={1: 0.0},
-            capacity=10.0,
-        )
-        with pytest.raises(ValueError, match="snapshot"):
-            admit(q)
-
-    def test_missing_slot_is_contract_error(self):
-        q = AdmissionQuery(
-            value=1.0,
-            size=1.0,
-            interval=SlotInterval(1, 2),
-            threshold=flat(),
-            utilization={1: 0.0, 5: 0.0},  # right size, wrong slots
-            capacity=10.0,
-        )
-        with pytest.raises(ValueError, match="missing slot"):
-            admit(q)
 
 
 def two_knapsack_item(v1, v2, size=1.0, start=1, duration=1):

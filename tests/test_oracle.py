@@ -11,8 +11,10 @@ from knapdep.core import (
     SlotInterval,
     assignment_violations,
 )
+from knapdep.engine import run
 from knapdep.instances import GenSpec, gen_uniform, generate
 from knapdep.oracle import solve_bruteforce, solve_exact, upper_bound
+from knapdep.threshold import for_instance
 
 
 def opt(size, value, start, duration, eligible=True):
@@ -228,3 +230,36 @@ class TestUpperBound:
 
     def test_empty(self):
         assert upper_bound(single_knapsack([])) == 0.0
+
+
+class TestUnvalidatedInstances:
+    """Instances ``run`` accepts without validation; the oracle must too."""
+
+    def test_window_past_horizon_keeps_its_own_slots(self):
+        ks = KnapsackSpec(4.0, 2.0, 1, 4, 4.0)
+        off = opt(0.0, 0.0, 1, 1, eligible=False)
+        items = [
+            Item(0, 1, (opt(4.0, 8.0, 6, 2), off)),  # slots 6-7, past horizon 5
+            Item(1, 1, (off, opt(4.0, 8.0, 1, 1))),
+        ]
+        inst = Instance(5, (ks, ks), tuple(items))
+        exact = solve_exact(inst)
+        assert exact.proof == "exact"
+        assert exact.objective == solve_bruteforce(inst).objective == 16.0
+        assert exact.objective >= run(inst, for_instance(inst)).profit
+        assert upper_bound(inst) >= exact.objective
+
+        one = Instance(5, (ks,), (Item(0, 1, (opt(4.0, 8.0, 5, 3),)),
+                                  Item(1, 1, (opt(1.0, 3.0, 7, 1),))))
+        assert solve_exact(one).objective == solve_bruteforce(one).objective == 8.0
+
+    def test_zero_size_option(self):
+        zero, full = opt(0.0, 1.0, 1, 1), opt(1.0, 2.0, 1, 1)
+        # Second order: the zero-size option's slot is already full when
+        # it is reached, so its capacity-aware bound is inf * 0.
+        for first, second in ((zero, full), (full, zero)):
+            inst = single_knapsack([Item(0, 1, (first,)), Item(1, 1, (second,))])
+            exact = solve_exact(inst)
+            assert exact.objective == solve_bruteforce(inst).objective == 3.0
+            assert upper_bound(inst) >= exact.objective
+            assert solve_exact(inst, node_budget=1).bound >= exact.objective
