@@ -37,12 +37,16 @@ def _read_instance(path: str) -> Instance:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    # Written in two calls: a run document can be tens of megabytes, and
+    # text + "\n" would copy it.
+    end = "" if text.endswith("\n") else "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(end)
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        with open(out, "w") as f:
+            f.write(text)
+            f.write(end)
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -123,12 +127,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     inst = _read_instance(args.input)
     gamma = None
     if args.gamma is not None:
-        if args.gamma == "auto":
+        value = _gamma_config(args.gamma)["gamma"]
+        if value == "auto":
             gamma = [
                 threshold.default_gamma(ks.theta, ks.alpha) for ks in inst.knapsacks
             ]
         else:
-            gamma = [float(args.gamma)] * inst.num_knapsacks
+            gamma = [value] * inst.num_knapsacks
     report = validate_instance(inst, strict=args.strict, gamma=gamma)
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     for msg in report.errors:
@@ -142,7 +147,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     inst = _read_instance(args.input)
     fns = threshold.for_instance(inst, _gamma_config(args.gamma))
     result = engine_run(inst, fns)
-    _emit(json.dumps(result.to_dict(), indent=2), args.out)
+    _emit(result.to_json(), args.out)
     print(f"profit {result.profit!r} over {inst.num_items} items", file=sys.stderr)
     return EXIT_OK
 

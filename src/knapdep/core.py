@@ -150,7 +150,7 @@ class UtilizationState:
     unused), sized from ``horizon`` and grown when a window ends past it,
     so unvalidated instances and a horizon-less state still work.  Slots
     past the row read zero.  A parallel byte row marks the slots some
-    ``add`` covered, including zero-size adds, which is what ``as_dict``
+    ``add`` covered, including zero-size adds, which is what ``covered``
     lists.  Utilization only ever grows: departures are encoded in the
     time-indexed windows, never by decrementing.
     """
@@ -189,17 +189,11 @@ class UtilizationState:
         row[start:stop] = [z + size for z in row[start:stop]]
         touched[start:stop] = b"\x01" * interval.duration
 
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly view: knapsack index -> {slot: utilization}.
-
-        Lists exactly the slots some ``add`` covered, in ascending order.
-        """
-        return {
-            str(k): {
-                str(t): row[t] for t in compress(range(len(row)), touched)
-            }
-            for k, (row, touched) in enumerate(zip(self._z, self._touched))
-        }
+    def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
+        """(slot, utilization) of each slot some ``add`` covered, ascending."""
+        row = self._z[knapsack]
+        touched = self._touched[knapsack]
+        return zip(compress(range(len(row)), touched), compress(row, touched))
 
 
 @dataclass(frozen=True)
@@ -271,7 +265,8 @@ def validate_instance(
     ingested traces are not rejected for it.
 
     When ``gamma`` supplies one value per knapsack, the report also checks
-    the exponential-threshold size precondition size_cap <= capacity*ln2/gamma.
+    the exponential-threshold size precondition size_cap <= capacity*ln2/gamma;
+    each value must be finite and > 0 (ValueError otherwise).
 
     ``report.knapsacks`` carries each knapsack's observed density range,
     duration range and max size over the eligible options that pass the
@@ -281,8 +276,12 @@ def validate_instance(
     report = ValidationReport()
     K = inst.num_knapsacks
 
-    if gamma is not None and len(gamma) != K:
-        raise ValueError(f"gamma must have {K} entries, got {len(gamma)}")
+    if gamma is not None:
+        if len(gamma) != K:
+            raise ValueError(f"gamma must have {K} entries, got {len(gamma)}")
+        for g in gamma:
+            if not 0 < g < math.inf:
+                raise ValueError(f"gamma must be a finite number > 0, got {g}")
 
     def violation(msg: str) -> None:
         (report.errors if strict else report.warnings).append(msg)
@@ -429,37 +428,80 @@ _OPTION_FIELDS = frozenset(("eligible", "size", "value", "start", "duration"))
 _INSTANCE_FIELDS = frozenset(("horizon", "knapsacks", "items"))
 
 
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def json_scalar(v: object) -> str:
+    """JSON text of one scalar, as ``json.dumps`` writes it.
+
+    Exact ``float`` (finite), ``int``, ``bool`` and ``None`` take their
+    fixed spelling directly; anything else (NaN, infinities, subclasses,
+    strings) goes through ``json.dumps`` itself.
+    """
+    if type(v) is float:
+        if v - v == 0.0:
+            return _float_repr(v)
+    elif type(v) is int:
+        return _int_repr(v)
+    elif v is True:
+        return "true"
+    elif v is False:
+        return "false"
+    elif v is None:
+        return "null"
+    return json.dumps(v)
+
+
+def json_block(elements: list[str], indent: str, brackets: str = "[]") -> str:
+    """An array (or, with ``brackets="{}"``, an object) in ``indent=2`` layout.
+
+    ``elements`` are already rendered, each with its own indentation, and
+    the closing bracket goes at ``indent``; empty gives ``[]`` or ``{}``.
+    """
+    if not elements:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(elements) + f"\n{indent}{brackets[1]}"
+
+
+def dumps_instance(inst: Instance) -> str:
+    """The instance document, byte for byte as ``json.dumps(doc, indent=2)``.
+
+    Written straight from the dataclasses; this is the one definition of
+    the document's shape, and ``instance_to_dict`` parses it back.
+    """
+    s = json_scalar
+    knapsacks = [
+        f'    {{\n      "capacity": {s(ks.capacity)},\n'
+        f'      "theta": {s(ks.theta)},\n'
+        f'      "duration_lo": {s(ks.duration_lo)},\n'
+        f'      "duration_hi": {s(ks.duration_hi)},\n'
+        f'      "size_cap": {s(ks.size_cap)}\n    }}'
+        for ks in inst.knapsacks
+    ]
+    items = []
+    for it in inst.items:
+        options = [
+            f'        {{\n          "eligible": {s(opt.eligible)},\n'
+            f'          "size": {s(opt.size)},\n'
+            f'          "value": {s(opt.value)},\n'
+            f'          "start": {s(opt.interval.start)},\n'
+            f'          "duration": {s(opt.interval.duration)}\n        }}'
+            for opt in it.options
+        ]
+        items.append(
+            f'    {{\n      "id": {s(it.id)},\n      "arrival": {s(it.arrival)},\n'
+            f'      "options": {json_block(options, "      ")}\n    }}'
+        )
+    return (
+        f'{{\n  "horizon": {s(inst.horizon)},\n'
+        f'  "knapsacks": {json_block(knapsacks, "  ")},\n'
+        f'  "items": {json_block(items, "  ")}\n}}'
+    )
+
+
 def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "horizon": inst.horizon,
-        "knapsacks": [
-            {
-                "capacity": ks.capacity,
-                "theta": ks.theta,
-                "duration_lo": ks.duration_lo,
-                "duration_hi": ks.duration_hi,
-                "size_cap": ks.size_cap,
-            }
-            for ks in inst.knapsacks
-        ],
-        "items": [
-            {
-                "id": it.id,
-                "arrival": it.arrival,
-                "options": [
-                    {
-                        "eligible": opt.eligible,
-                        "size": opt.size,
-                        "value": opt.value,
-                        "start": opt.interval.start,
-                        "duration": opt.interval.duration,
-                    }
-                    for opt in it.options
-                ],
-            }
-            for it in inst.items
-        ],
-    }
+    return json.loads(dumps_instance(inst))
 
 
 # Each helper below first tries the exact types ``json.loads`` produces and
@@ -481,11 +523,17 @@ def _require_fields(obj: Mapping, fields: frozenset[str], where: str) -> None:
 
 def _number(obj: Mapping, key: str, where: str) -> float:
     v = obj[key]
-    if type(v) is float:
+    if type(v) is float and v - v == 0.0:
         return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: field '{key}' must be a number")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if v - v != 0.0:
+        raise SchemaError(f"{where}: field '{key}' must be a finite number")
+    return v
 
 
 def _integer(obj: Mapping, key: str, where: str) -> int:
@@ -558,10 +606,6 @@ def instance_from_dict(data: Mapping) -> Instance:
             )
         )
     return Instance(horizon=horizon, knapsacks=tuple(knapsacks), items=tuple(items))
-
-
-def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2)
 
 
 def loads_instance(text: str) -> Instance:

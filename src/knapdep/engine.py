@@ -10,6 +10,7 @@ admission path; ``run`` calls it once per item.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -19,6 +20,8 @@ from .core import (
     Item,
     KnapsackSpec,
     UtilizationState,
+    json_block,
+    json_scalar,
 )
 from .threshold import ThresholdFn
 
@@ -108,7 +111,28 @@ class RunResult:
     def assignment(self) -> list[Optional[int]]:
         return [d.knapsack for d in self.decisions]
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
+        """The run document, byte for byte as ``json.dumps(doc, indent=2)``.
+
+        ``{"profit", "decisions": [{"id", "admitted", "knapsack", "phi",
+        "audit"}], "utilization": {knapsack: {slot: z}}}``, where ``phi`` is
+        the charge of the chosen knapsack (null when declined) and the
+        utilization lists the covered slots.  Written straight from the
+        decisions, audits and state; this is the one definition of the
+        document's shape, and ``to_dict`` parses it back.
+        """
+        # Each part is joined as soon as it is built, so that its many
+        # small strings are freed before the next part is formed.
+        decisions = json_block(self._decision_texts(), "  ")
+        utilization = json_block(self._utilization_texts(), "  ", "{}")
+        return (
+            f'{{\n  "profit": {json_scalar(self.profit)},\n'
+            f'  "decisions": {decisions},\n'
+            f'  "utilization": {utilization}\n}}'
+        )
+
+    def _decision_texts(self) -> list[str]:
+        s = json_scalar
         records = []
         for decision, audit in zip(self.decisions, self.audits):
             phi = None
@@ -116,28 +140,40 @@ class RunResult:
                 phi = next(
                     e.phi for e in audit.entries if e.knapsack == decision.knapsack
                 )
+            entries = [
+                f'        {{\n          "knapsack": {s(e.knapsack)},\n'
+                f'          "phi": {s(e.phi)},\n'
+                f'          "fits": {s(e.fits)},\n'
+                f'          "admissible": {s(e.admissible)}\n        }}'
+                for e in audit.entries
+            ]
             records.append(
-                {
-                    "id": decision.item_id,
-                    "admitted": decision.admitted,
-                    "knapsack": decision.knapsack,
-                    "phi": phi,
-                    "audit": [
-                        {
-                            "knapsack": e.knapsack,
-                            "phi": e.phi,
-                            "fits": e.fits,
-                            "admissible": e.admissible,
-                        }
-                        for e in audit.entries
-                    ],
-                }
+                f'    {{\n      "id": {s(decision.item_id)},\n'
+                f'      "admitted": {s(decision.admitted)},\n'
+                f'      "knapsack": {s(decision.knapsack)},\n'
+                f'      "phi": {s(phi)},\n'
+                f'      "audit": {json_block(entries, "      ")}\n    }}'
             )
-        return {
-            "profit": self.profit,
-            "decisions": records,
-            "utilization": self.state.as_dict(),
-        }
+        return records
+
+    def _utilization_texts(self) -> list[str]:
+        # Many slots share a utilization value, so each value's text is
+        # formed once.  Rows hold floats built up from 0.0 by nonnegative
+        # adds, never -0.0, so equal keys always have equal text.
+        texts: dict[float, str] = {}
+        rows = []
+        for k in range(self.state.num_knapsacks):
+            slots = []
+            for t, z in self.state.covered(k):
+                text = texts.get(z)
+                if text is None:
+                    text = texts[z] = json_scalar(z)
+                slots.append(f'      "{t}": {text}')
+            rows.append(f'    "{k}": {json_block(slots, "    ", "{}")}')
+        return rows
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
 
 def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:

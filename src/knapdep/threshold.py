@@ -45,12 +45,18 @@ class ExponentialThreshold(ThresholdFn):
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
 
     def eval(self, z: float) -> float:
+        """The curve at ``z``; +inf where ``exp`` overflows, its limit there."""
         self._check_domain(z)
-        return math.exp(z * self.gamma / self.capacity) - 1.0
+        try:
+            return math.exp(z * self.gamma / self.capacity) - 1.0
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,22 @@ import pytest
 import knapdep
 from knapdep.cli import main
 from knapdep.core import loads_instance
+
+
+def one_item_instance():
+    return {
+        "horizon": 10,
+        "knapsacks": [
+            {"capacity": 10.0, "theta": 4.0, "duration_lo": 1,
+             "duration_hi": 4, "size_cap": 10.0}
+        ],
+        "items": [
+            {"id": 0, "arrival": 1, "options": [
+                {"eligible": True, "size": 2.5, "value": 7.0,
+                 "start": 1, "duration": 2}
+            ]}
+        ],
+    }
 
 
 def cli(*argv):
@@ -98,6 +115,26 @@ class TestValidate:
         capsys.readouterr()
         assert cli("validate", "--input", str(path), "--strict") == 1
 
+    def test_malformed_gamma_is_usage_error(self, instance_file, capsys):
+        for command in ("validate", "run"):
+            with pytest.raises(SystemExit) as info:
+                cli(command, "--input", str(instance_file), "--gamma", "abc")
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "error: --gamma must be a number or 'auto', got 'abc'" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_or_non_finite_gamma_exits_1(self, instance_file, capsys, raw):
+        assert cli("validate", "--input", str(instance_file), "--gamma", raw) == 1
+        assert "error: gamma must be a finite number > 0" in capsys.readouterr().err
+
+    def test_nan_size_rejected_under_strict(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(one_item_instance()).replace("2.5", "NaN"))
+        assert cli("validate", "--input", str(path), "--strict") == 1
+        err = capsys.readouterr().err
+        assert "item at position 0, option 0: field 'size' must be a finite number" in err
+
     def test_unreadable_file_exits_1(self, capsys):
         assert cli("validate", "--input", "/nonexistent/x.json") == 1
         assert "/nonexistent/x.json" in capsys.readouterr().err
@@ -123,6 +160,27 @@ class TestRunOpt:
         assert cli("run", "--input", str(path)) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["profit"] == 7.0
+
+    def test_run_nan_gamma_exits_1(self, instance_file, capsys):
+        assert cli("run", "--input", str(instance_file), "--gamma", "nan") == 1
+        assert "error: gamma must be finite, got nan" in capsys.readouterr().err
+
+    def test_run_overflowing_gamma_declines(self, tmp_path, capsys):
+        # At gamma 1e5 the charge over any occupied slot overflows exp.
+        data = one_item_instance()
+        data["items"].append(
+            {"id": 1, "arrival": 1, "options": [
+                {"eligible": True, "size": 1.0, "value": 9.0, "start": 2, "duration": 2}
+            ]}
+        )
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(data))
+        assert cli("run", "--input", str(path), "--gamma", "1e5") == 0
+        out = capsys.readouterr().out
+        assert '"phi": Infinity' in out
+        records = json.loads(out)["decisions"]
+        assert [r["admitted"] for r in records] == [True, False]
+        assert records[1]["audit"][0]["phi"] == math.inf
 
     def test_opt_methods_agree(self, instance_file, capsys):
         assert cli("opt", "--input", str(instance_file)) == 0

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import OrderedDict
@@ -206,19 +207,19 @@ class TestUtilizationState:
             assert [state.get(1, t) for t in range(1, 9)] == [
                 0.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25, 0.0,
             ]
-            assert state.as_dict() == {
-                "0": {},
-                "1": {"2": 0.5, "3": 0.5, "4": 0.5, "5": 0.5, "6": 0.75, "7": 0.25},
-            }
+            assert list(state.covered(0)) == []
+            assert list(state.covered(1)) == [
+                (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5), (6, 0.75), (7, 0.25),
+            ]
 
-    def test_as_dict_lists_covered_slots_in_order(self):
+    def test_covered_lists_slots_in_order(self):
         state = UtilizationState(1, horizon=20)
         state.add(0, SlotInterval(12, 2), 1.0)
         state.add(0, SlotInterval(3, 2), 0.0)  # zero-size: listed, holds 0.0
         state.add(0, SlotInterval(9, 1), 2.0)
-        listed = state.as_dict()["0"]
-        assert list(listed) == ["3", "4", "9", "12", "13"]
-        assert listed["3"] == 0.0 and listed["9"] == 2.0
+        assert list(state.covered(0)) == [
+            (3, 0.0), (4, 0.0), (9, 2.0), (12, 1.0), (13, 1.0),
+        ]
 
 
 class TestAssignmentAudit:
@@ -338,6 +339,33 @@ class TestJsonSchema:
         with pytest.raises(SchemaError) as info:
             instance_from_dict(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "int-1e400"],
+    )
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("items", 0, "options", 0, "size"), "item at position 0, option 0"),
+            (("items", 1, "options", 1, "value"), "item at position 1, option 1"),
+            (("items", 0, "options", 1, "size"), "item at position 0, option 1"),
+            (("knapsacks", 1, "capacity"), "knapsack 1"),
+            (("knapsacks", 0, "theta"), "knapsack 0"),
+            (("knapsacks", 0, "size_cap"), "knapsack 0"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, path, where, literal):
+        data = instance_to_dict(self.roundtrip_instance())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@"
+        text = json.dumps(data).replace('"@"', literal)
+        with pytest.raises(SchemaError) as info:
+            loads_instance(text)
+        assert str(info.value) == f"{where}: field '{path[-1]}' must be a finite number"
 
     def test_field_error_messages(self):
         data = instance_to_dict(self.roundtrip_instance())

@@ -223,7 +223,7 @@ class TestRun:
         assert result.assignment() == [0, None, 0]
         assert result.audits[1].entries[0].fits is False  # 4 + 7 > 10 at slot 6
         assert result.audits[2].entries[0].phi == 5.0 * flat().eval(0.0) * 2
-        assert result.state.as_dict() == {
+        assert result.to_dict()["utilization"] == {
             "0": {"3": 4.0, "4": 4.0, "5": 4.0, "6": 4.0, "8": 5.0, "9": 5.0}
         }
 
@@ -235,7 +235,7 @@ class TestRun:
         )
         result = run(Instance(10, (ks,), items), [flat()])
         assert result.assignment() == [0, 0]
-        utilization = result.state.as_dict()["0"]
+        utilization = result.to_dict()["utilization"]["0"]
         assert list(utilization) == ["2", "3", "5"]
         assert utilization["2"] == 0.0 and utilization["3"] == 0.0
 

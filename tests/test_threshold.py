@@ -37,6 +37,21 @@ class TestEval:
         with pytest.raises(ValueError):
             fn.eval(10.001)
 
+    def test_non_finite_gamma_rejected(self):
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                ExponentialThreshold(gamma=gamma, capacity=10.0)
+        with pytest.raises(ValueError, match="gamma must be > 0"):
+            ExponentialThreshold(gamma=-math.inf, capacity=10.0)
+
+    def test_overflow_is_infinite(self):
+        # exp overflows past about 709.78; its limit there is +inf.
+        fn = ExponentialThreshold(gamma=1e5, capacity=10.0)
+        assert fn.eval(10.0) == math.inf
+        assert fn.eval(0.08) == math.inf
+        assert fn.eval(0.0) == 0.0
+        assert fn.eval(0.05) == math.exp(500.0) - 1.0
+
     def test_monotone_on_sampled_pairs(self):
         rng = random.Random(5)
         for gamma, C in [(0.3, 1.0), (math.log(2.0), 10.0), (LN9, 3.0), (6.0, 100.0)]:
