@@ -133,7 +133,7 @@ def _shared_knapsack_echo(
         return None
     try:
         fns = threshold.for_instance(first, dict(cfg.threshold))
-    except (ValueError, KeyError):
+    except ValueError:
         return None
     return [
         {

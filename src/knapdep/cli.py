@@ -229,7 +229,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _emit(report.to_json(), None)
     cr = "inf" if report.cr_infinite else report.cr
     print(f"suite CR {cr} over {len(report.rows)} instances", file=sys.stderr)
-    return EXIT_OK
+    failed = [r for r in report.rows if r.error is not None]
+    for r in failed:
+        print(f"error: {r.instance_id}: {r.error}", file=sys.stderr)
+    return EXIT_FAILURE if failed else EXIT_OK
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:

@@ -103,10 +103,10 @@ class KnapsackSpec:
     size_cap: float
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.theta < 1:
-            raise ValueError(f"theta must be >= 1, got {self.theta}")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be a finite number > 0, got {self.capacity}")
+        if not 1 <= self.theta < math.inf:
+            raise ValueError(f"theta must be a finite number >= 1, got {self.theta}")
         if self.duration_lo < 1:
             raise ValueError(f"duration_lo must be >= 1, got {self.duration_lo}")
         if self.duration_hi < self.duration_lo:
@@ -114,7 +114,7 @@ class KnapsackSpec:
                 f"duration_hi must be >= duration_lo, got "
                 f"{self.duration_hi} < {self.duration_lo}"
             )
-        if not 0 < self.size_cap <= self.capacity:
+        if not 0 < self.size_cap <= self.capacity:  # finite, as capacity is
             raise ValueError(
                 f"size_cap must be in (0, capacity], got {self.size_cap} "
                 f"with capacity {self.capacity}"
@@ -128,11 +128,49 @@ class KnapsackSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """Ordered item sequence over a slotted horizon and K knapsacks."""
+    """Ordered item sequence over a slotted horizon and K knapsacks.
+
+    Well-formed by construction: the constructor raises ValueError on the
+    first break of the structural rules (horizon >= 1, unique ids, arrivals
+    >= 1 and nondecreasing, one option per knapsack, and for each eligible
+    option a finite size > 0, a finite value > 0 and a window ending by the
+    horizon), so everything downstream relies on them.
+    """
 
     horizon: int
     knapsacks: tuple[KnapsackSpec, ...]
     items: tuple[Item, ...]
+
+    def __post_init__(self) -> None:
+        horizon = self.horizon
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        K = len(self.knapsacks)
+        inf = math.inf
+        limit = horizon + 1
+        seen: set[int] = set()
+        prev_arrival = 1
+        for item in self.items:
+            if item.id in seen:
+                raise ValueError(f"duplicate item id {item.id}")
+            seen.add(item.id)
+            if item.arrival < prev_arrival:  # prev_arrival starts at 1
+                raise ValueError(
+                    f"item {item.id}: arrival must be >= 1, got {item.arrival}"
+                    if item.arrival < 1
+                    else f"item {item.id}: arrival {item.arrival} breaks nondecreasing order"
+                )
+            prev_arrival = item.arrival
+            options = item.options
+            if len(options) != K:
+                raise ValueError(f"item {item.id}: expected {K} options, got {len(options)}")
+            for opt in options:
+                if opt.eligible and not (
+                    0 < opt.size < inf
+                    and 0 < opt.value < inf
+                    and opt.interval.start + opt.interval.duration <= limit
+                ):
+                    raise ValueError(_option_fault(item, horizon))
 
     @property
     def num_knapsacks(self) -> int:
@@ -143,22 +181,32 @@ class Instance:
         return len(self.items)
 
 
+def _option_fault(item: Item, horizon: int) -> Optional[str]:
+    """The rule that the first bad eligible option of ``item`` breaks."""
+    for k, opt in item.eligible_options():
+        where = f"item {item.id}, knapsack {k}"
+        for name, v in (("size", opt.size), ("value", opt.value)):
+            if v <= 0:
+                return f"{where}: nonpositive {name} {v}"
+            if not v < math.inf:
+                return f"{where}: {name} {v} is not finite"
+        if opt.interval.end > horizon:
+            return f"{where}: window ends at {opt.interval.end}, beyond horizon {horizon}"
+
+
 class UtilizationState:
     """Per-knapsack, per-slot committed size; the engine's only mutable state.
 
     Each knapsack holds one dense row of floats indexed by slot (index 0 is
     unused), sized from ``horizon`` and grown when a window ends past it,
-    so unvalidated instances and a horizon-less state still work.  Slots
-    past the row read zero.  A parallel byte row marks the slots some
-    ``add`` covered, including zero-size adds, which is what ``covered``
-    lists.  Utilization only ever grows: departures are encoded in the
+    so a horizon-less state still works.  Slots past the row read zero.
+    Utilization only ever grows: departures are encoded in the
     time-indexed windows, never by decrementing.
     """
 
     def __init__(self, num_knapsacks: int, horizon: int = 0) -> None:
         n = max(horizon, 0) + 1
         self._z: list[list[float]] = [[0.0] * n for _ in range(num_knapsacks)]
-        self._touched: list[bytearray] = [bytearray(n) for _ in range(num_knapsacks)]
 
     @property
     def num_knapsacks(self) -> int:
@@ -180,20 +228,16 @@ class UtilizationState:
         if size < 0:
             raise ValueError("utilization updates must be nonnegative")
         row = self._z[knapsack]
-        touched = self._touched[knapsack]
         start = interval.start
         stop = start + interval.duration
         if stop > len(row):
             row.extend([0.0] * (stop - len(row)))
-            touched.extend(bytes(stop - len(touched)))
         row[start:stop] = [z + size for z in row[start:stop]]
-        touched[start:stop] = b"\x01" * interval.duration
 
     def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
-        """(slot, utilization) of each slot some ``add`` covered, ascending."""
+        """(slot, utilization) of each slot some positive ``add`` covered, ascending."""
         row = self._z[knapsack]
-        touched = self._touched[knapsack]
-        return zip(compress(range(len(row)), touched), compress(row, touched))
+        return zip(compress(range(len(row)), row), compress(row, row))
 
 
 @dataclass(frozen=True)
@@ -254,24 +298,24 @@ def validate_instance(
     strict: bool = False,
     gamma: Optional[Sequence[float]] = None,
 ) -> ValidationReport:
-    """Check structure and the declared fluctuation bounds of an instance.
+    """Check an instance against its declared fluctuation bounds.
 
-    Structural inconsistencies (option count mismatch, intervals outside the
-    horizon, nonpositive sizes/values on eligible options, unsorted arrivals,
-    duplicate ids) are always errors.  Fluctuation-bound violations (density
-    outside [1, theta], duration outside its bounds, size above the cap) are
+    Structure needs no check here: every ``Instance`` is well-formed by
+    construction.  Fluctuation-bound violations (density outside
+    [1, theta], duration outside its bounds, size above the cap) are
     warnings, promoted to errors when ``strict``.  A window starting before
-    the item's arrival is reported as a warning only, even under strict:
-    ingested traces are not rejected for it.
+    the item's arrival, and an item with no eligible option, are reported
+    as warnings only, even under strict: ingested traces are not rejected
+    for them.
 
     When ``gamma`` supplies one value per knapsack, the report also checks
     the exponential-threshold size precondition size_cap <= capacity*ln2/gamma;
     each value must be finite and > 0 (ValueError otherwise).
 
     ``report.knapsacks`` carries each knapsack's observed density range,
-    duration range and max size over the eligible options that pass the
-    structural checks (no ranges and max size 0 when there are none); this
-    is the one place they are computed.
+    duration range and max size over its eligible options (no ranges and
+    max size 0 when there are none); this is the one place they are
+    computed.
     """
     report = ValidationReport()
     K = inst.num_knapsacks
@@ -286,11 +330,6 @@ def validate_instance(
     def violation(msg: str) -> None:
         (report.errors if strict else report.warnings).append(msg)
 
-    if inst.horizon < 1:
-        report.errors.append(f"horizon must be >= 1, got {inst.horizon}")
-
-    seen_ids: set[int] = set()
-    prev_arrival: Optional[int] = None
     # Per-knapsack observed stats over eligible options.
     dens_lo = [math.inf] * K
     dens_hi = [-math.inf] * K
@@ -300,21 +339,6 @@ def validate_instance(
 
     for item in inst.items:
         label = f"item {item.id}"
-        if item.id in seen_ids:
-            report.errors.append(f"duplicate item id {item.id}")
-        seen_ids.add(item.id)
-        if item.arrival < 1:
-            report.errors.append(f"{label}: arrival must be >= 1, got {item.arrival}")
-        if prev_arrival is not None and item.arrival < prev_arrival:
-            report.errors.append(
-                f"{label}: arrival {item.arrival} breaks nondecreasing order"
-            )
-        prev_arrival = item.arrival
-        if len(item.options) != K:
-            report.errors.append(
-                f"{label}: expected {K} options, got {len(item.options)}"
-            )
-            continue
         if not any(opt.eligible for opt in item.options):
             report.warnings.append(f"{label}: no eligible option (vacuous item)")
 
@@ -323,18 +347,6 @@ def validate_instance(
                 continue
             spec = inst.knapsacks[k]
             where = f"{label}, knapsack {k}"
-            if opt.size <= 0:
-                report.errors.append(f"{where}: nonpositive size {opt.size}")
-                continue
-            if opt.value <= 0:
-                report.errors.append(f"{where}: nonpositive value {opt.value}")
-                continue
-            if opt.interval.end > inst.horizon:
-                report.errors.append(
-                    f"{where}: window ends at {opt.interval.end}, "
-                    f"beyond horizon {inst.horizon}"
-                )
-                continue
             if opt.interval.start < item.arrival:
                 report.warnings.append(
                     f"{where}: window starts at {opt.interval.start}, "
@@ -605,7 +617,10 @@ def instance_from_dict(data: Mapping) -> Instance:
                 tuple(options),
             )
         )
-    return Instance(horizon=horizon, knapsacks=tuple(knapsacks), items=tuple(items))
+    try:
+        return Instance(horizon, tuple(knapsacks), tuple(items))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def loads_instance(text: str) -> Instance:

@@ -306,12 +306,12 @@ def ingest_trace(
 ) -> tuple[Instance, IngestStats]:
     """Build an instance from a CSV trace of job-scheduling-style rows.
 
-    Rows must parse to arrival >= 1, size > 0, duration >= 1 (and value
-    > 0 when mapped); rows that do not are skipped, and the whole ingest
-    fails with their row numbers if they exceed ``error_tolerance`` as a
-    fraction of data rows.  The horizon defaults to the latest requested
-    slot; with an explicit horizon, overruns fall under the violation
-    policy (clamp shortens the window, drop removes the row).
+    Rows must parse to arrival >= 1, a finite size > 0, duration >= 1 (and
+    a finite value > 0 when mapped); rows that do not are skipped, and the
+    whole ingest fails with their row numbers if they exceed
+    ``error_tolerance`` as a fraction of data rows.  The horizon defaults to
+    the latest requested slot; with an explicit horizon, overruns fall under
+    the violation policy (clamp shortens the window, drop removes the row).
     """
     path = Path(path)
     knapsacks = tuple(knapsacks)
@@ -345,11 +345,11 @@ def ingest_trace(
                 value = (
                     float(row[mapping.value]) if mapping.value is not None else None
                 )
-                if arrival < 1 or start < 1 or size <= 0 or duration < 1:
+                if arrival < 1 or start < 1 or duration < 1 or not 0 < size < math.inf:
                     raise ValueError("out of domain")
-                if value is not None and value <= 0:
+                if value is not None and not 0 < value < math.inf:
                     raise ValueError("out of domain")
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, OverflowError):
                 stats.bad_rows.append(row_no)
                 continue
             rows.append((arrival, start, size, duration, value))

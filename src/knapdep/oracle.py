@@ -10,7 +10,6 @@ hermetic build keeps CI deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,14 +51,9 @@ class OfflineSolution:
 
 def _prepared(inst: Instance):
     """Per-item eligible options as (knapsack, size, value, slot keys), and
-    the key count.  Slot t of knapsack k is key k*stride + t, the stride
-    spanning windows that end past the horizon (``run`` does not validate).
+    the key count; slot t of knapsack k is key k*(horizon+1) + t.
     """
-    last = inst.horizon
-    for item in inst.items:
-        for _, opt in item.eligible_options():
-            last = max(last, opt.interval.end)
-    stride = last + 1
+    stride = inst.horizon + 1
     options = []
     for item in inst.items:
         opts = []
@@ -68,12 +62,6 @@ def _prepared(inst: Instance):
             opts.append((k, opt.size, opt.value, keys))
         options.append(opts)
     return options, inst.num_knapsacks * stride + 1
-
-
-def _density(size: float, value: float, duration: int) -> float:
-    """Value per unit size per slot; unbounded for a zero-size option."""
-    footprint = size * duration
-    return value / footprint if footprint else math.inf
 
 
 def solve_bruteforce(inst: Instance) -> OfflineSolution:
@@ -160,8 +148,6 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     # Capacity-aware bound ingredients: per knapsack, the max density among
     # items i.. and the slots any of them requests.  footprint[i][k] is the
     # tuple of flat slot keys; density_suffix[i][k] the max value density.
-    # A zero-size option's density is inf, so capacity_bound sums to inf
-    # or NaN (inf * 0 residual); neither compares <=, so it never prunes.
     density_suffix = [[0.0] * K for _ in range(N + 1)]
     footprint: list[list[frozenset[int]]] = [
         [frozenset() for _ in range(K)] for _ in range(N + 1)
@@ -172,7 +158,7 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
             footprint[i][k] = footprint[i + 1][k]
         for k, size, value, keys in options[i]:
             density_suffix[i][k] = max(
-                density_suffix[i][k], _density(size, value, len(keys))
+                density_suffix[i][k], value / (size * len(keys))
             )
             footprint[i][k] = footprint[i][k] | frozenset(keys)
 
@@ -255,8 +241,7 @@ def upper_bound(inst: Instance) -> float:
     and per knapsack the max observed density times capacity times the
     number of slots requested by at least one item.  The density term uses
     the larger of the declared theta and the observed maximum so it stays
-    valid even when declared bounds are violated; an eligible zero-size
-    option makes it unbounded, leaving the value sum.  A bound, never an
+    valid even when declared bounds are violated.  A bound, never an
     optimum.
     """
     value_sum = 0.0
@@ -271,11 +256,7 @@ def upper_bound(inst: Instance) -> float:
             opt = item.options[k]
             if opt.eligible:
                 slots.update(opt.interval.slots())
-                density = max(
-                    density, _density(opt.size, opt.value, opt.interval.duration)
-                )
-        if not slots:
-            continue
+                density = max(density, opt.density())
         capacity_sum += density * spec.capacity * len(slots)
 
     return min(value_sum, capacity_sum)

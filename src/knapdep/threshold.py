@@ -25,13 +25,7 @@ class ThresholdFn(abc.ABC):
 
     @abc.abstractmethod
     def eval(self, z: float) -> float:
-        """Marginal cost per unit size per slot at utilization ``z``."""
-
-    def _check_domain(self, z: float) -> None:
-        if z < 0 or z > self.capacity:
-            raise ValueError(
-                f"utilization {z} outside [0, {self.capacity}]"
-            )
+        """Marginal cost per unit size per slot at utilization ``z`` in [0, capacity]."""
 
 
 @dataclass(frozen=True)
@@ -43,16 +37,13 @@ class ExponentialThreshold(ThresholdFn):
     kind = "exponential"
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
         if self.capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
 
     def eval(self, z: float) -> float:
         """The curve at ``z``; +inf where ``exp`` overflows, its limit there."""
-        self._check_domain(z)
         try:
             return math.exp(z * self.gamma / self.capacity) - 1.0
         except OverflowError:
@@ -63,8 +54,8 @@ class ExponentialThreshold(ThresholdFn):
 class TableThreshold(ThresholdFn):
     """Piecewise-linear curve over a supplied grid of (z, phi) points.
 
-    The grid must start at (0, 0), have strictly increasing z, and be
-    nondecreasing in phi; capacity is the last grid point's z.
+    The finite grid must start at (0, 0), have strictly increasing z, and
+    be nondecreasing in phi; capacity is the last grid point's z.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -73,6 +64,8 @@ class TableThreshold(ThresholdFn):
     def __post_init__(self) -> None:
         if len(self.points) < 2:
             raise ValueError("table needs at least two points")
+        if not all(math.isfinite(v) for point in self.points for v in point):
+            raise ValueError("table points must be finite numbers")
         z0, p0 = self.points[0]
         if z0 != 0.0 or p0 != 0.0:
             raise ValueError("table must start at (0, 0)")
@@ -87,7 +80,6 @@ class TableThreshold(ThresholdFn):
         return self.points[-1][0]
 
     def eval(self, z: float) -> float:
-        self._check_domain(z)
         pts = self.points
         for (za, pa), (zb, pb) in zip(pts, pts[1:]):
             if z <= zb:
@@ -115,10 +107,10 @@ def size_precondition(capacity: float, gamma: float) -> float:
 
     Returns capacity * ln2 / gamma.
     """
-    if capacity <= 0:
-        raise ValueError(f"capacity must be > 0, got {capacity}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0 < capacity < math.inf:
+        raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
     return capacity * math.log(2.0) / gamma
 
 
@@ -138,7 +130,13 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
             raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
         return ExponentialThreshold(gamma=float(gamma), capacity=spec.capacity)
     if kind == "table":
-        points = tuple((float(z), float(p)) for z, p in config["points"])
+        raw = config.get("points")
+        try:
+            if not all(type(v) in (int, float) for point in raw for v in point):
+                raise TypeError
+            points = tuple((float(z), float(p)) for z, p in raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"table points must be [z, phi] number pairs, got {raw!r}") from None
         fn = TableThreshold(points=points)
         if fn.capacity != spec.capacity:
             raise ValueError(

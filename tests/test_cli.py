@@ -163,7 +163,7 @@ class TestRunOpt:
 
     def test_run_nan_gamma_exits_1(self, instance_file, capsys):
         assert cli("run", "--input", str(instance_file), "--gamma", "nan") == 1
-        assert "error: gamma must be finite, got nan" in capsys.readouterr().err
+        assert "error: gamma must be a finite number > 0, got nan" in capsys.readouterr().err
 
     def test_run_overflowing_gamma_declines(self, tmp_path, capsys):
         # At gamma 1e5 the charge over any occupied slot overflows exp.
@@ -315,6 +315,110 @@ class TestBenchTune:
         assert cli(*argv) == 1
         err = capsys.readouterr().err
         assert f"error: config {cfg}" in err and message in err
+
+
+def set_path(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+EXTRA_OPTION = {"eligible": True, "size": 1.0, "value": 3.0, "start": 1, "duration": 1}
+
+# One malformed document per structural rule, and the message it is refused with.
+MALFORMED = {
+    "more-options-than-knapsacks": (
+        lambda d: d["items"][0]["options"].append(EXTRA_OPTION),
+        "item 0: expected 1 options, got 2",
+    ),
+    "fewer-options-than-knapsacks": (
+        lambda d: d["items"][0]["options"].clear(),
+        "item 0: expected 1 options, got 0",
+    ),
+    "window-past-horizon": (
+        lambda d: set_path(d, ("items", 0, "options", 0, "start"), 10),
+        "item 0, knapsack 0: window ends at 11, beyond horizon 10",
+    ),
+    "zero-size": (
+        lambda d: set_path(d, ("items", 0, "options", 0, "size"), 0),
+        "item 0, knapsack 0: nonpositive size 0.0",
+    ),
+    "negative-value": (
+        lambda d: set_path(d, ("items", 0, "options", 0, "value"), -7.0),
+        "item 0, knapsack 0: nonpositive value -7.0",
+    ),
+    "duplicate-id": (
+        lambda d: d["items"].append(json.loads(json.dumps(d["items"][0]))),
+        "duplicate item id 0",
+    ),
+    "arrival-order": (
+        lambda d: d["items"].insert(0, {**json.loads(json.dumps(d["items"][0])),
+                                        "id": 5, "arrival": 2}),
+        "item 0: arrival 1 breaks nondecreasing order",
+    ),
+    "arrival-zero": (
+        lambda d: set_path(d, ("items", 0, "arrival"), 0),
+        "item 0: arrival must be >= 1, got 0",
+    ),
+    "horizon-zero": (
+        lambda d: set_path(d, ("horizon",), 0),
+        "horizon must be >= 1, got 0",
+    ),
+}
+
+
+class TestRefusal:
+    """A structurally malformed instance: every command exits 1 with a message."""
+
+    @pytest.mark.parametrize("command", ["validate", "run", "opt", "bench"])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_instance_exits_1(self, tmp_path, capsys, case, command):
+        mutate, message = MALFORMED[case]
+        data = one_item_instance()
+        mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli(command, "--input", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_no_traceback_in_a_fresh_process(self, tmp_path):
+        mutate, message = MALFORMED["more-options-than-knapsacks"]
+        data = one_item_instance()
+        mutate(data)
+        for command in ("validate", "run", "opt"):
+            result = run_pipe([command], stdin_text=json.dumps(data))
+            assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--theta", "inf"), "theta must be a finite number >= 1, got inf"),
+            (("--theta", "nan"), "theta must be a finite number >= 1, got nan"),
+            (("--capacity", "inf", "--eps", "1"),
+             "capacity must be a finite number > 0, got inf"),
+        ],
+    )
+    def test_gen_refuses_non_finite_knapsack(self, capsys, flags, message):
+        assert cli("gen", "--n", "3", *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_bench_error_rows_exit_1_with_report(self, tmp_path, capsys):
+        inst = tmp_path / "one.json"
+        inst.write_text(json.dumps(one_item_instance()))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": {"kind": "table"}}))
+        out = tmp_path / "rep"
+        assert cli("bench", "--input", str(inst), "--config", str(cfg),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: one.json: ValueError: table points must be [z, phi] number pairs" in err
+        rows = json.loads((tmp_path / "rep.json").read_text())["rows"]
+        assert [r["opt_tag"] for r in rows] == ["error"]
+        assert (tmp_path / "rep.csv").exists()
 
 
 # Outputs whose arithmetic is IEEE-exact (+, *, / and comparisons), pinned

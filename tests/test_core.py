@@ -51,6 +51,13 @@ class TestTypes:
     def test_knapsack_spec_invariants(self):
         with pytest.raises(ValueError):
             KnapsackSpec(0.0, 1.0, 1, 1, 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="capacity must be a finite number > 0"):
+                KnapsackSpec(bad, 1.0, 1, 1, 1.0)
+            with pytest.raises(ValueError, match="theta must be a finite number >= 1"):
+                KnapsackSpec(10.0, bad, 1, 1, 1.0)
+            with pytest.raises(ValueError, match="size_cap"):
+                KnapsackSpec(10.0, 1.0, 1, 1, bad)
         with pytest.raises(ValueError):
             KnapsackSpec(10.0, 0.5, 1, 1, 1.0)
         with pytest.raises(ValueError):
@@ -95,22 +102,6 @@ class TestValidate:
         report = validate_instance(inst, gamma=[math.log(2.0)])
         assert report.ok and not report.warnings
 
-    def test_structural_always_error(self):
-        inst = make_instance([single(1.0, 2.0, 19, 4)])  # ends at 22 > horizon 20
-        report = validate_instance(inst, strict=False)
-        assert not report.ok
-        inst = make_instance([single(-1.0, 2.0, 1, 2)])
-        assert not validate_instance(inst).ok
-
-    def test_arrival_order_error(self):
-        items = [single(1.0, 2.0, 5, 1, item_id=0, arrival=5),
-                 single(1.0, 2.0, 3, 1, item_id=1, arrival=3)]
-        assert not validate_instance(make_instance(items)).ok
-
-    def test_duplicate_ids(self):
-        items = [single(1.0, 2.0, 1, 1, item_id=7), single(1.0, 2.0, 1, 1, item_id=7)]
-        assert not validate_instance(make_instance(items)).ok
-
     def test_start_before_arrival_warns_even_strict(self):
         inst = make_instance([single(1.0, 2.0, 1, 2, arrival=3)])
         report = validate_instance(inst, strict=True)
@@ -123,10 +114,112 @@ class TestValidate:
         assert report.ok
         assert any("vacuous" in w for w in report.warnings)
 
-    def test_option_count_mismatch(self):
-        ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
-        inst = Instance(20, (ks, ks), (single(1.0, 2.0, 1, 2),))
-        assert not validate_instance(inst).ok
+
+
+KS = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+OFF = opt(0.0, 0.0, 1, 1, eligible=False)
+
+# One case per structural rule: (horizon, knapsack count, items, message).
+STRUCTURAL = {
+    "horizon": (0, 1, [], "horizon must be >= 1, got 0"),
+    "duplicate-id": (
+        20, 1, [single(1.0, 2.0, 1, 1, item_id=7), single(1.0, 2.0, 1, 1, item_id=7)],
+        "duplicate item id 7",
+    ),
+    "arrival-zero": (
+        20, 1, [single(1.0, 2.0, 1, 1, arrival=0)], "item 0: arrival must be >= 1, got 0",
+    ),
+    "arrival-order": (
+        20, 1,
+        [single(1.0, 2.0, 5, 1, item_id=0, arrival=5),
+         single(1.0, 2.0, 3, 1, item_id=1, arrival=3)],
+        "item 1: arrival 3 breaks nondecreasing order",
+    ),
+    "too-few-options": (
+        20, 2, [single(1.0, 2.0, 1, 2)], "item 0: expected 2 options, got 1",
+    ),
+    "too-many-options": (
+        20, 1, [Item(3, 1, (opt(1.0, 2.0, 1, 2), opt(1.0, 2.0, 1, 2)))],
+        "item 3: expected 1 options, got 2",
+    ),
+    "zero-size": (
+        20, 1, [single(0.0, 2.0, 1, 2)], "item 0, knapsack 0: nonpositive size 0.0",
+    ),
+    "negative-size": (
+        20, 1, [single(-1.0, 2.0, 1, 2)], "item 0, knapsack 0: nonpositive size -1.0",
+    ),
+    "nan-size": (
+        20, 1, [single(math.nan, 2.0, 1, 2)], "item 0, knapsack 0: size nan is not finite",
+    ),
+    "inf-size": (
+        20, 1, [single(math.inf, 2.0, 1, 2)], "item 0, knapsack 0: size inf is not finite",
+    ),
+    "zero-value": (
+        20, 1, [single(1.0, 0.0, 1, 2)], "item 0, knapsack 0: nonpositive value 0.0",
+    ),
+    "inf-value": (
+        20, 1, [single(1.0, math.inf, 1, 2)], "item 0, knapsack 0: value inf is not finite",
+    ),
+    "window-past-horizon": (
+        20, 1, [single(1.0, 2.0, 19, 4)],
+        "item 0, knapsack 0: window ends at 22, beyond horizon 20",
+    ),
+    "second-knapsack": (
+        20, 2, [Item(4, 1, (OFF, opt(1.0, 2.0, 20, 2)))],
+        "item 4, knapsack 1: window ends at 21, beyond horizon 20",
+    ),
+}
+
+
+class TestStructure:
+    """Every ``Instance`` is well-formed: the constructor refuses the rest."""
+
+    @pytest.mark.parametrize("case", list(STRUCTURAL))
+    def test_structural_rule_refused(self, case):
+        horizon, k, items, message = STRUCTURAL[case]
+        with pytest.raises(ValueError) as info:
+            Instance(horizon, (KS,) * k, tuple(items))
+        assert str(info.value) == message
+
+    def test_first_violation_reported(self):
+        # Item 1 breaks the order and has a bad option; the order comes first.
+        items = (single(1.0, 2.0, 5, 1, item_id=0, arrival=5),
+                 single(0.0, 2.0, 30, 1, item_id=1, arrival=3))
+        with pytest.raises(ValueError, match="breaks nondecreasing order"):
+            Instance(20, (KS,), items)
+
+    def test_ineligible_placeholders_unchecked(self):
+        # Placeholder numbers and windows are ignored, as everywhere else.
+        item = Item(0, 1, (opt(0.0, -1.0, 40, 5, eligible=False), opt(1.0, 2.0, 16, 5)))
+        inst = Instance(20, (KS, KS), (item,))
+        assert inst.items[0].options[1].interval.end == inst.horizon
+
+    @pytest.mark.parametrize("case", list(STRUCTURAL))
+    def test_parser_passes_message_on(self, case):
+        horizon, k, items, message = STRUCTURAL[case]
+        data = instance_to_dict(Instance(20, (KS,) * k, ()))
+        data["horizon"] = horizon
+        data["items"] = [
+            {
+                "id": it.id,
+                "arrival": it.arrival,
+                "options": [
+                    {"eligible": o.eligible, "size": o.size, "value": o.value,
+                     "start": o.interval.start, "duration": o.interval.duration}
+                    for o in it.options
+                ],
+            }
+            for it in items
+        ]
+        text = json.dumps(data)
+        if "nan" in case or "inf" in case:
+            # JSON has no finite spelling for these: the field check fires first.
+            with pytest.raises(SchemaError, match="must be a finite number"):
+                loads_instance(text)
+            return
+        with pytest.raises(SchemaError) as info:
+            loads_instance(text)
+        assert str(info.value) == message
 
 
 class TestObservedParameters:
@@ -215,10 +308,10 @@ class TestUtilizationState:
     def test_covered_lists_slots_in_order(self):
         state = UtilizationState(1, horizon=20)
         state.add(0, SlotInterval(12, 2), 1.0)
-        state.add(0, SlotInterval(3, 2), 0.0)  # zero-size: listed, holds 0.0
+        state.add(0, SlotInterval(3, 2), 5e-324)  # smallest positive size
         state.add(0, SlotInterval(9, 1), 2.0)
         assert list(state.covered(0)) == [
-            (3, 0.0), (4, 0.0), (9, 2.0), (12, 1.0), (13, 1.0),
+            (3, 5e-324), (4, 5e-324), (9, 2.0), (12, 1.0), (13, 1.0),
         ]
 
 

@@ -209,35 +209,38 @@ class TestRun:
         ]
         assert got == expected_audits
 
-    def test_unvalidated_window_past_horizon(self):
-        # run does not validate: a window ending past the horizon is still
-        # charged against its real load and recorded.
+    def test_window_past_horizon_refused(self):
+        # A window may end on the horizon, where it is charged against its
+        # real load and recorded; one slot less of horizon and the
+        # instance cannot be built.
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
         items = (
             Item(0, 1, (ItemOption(True, 4.0, 50.0, SlotInterval(3, 4)),)),
             Item(1, 2, (ItemOption(True, 7.0, 90.0, SlotInterval(6, 3)),)),
             Item(2, 2, (ItemOption(True, 5.0, 90.0, SlotInterval(8, 2)),)),
         )
-        inst = Instance(4, (ks,), items)
-        result = run(inst, [flat()])
+        result = run(Instance(9, (ks,), items), [flat()])
         assert result.assignment() == [0, None, 0]
         assert result.audits[1].entries[0].fits is False  # 4 + 7 > 10 at slot 6
         assert result.audits[2].entries[0].phi == 5.0 * flat().eval(0.0) * 2
         assert result.to_dict()["utilization"] == {
             "0": {"3": 4.0, "4": 4.0, "5": 4.0, "6": 4.0, "8": 5.0, "9": 5.0}
         }
+        with pytest.raises(ValueError, match="item 2, knapsack 0: window ends at 9, beyond horizon 8"):
+            Instance(8, (ks,), items)
 
-    def test_admitted_zero_size_option_listed(self):
+    def test_zero_size_option_refused(self):
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
-        items = (
-            Item(0, 1, (ItemOption(True, 0.0, 1.0, SlotInterval(2, 2)),)),
-            Item(1, 1, (ItemOption(True, 1.0, 5.0, SlotInterval(5, 1)),)),
-        )
-        result = run(Instance(10, (ks,), items), [flat()])
+        later = Item(1, 1, (ItemOption(True, 1.0, 5.0, SlotInterval(5, 1)),))
+        zero = Item(0, 1, (ItemOption(True, 0.0, 1.0, SlotInterval(2, 2)),))
+        with pytest.raises(ValueError, match="item 0, knapsack 0: nonpositive size 0.0"):
+            Instance(10, (ks,), (zero, later))
+        # The smallest positive size is admitted, and its slots are listed.
+        tiny = Item(0, 1, (ItemOption(True, 5e-324, 1.0, SlotInterval(2, 2)),))
+        result = run(Instance(10, (ks,), (tiny, later)), [flat()])
         assert result.assignment() == [0, 0]
         utilization = result.to_dict()["utilization"]["0"]
-        assert list(utilization) == ["2", "3", "5"]
-        assert utilization["2"] == 0.0 and utilization["3"] == 0.0
+        assert utilization == {"2": 5e-324, "3": 5e-324, "5": 1.0}
 
     def test_threshold_capacity_mismatch(self):
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)

@@ -203,6 +203,20 @@ class TestIngestTrace:
         assert stats.bad_rows == [100]
         assert inst.num_items == 99
 
+    @pytest.mark.parametrize(
+        "row",
+        ["2,nan,2,6.0", "2,inf,2,6.0", "2,2.0,2,nan", "2,2.0,2,inf", "2,2.0,inf,6.0",
+         "inf,2.0,2,6.0", "nan,2.0,2,6.0"],
+    )
+    def test_non_finite_row_is_bad(self, tmp_path, row):
+        text = "when,need,runtime,worth\n" + "1,2.0,2,6.0\n" * 99 + row + "\n"
+        inst, stats = ingest_trace(
+            self.write(tmp_path, text), self.mapping(), [ksp(theta=8.0)]
+        )
+        assert stats.bad_rows == [100]
+        assert (stats.rows_kept, stats.rows_clamped) == (99, 0)
+        assert inst.num_items == 99
+
     def test_partition_policy(self, tmp_path):
         inst, _ = ingest_trace(
             self.write(tmp_path),

@@ -167,7 +167,11 @@ class TestExact:
         items = list(base.items)
         for _ in range(5):
             rng.shuffle(items)
-            shuffled = Instance(base.horizon, base.knapsacks, tuple(items))
+            # Arrivals must stay nondecreasing; the oracle does not read them.
+            shuffled = Instance(
+                base.horizon, base.knapsacks,
+                tuple(Item(it.id, 1, it.options) for it in items),
+            )
             assert solve_exact(shuffled).objective == pytest.approx(
                 reference, abs=1e-9
             )
@@ -232,14 +236,16 @@ class TestUpperBound:
         assert upper_bound(single_knapsack([])) == 0.0
 
 
-class TestUnvalidatedInstances:
-    """Instances ``run`` accepts without validation; the oracle must too."""
+class TestStructuralBoundaries:
+    """Instances at the edges of the structural rules ``Instance`` enforces."""
 
-    def test_window_past_horizon_keeps_its_own_slots(self):
+    def test_window_ending_at_horizon_keeps_its_own_slots(self):
+        # Slot keys are k * (horizon + 1) + t: the last slot of knapsack 0
+        # and the first of knapsack 1 stay apart.
         ks = KnapsackSpec(4.0, 2.0, 1, 4, 4.0)
         off = opt(0.0, 0.0, 1, 1, eligible=False)
         items = [
-            Item(0, 1, (opt(4.0, 8.0, 6, 2), off)),  # slots 6-7, past horizon 5
+            Item(0, 1, (opt(4.0, 8.0, 4, 2), off)),  # slots 4-5, horizon 5
             Item(1, 1, (off, opt(4.0, 8.0, 1, 1))),
         ]
         inst = Instance(5, (ks, ks), tuple(items))
@@ -248,16 +254,17 @@ class TestUnvalidatedInstances:
         assert exact.objective == solve_bruteforce(inst).objective == 16.0
         assert exact.objective >= run(inst, for_instance(inst)).profit
         assert upper_bound(inst) >= exact.objective
+        with pytest.raises(ValueError, match="window ends at 6, beyond horizon 5"):
+            Instance(5, (ks, ks), (Item(0, 1, (opt(4.0, 8.0, 5, 2), off)),))
 
-        one = Instance(5, (ks,), (Item(0, 1, (opt(4.0, 8.0, 5, 3),)),
-                                  Item(1, 1, (opt(1.0, 3.0, 7, 1),))))
-        assert solve_exact(one).objective == solve_bruteforce(one).objective == 8.0
-
-    def test_zero_size_option(self):
-        zero, full = opt(0.0, 1.0, 1, 1), opt(1.0, 2.0, 1, 1)
-        # Second order: the zero-size option's slot is already full when
-        # it is reached, so its capacity-aware bound is inf * 0.
-        for first, second in ((zero, full), (full, zero)):
+    def test_zero_size_option_refused(self):
+        with pytest.raises(ValueError, match="nonpositive size 0.0"):
+            single_knapsack([Item(0, 1, (opt(0.0, 1.0, 1, 1),))])
+        # The smallest positive size has a density that overflows to inf
+        # (and 1.0 + 5e-324 == 1.0, so both items fit): neither bound may
+        # then cut off the optimum.
+        tiny, full = opt(5e-324, 1.0, 1, 1), opt(1.0, 2.0, 1, 1)
+        for first, second in ((tiny, full), (full, tiny)):
             inst = single_knapsack([Item(0, 1, (first,)), Item(1, 1, (second,))])
             exact = solve_exact(inst)
             assert exact.objective == solve_bruteforce(inst).objective == 3.0

@@ -4,9 +4,12 @@ import random
 import pytest
 
 from knapdep.core import KnapsackSpec
+from knapdep.engine import run
+from knapdep.instances import GenSpec, generate
 from knapdep.threshold import (
     ExponentialThreshold,
     TableThreshold,
+    ThresholdFn,
     default_gamma,
     for_instance,
     from_config,
@@ -30,18 +33,39 @@ class TestEval:
         fn = ExponentialThreshold(gamma=LN9, capacity=10.0)
         assert fn.eval(5.0) == pytest.approx(2.0, rel=1e-12)
 
-    def test_domain_errors(self):
-        fn = ExponentialThreshold(gamma=1.0, capacity=10.0)
-        with pytest.raises(ValueError):
-            fn.eval(-0.001)
-        with pytest.raises(ValueError):
-            fn.eval(10.001)
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("gamma", [0.05, LN9])
+    def test_run_evaluates_inside_domain(self, k, gamma):
+        # eval does not check its argument: the engine keeps every z it
+        # passes in [0, capacity].  A small gamma admits until slots fill.
+        class Recording(ThresholdFn):
+            kind = "recording"
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.capacity = inner.capacity
+                self.seen = []
+
+            def eval(self, z):
+                self.seen.append(z)
+                return self.inner.eval(z)
+
+        ks = KnapsackSpec(4.0, 8.0, 1, 4, 2.0)
+        for family in ("uniform", "burst"):
+            for seed in range(3):
+                spec = GenSpec(family, 60, 20, (ks,) * k, seed, eligibility=0.7)
+                (inst,) = generate(spec)
+                fns = [Recording(ExponentialThreshold(gamma, 4.0)) for _ in range(k)]
+                run(inst, fns)
+                seen = [z for fn in fns for z in fn.seen]
+                assert seen and all(0.0 <= z <= 4.0 for z in seen)
+                assert max(seen) > 2.0
 
     def test_non_finite_gamma_rejected(self):
         for gamma in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="gamma must be finite"):
+            with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
                 ExponentialThreshold(gamma=gamma, capacity=10.0)
-        with pytest.raises(ValueError, match="gamma must be > 0"):
+        with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
             ExponentialThreshold(gamma=-math.inf, capacity=10.0)
 
     def test_overflow_is_infinite(self):
@@ -118,6 +142,13 @@ class TestSizePrecondition:
         with pytest.raises(ValueError):
             size_precondition(1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
+            size_precondition(10.0, bad)
+        with pytest.raises(ValueError, match="capacity must be a finite number > 0"):
+            size_precondition(bad, 1.0)
+
 
 class TestTableThreshold:
     def test_interpolation(self):
@@ -137,6 +168,11 @@ class TestTableThreshold:
             TableThreshold(points=((0.0, 0.0), (1.0, 2.0), (2.0, 1.0)))  # phi decreasing
         with pytest.raises(ValueError):
             TableThreshold(points=((0.0, 0.0),))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TableThreshold(points=((0.0, 0.0), (1.0, bad)))
+            with pytest.raises(ValueError, match="finite"):
+                TableThreshold(points=((0.0, 0.0), (bad, 1.0)))
 
 
 class TestConfig:
@@ -164,6 +200,28 @@ class TestConfig:
             from_config(
                 {"kind": "table", "points": [[0.0, 0.0], [5.0, 1.0]]}, self.spec()
             )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "table"},
+            {"kind": "table", "points": None},
+            {"kind": "table", "points": 3},
+            {"kind": "table", "points": [[0.0, 0.0], [10.0]]},
+            {"kind": "table", "points": [[0.0, 0.0], [10.0, 1.0, 2.0]]},
+            {"kind": "table", "points": [[0.0, 0.0], ["10", 1.0]]},
+            {"kind": "table", "points": [[0.0, 0.0], [10.0, True]]},
+            {"kind": "table", "points": [[0, 0], [10**400, 1]]},
+        ],
+        ids=["missing", "null", "number", "short", "long", "string", "bool", "huge"],
+    )
+    def test_malformed_table_points(self, config):
+        with pytest.raises(ValueError, match="table points must be "):
+            from_config(config, self.spec())
+
+    def test_table_from_config(self):
+        fn = from_config({"kind": "table", "points": [[0, 0], [10, 5.5]]}, self.spec())
+        assert fn.points == ((0.0, 0.0), (10.0, 5.5))
 
     def test_for_instance_defaults(self):
         from knapdep.core import Instance
