@@ -24,6 +24,12 @@ from .engine import run
 RATIO_TOL = 1e-9
 
 
+def _check_count(name: str, value: object, low: int, alternative: str = "") -> None:
+    """Refuse anything but an integer >= ``low`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}{alternative}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Harness knobs; all defaults are overridable per run.
@@ -31,7 +37,10 @@ class BenchConfig:
     Instances with at most ``exact_cutoff`` items get a proven optimum
     (branch-and-bound); at most ``crosscheck_cutoff`` items additionally
     get an exhaustive-enumeration cross-check; larger instances are scored
-    against the cheap upper bound only and flagged.
+    against the cheap upper bound only and flagged.  Each value is checked
+    when the config is made (ValueError otherwise): ``threshold`` is a
+    mapping, the cutoffs are integers >= 0, ``node_budget`` is None or an
+    integer >= 0, and ``jobs`` is an integer >= 1.
     """
 
     threshold: Mapping = field(default_factory=lambda: {"kind": "exponential", "gamma": "auto"})
@@ -39,6 +48,15 @@ class BenchConfig:
     crosscheck_cutoff: int = 10
     node_budget: Optional[int] = 5_000_000
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.threshold, Mapping):
+            raise ValueError(f"threshold must be an object, got {self.threshold!r}")
+        _check_count("exact_cutoff", self.exact_cutoff, 0)
+        _check_count("crosscheck_cutoff", self.crosscheck_cutoff, 0)
+        if self.node_budget is not None:
+            _check_count("node_budget", self.node_budget, 0, " or null")
+        _check_count("jobs", self.jobs, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -266,10 +284,10 @@ class TuneSpec:
     def __post_init__(self) -> None:
         if not self.training:
             raise ValueError("training set must be nonempty")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.grid_points < 1:
-            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
+        delta = self.delta
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
+        _check_count("grid_points", self.grid_points, 1)
         first = self.training[0].knapsacks
         for inst in self.training:
             if inst.knapsacks != first:

@@ -180,6 +180,11 @@ def _read_config(path: Optional[str]) -> dict:
     cfg = json.loads(Path(path).read_text())
     _check_keys(cfg, _CONFIG_KEYS, f"config {path}")
     _check_keys(cfg.get("tuner", {}), _TUNER_KEYS, f"config {path}, tuner")
+    # The other values are checked by BenchConfig and TuneSpec, which
+    # also check the flags layered over them.
+    listed = cfg.get("instances", [])
+    if not (isinstance(listed, list) and all(isinstance(p, str) for p in listed)):
+        raise ValueError(f"config {path}: 'instances' must be an array of paths, got {listed!r}")
     return cfg
 
 

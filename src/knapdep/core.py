@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 # Tolerance for fluctuation-bound comparisons (density/size caps).  Values
 # are synthesized as density*size*duration, so re-derived densities can sit
@@ -26,18 +27,16 @@ class SchemaError(ValueError):
     """Raised when instance JSON does not match the documented schema."""
 
 
-@dataclass(frozen=True)
-class SlotInterval:
-    """Contiguous window of integer slots {start, ..., start+duration-1}."""
+class SlotInterval(NamedTuple):
+    """Contiguous window of integer slots {start, ..., start+duration-1}.
+
+    ``SlotInterval``, ``ItemOption`` and ``Item`` are plain records that
+    check nothing themselves: ``Instance`` checks every rule on them once,
+    when it is made.
+    """
 
     start: int
     duration: int
-
-    def __post_init__(self) -> None:
-        if self.start < 1:
-            raise ValueError(f"interval start must be >= 1, got {self.start}")
-        if self.duration < 1:
-            raise ValueError(f"interval duration must be >= 1, got {self.duration}")
 
     @property
     def end(self) -> int:
@@ -48,12 +47,11 @@ class SlotInterval:
         return range(self.start, self.start + self.duration)
 
 
-@dataclass(frozen=True)
-class ItemOption:
+class ItemOption(NamedTuple):
     """Per-knapsack request of an item: size, value, and slot window.
 
-    Ineligible options are placeholders; their numeric fields are ignored
-    by validation and by the engine.
+    Ineligible options are placeholders; apart from their window's
+    bounds, their fields are ignored by validation and by the engine.
     """
 
     eligible: bool
@@ -66,8 +64,7 @@ class ItemOption:
         return self.value / (self.size * self.interval.duration)
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     """One arriving request: arrival slot plus one option per knapsack."""
 
     id: int
@@ -132,9 +129,11 @@ class Instance:
 
     Well-formed by construction: the constructor raises ValueError on the
     first break of the structural rules (horizon >= 1, unique ids, arrivals
-    >= 1 and nondecreasing, one option per knapsack, and for each eligible
-    option a finite size > 0, a finite value > 0 and a window ending by the
-    horizon), so everything downstream relies on them.
+    >= 1 and nondecreasing, one option per knapsack, every option's window
+    with start >= 1 and duration >= 1, and for each eligible option a
+    finite size > 0, a finite value > 0 and a window ending by the
+    horizon), so everything downstream relies on them.  This is the one
+    place the records it holds are checked.
     """
 
     horizon: int
@@ -151,24 +150,22 @@ class Instance:
         seen: set[int] = set()
         prev_arrival = 1
         for item in self.items:
-            if item.id in seen:
-                raise ValueError(f"duplicate item id {item.id}")
-            seen.add(item.id)
-            if item.arrival < prev_arrival:  # prev_arrival starts at 1
+            item_id, arrival, options = item
+            if item_id in seen:
+                raise ValueError(f"duplicate item id {item_id}")
+            seen.add(item_id)
+            if arrival < prev_arrival:  # prev_arrival starts at 1
                 raise ValueError(
-                    f"item {item.id}: arrival must be >= 1, got {item.arrival}"
-                    if item.arrival < 1
-                    else f"item {item.id}: arrival {item.arrival} breaks nondecreasing order"
+                    f"item {item_id}: arrival must be >= 1, got {arrival}"
+                    if arrival < 1
+                    else f"item {item_id}: arrival {arrival} breaks nondecreasing order"
                 )
-            prev_arrival = item.arrival
-            options = item.options
+            prev_arrival = arrival
             if len(options) != K:
-                raise ValueError(f"item {item.id}: expected {K} options, got {len(options)}")
-            for opt in options:
-                if opt.eligible and not (
-                    0 < opt.size < inf
-                    and 0 < opt.value < inf
-                    and opt.interval.start + opt.interval.duration <= limit
+                raise ValueError(f"item {item_id}: expected {K} options, got {len(options)}")
+            for eligible, size, value, (start, duration) in options:
+                if start < 1 or duration < 1 or eligible and not (
+                    0 < size < inf and 0 < value < inf and start + duration <= limit
                 ):
                     raise ValueError(_option_fault(item, horizon))
 
@@ -182,9 +179,16 @@ class Instance:
 
 
 def _option_fault(item: Item, horizon: int) -> Optional[str]:
-    """The rule that the first bad eligible option of ``item`` breaks."""
-    for k, opt in item.eligible_options():
+    """The rule that the first bad option of ``item`` breaks."""
+    for k, opt in enumerate(item.options):
         where = f"item {item.id}, knapsack {k}"
+        start, duration = opt.interval
+        if start < 1:
+            return f"{where}: interval start must be >= 1, got {start}"
+        if duration < 1:
+            return f"{where}: interval duration must be >= 1, got {duration}"
+        if not opt.eligible:
+            continue
         for name, v in (("size", opt.size), ("value", opt.value)):
             if v <= 0:
                 return f"{where}: nonpositive {name} {v}"
@@ -197,41 +201,31 @@ def _option_fault(item: Item, horizon: int) -> Optional[str]:
 class UtilizationState:
     """Per-knapsack, per-slot committed size; the engine's only mutable state.
 
-    Each knapsack holds one dense row of floats indexed by slot (index 0 is
-    unused), sized from ``horizon`` and grown when a window ends past it,
-    so a horizon-less state still works.  Slots past the row read zero.
+    Each knapsack holds one dense row of floats indexed by slot, 0 to
+    ``horizon`` (index 0 is unused).  Every window passed in must end by
+    the horizon, as the eligible options of an ``Instance`` do.
     Utilization only ever grows: departures are encoded in the
     time-indexed windows, never by decrementing.
     """
 
-    def __init__(self, num_knapsacks: int, horizon: int = 0) -> None:
-        n = max(horizon, 0) + 1
-        self._z: list[list[float]] = [[0.0] * n for _ in range(num_knapsacks)]
+    def __init__(self, num_knapsacks: int, horizon: int) -> None:
+        self._z: list[list[float]] = [[0.0] * (horizon + 1) for _ in range(num_knapsacks)]
 
     @property
     def num_knapsacks(self) -> int:
         return len(self._z)
 
-    def get(self, knapsack: int, slot: int) -> float:
-        row = self._z[knapsack]
-        return row[slot] if 0 <= slot < len(row) else 0.0
-
     def window(self, knapsack: int, interval: SlotInterval) -> list[float]:
         """Utilization of the slots of ``interval``, in slot order."""
-        start = interval.start
-        zs = self._z[knapsack][start:start + interval.duration]
-        if len(zs) < interval.duration:
-            zs.extend([0.0] * (interval.duration - len(zs)))
-        return zs
+        start, duration = interval
+        return self._z[knapsack][start:start + duration]
 
     def add(self, knapsack: int, interval: SlotInterval, size: float) -> None:
         if size < 0:
             raise ValueError("utilization updates must be nonnegative")
         row = self._z[knapsack]
-        start = interval.start
-        stop = start + interval.duration
-        if stop > len(row):
-            row.extend([0.0] * (stop - len(row)))
+        start, duration = interval
+        stop = start + duration
         row[start:stop] = [z + size for z in row[start:stop]]
 
     def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
@@ -330,62 +324,75 @@ def validate_instance(
     def violation(msg: str) -> None:
         (report.errors if strict else report.warnings).append(msg)
 
-    # Per-knapsack observed stats over eligible options.
-    dens_lo = [math.inf] * K
-    dens_hi = [-math.inf] * K
-    dur_lo = [None] * K
-    dur_hi = [None] * K
-    size_hi = [0.0] * K
+    specs = inst.knapsacks
+    # Per knapsack: the density, duration and size of each eligible option,
+    # and the bounds an option within every declared bound stays inside.
+    densities: list[list[float]] = [[] for _ in range(K)]
+    durations: list[list[int]] = [[] for _ in range(K)]
+    sizes: list[list[float]] = [[] for _ in range(K)]
+    limits = [
+        (s.theta + BOUND_TOL * s.theta, s.duration_lo, s.duration_hi,
+         s.size_cap + BOUND_TOL * s.size_cap)
+        for s in specs
+    ]
+    rho_lo = 1 - BOUND_TOL
+
+    def findings(item: Item, k: int, rho: float) -> None:
+        """Report each rule option ``k`` of ``item`` breaks; only here is text formed."""
+        opt, spec = item.options[k], specs[k]
+        where = f"item {item.id}, knapsack {k}"
+        if opt.interval.start < item.arrival:
+            report.warnings.append(
+                f"{where}: window starts at {opt.interval.start}, "
+                f"before arrival {item.arrival}"
+            )
+        d = opt.interval.duration
+        if rho < rho_lo:
+            violation(f"{where}: density {rho} below 1")
+        if rho > limits[k][0]:
+            violation(f"{where}: density {rho} above theta {spec.theta}")
+        if d < spec.duration_lo:
+            violation(f"{where}: duration {d} below {spec.duration_lo}")
+        if d > spec.duration_hi:
+            violation(f"{where}: duration {d} above {spec.duration_hi}")
+        if opt.size > limits[k][3]:
+            violation(f"{where}: size {opt.size} above cap {spec.size_cap}")
 
     for item in inst.items:
-        label = f"item {item.id}"
-        if not any(opt.eligible for opt in item.options):
-            report.warnings.append(f"{label}: no eligible option (vacuous item)")
-
-        for k, opt in enumerate(item.options):
-            if not opt.eligible:
+        arrival = item.arrival
+        vacuous = True
+        for k, (eligible, size, value, (start, d)) in enumerate(item.options):
+            if not eligible:
                 continue
-            spec = inst.knapsacks[k]
-            where = f"{label}, knapsack {k}"
-            if opt.interval.start < item.arrival:
-                report.warnings.append(
-                    f"{where}: window starts at {opt.interval.start}, "
-                    f"before arrival {item.arrival}"
-                )
+            vacuous = False
+            rho = value / (size * d)  # ItemOption.density
+            rho_hi, d_lo, d_hi, size_hi = limits[k]
+            if not (
+                start >= arrival and rho_lo <= rho <= rho_hi
+                and d_lo <= d <= d_hi and size <= size_hi
+            ):
+                findings(item, k, rho)
+            densities[k].append(rho)
+            durations[k].append(d)
+            sizes[k].append(size)
+        if vacuous:
+            report.warnings.append(f"item {item.id}: no eligible option (vacuous item)")
 
-            d = opt.interval.duration
-            rho = opt.density()
-            if rho < 1 - BOUND_TOL:
-                violation(f"{where}: density {rho} below 1")
-            if rho > spec.theta + BOUND_TOL * spec.theta:
-                violation(f"{where}: density {rho} above theta {spec.theta}")
-            if d < spec.duration_lo:
-                violation(f"{where}: duration {d} below {spec.duration_lo}")
-            if d > spec.duration_hi:
-                violation(f"{where}: duration {d} above {spec.duration_hi}")
-            if opt.size > spec.size_cap + BOUND_TOL * spec.size_cap:
-                violation(f"{where}: size {opt.size} above cap {spec.size_cap}")
-
-            dens_lo[k] = min(dens_lo[k], rho)
-            dens_hi[k] = max(dens_hi[k], rho)
-            dur_lo[k] = d if dur_lo[k] is None else min(dur_lo[k], d)
-            dur_hi[k] = d if dur_hi[k] is None else max(dur_hi[k], d)
-            size_hi[k] = max(size_hi[k], opt.size)
-
-    for k, spec in enumerate(inst.knapsacks):
+    for k, spec in enumerate(specs):
+        max_size = max(sizes[k], default=0.0)
         bound = None
         if gamma is not None:
             bound = spec.capacity * math.log(2.0) / gamma[k]
-            if size_hi[k] > bound + BOUND_TOL * bound:
+            if max_size > bound + BOUND_TOL * bound:
                 violation(
-                    f"knapsack {k}: max size {size_hi[k]} exceeds "
+                    f"knapsack {k}: max size {max_size} exceeds "
                     f"capacity*ln2/gamma = {bound}"
                 )
         report.knapsacks.append(
             KnapsackObservation(
-                density_range=(dens_lo[k], dens_hi[k]) if dens_hi[k] >= dens_lo[k] else None,
-                duration_range=(dur_lo[k], dur_hi[k]) if dur_lo[k] is not None else None,
-                max_size=size_hi[k],
+                density_range=(min(densities[k]), max(densities[k])) if densities[k] else None,
+                duration_range=(min(durations[k]), max(durations[k])) if durations[k] else None,
+                max_size=max_size,
                 size_bound=bound,
             )
         )
@@ -432,14 +439,6 @@ def assignment_violations(
 # JSON schema
 # ---------------------------------------------------------------------------
 
-_KNAPSACK_FIELDS = frozenset(
-    ("capacity", "theta", "duration_lo", "duration_hi", "size_cap")
-)
-_ITEM_FIELDS = frozenset(("id", "arrival", "options"))
-_OPTION_FIELDS = frozenset(("eligible", "size", "value", "start", "duration"))
-_INSTANCE_FIELDS = frozenset(("horizon", "knapsacks", "items"))
-
-
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 
@@ -479,7 +478,7 @@ def json_block(elements: list[str], indent: str, brackets: str = "[]") -> str:
 def dumps_instance(inst: Instance) -> str:
     """The instance document, byte for byte as ``json.dumps(doc, indent=2)``.
 
-    Written straight from the dataclasses; this is the one definition of
+    Written straight from the records; this is the one definition of
     the document's shape, and ``instance_to_dict`` parses it back.
     """
     s = json_scalar
@@ -492,17 +491,17 @@ def dumps_instance(inst: Instance) -> str:
         for ks in inst.knapsacks
     ]
     items = []
-    for it in inst.items:
+    for item_id, arrival, item_options in inst.items:
         options = [
-            f'        {{\n          "eligible": {s(opt.eligible)},\n'
-            f'          "size": {s(opt.size)},\n'
-            f'          "value": {s(opt.value)},\n'
-            f'          "start": {s(opt.interval.start)},\n'
-            f'          "duration": {s(opt.interval.duration)}\n        }}'
-            for opt in it.options
+            f'        {{\n          "eligible": {s(eligible)},\n'
+            f'          "size": {s(size)},\n'
+            f'          "value": {s(value)},\n'
+            f'          "start": {s(start)},\n'
+            f'          "duration": {s(duration)}\n        }}'
+            for eligible, size, value, (start, duration) in item_options
         ]
         items.append(
-            f'    {{\n      "id": {s(it.id)},\n      "arrival": {s(it.arrival)},\n'
+            f'    {{\n      "id": {s(item_id)},\n      "arrival": {s(arrival)},\n'
             f'      "options": {json_block(options, "      ")}\n    }}'
         )
     return (
@@ -516,13 +515,42 @@ def instance_to_dict(inst: Instance) -> dict:
     return json.loads(dumps_instance(inst))
 
 
-# Each helper below first tries the exact types ``json.loads`` produces and
-# falls through to the general checks, which alone raise, so every error
-# message is the same on either path.
+# The fields of each record and the JSON type each must hold, in the
+# order ``_checked`` checks them.
+_INSTANCE_FIELDS = {"horizon": "integer", "knapsacks": "array", "items": "array"}
+_KNAPSACK_FIELDS = {
+    "capacity": "number", "theta": "number", "duration_lo": "integer",
+    "duration_hi": "integer", "size_cap": "number",
+}
+_ITEM_FIELDS = {"options": "array", "id": "integer", "arrival": "integer"}
+_OPTION_FIELDS = {
+    "eligible": "boolean", "start": "integer", "duration": "integer",
+    "size": "number", "value": "number",
+}
+# Per JSON type: the Python types that hold it (bool only where it is
+# named) and the message for any other value.
+_KINDS = {
+    "array": (list, "'{}' must be an array"),
+    "boolean": (bool, "field '{}' must be a boolean"),
+    "integer": (int, "field '{}' must be an integer"),
+    "number": ((int, float), "field '{}' must be a number"),
+}
 
-def _require_fields(obj: Mapping, fields: frozenset[str], where: str) -> None:
-    if type(obj) is dict and obj.keys() == fields:
-        return
+_ITEM_KEYS = frozenset(_ITEM_FIELDS)
+_OPTION_KEYS = frozenset(_OPTION_FIELDS)
+# Field values in constructor order.
+_knapsack_values = itemgetter("capacity", "theta", "duration_lo", "duration_hi", "size_cap")
+_item_values = itemgetter("id", "arrival", "options")
+_option_values = itemgetter("eligible", "size", "value", "start", "duration")
+
+
+def _checked(obj: object, fields: dict[str, str], where: str) -> dict:
+    """The fields of one record, checked in ``fields`` order and converted.
+
+    The parser's general branch: raises SchemaError, prefixed with
+    ``where``, at the first fault; otherwise returns the values, with an
+    integer in a number field converted to float.
+    """
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object")
     unknown = set(obj) - set(fields)
@@ -531,52 +559,37 @@ def _require_fields(obj: Mapping, fields: frozenset[str], where: str) -> None:
     missing = set(fields) - set(obj)
     if missing:
         raise SchemaError(f"{where}: missing fields {sorted(missing)}")
-
-
-def _number(obj: Mapping, key: str, where: str) -> float:
-    v = obj[key]
-    if type(v) is float and v - v == 0.0:
-        return v
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where}: field '{key}' must be a number")
-    try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
-    if v - v != 0.0:
-        raise SchemaError(f"{where}: field '{key}' must be a finite number")
-    return v
-
-
-def _integer(obj: Mapping, key: str, where: str) -> int:
-    v = obj[key]
-    if type(v) is int:
-        return v
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{where}: field '{key}' must be an integer")
-    return v
+    values = {}
+    for key, kind in fields.items():
+        v = obj[key]
+        types, message = _KINDS[kind]
+        if not isinstance(v, types) or kind != "boolean" and isinstance(v, bool):
+            raise SchemaError(f"{where}: {message.format(key)}")
+        if kind == "number":
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+            if v - v != 0.0:
+                raise SchemaError(f"{where}: field '{key}' must be a finite number")
+        values[key] = v
+    return values
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    """Parse the instance schema; unknown or missing fields are rejected."""
-    _require_fields(data, _INSTANCE_FIELDS, "instance")
-    horizon = _integer(data, "horizon", "instance")
-    if not isinstance(data["knapsacks"], list):
-        raise SchemaError("instance: 'knapsacks' must be an array")
-    if not isinstance(data["items"], list):
-        raise SchemaError("instance: 'items' must be an array")
+    """Parse the instance schema; unknown or missing fields are rejected.
 
+    One walk over the document.  An item or option holding exactly the
+    types ``json.loads`` gives (with finite floats) is built as it stands;
+    any other record goes through ``_checked``, which names its first
+    fault or converts its values.  ``Instance`` then checks the structural
+    rules once, for records built either way.
+    """
+    top = _checked(data, _INSTANCE_FIELDS, "instance")
     knapsacks = []
-    for k, kobj in enumerate(data["knapsacks"]):
-        where = f"knapsack {k}"
-        _require_fields(kobj, _KNAPSACK_FIELDS, where)
-        fields = (
-            _number(kobj, "capacity", where),
-            _number(kobj, "theta", where),
-            _integer(kobj, "duration_lo", where),
-            _integer(kobj, "duration_hi", where),
-            _number(kobj, "size_cap", where),
-        )
+    for kobj in top["knapsacks"]:
+        where = f"knapsack {len(knapsacks)}"
+        fields = _knapsack_values(_checked(kobj, _KNAPSACK_FIELDS, where))
         # Only the constructor's own ValueError gets the location prefix;
         # a SchemaError from a field already carries it.
         try:
@@ -584,41 +597,39 @@ def instance_from_dict(data: Mapping) -> Instance:
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
 
+    new = tuple.__new__
     items = []
-    for i, iobj in enumerate(data["items"]):
-        where = f"item at position {i}"
-        _require_fields(iobj, _ITEM_FIELDS, where)
-        if not isinstance(iobj["options"], list):
-            raise SchemaError(f"{where}: 'options' must be an array")
+    for iobj in top["items"]:
+        if type(iobj) is dict and iobj.keys() == _ITEM_KEYS:
+            item_id, arrival, odata = _item_values(iobj)
+            exact = type(item_id) is int and type(arrival) is int and type(odata) is list
+        else:
+            exact = False
+        if not exact:
+            where = f"item at position {len(items)}"
+            item_id, arrival, odata = _item_values(_checked(iobj, _ITEM_FIELDS, where))
         options = []
-        for k, oobj in enumerate(iobj["options"]):
-            owhere = f"{where}, option {k}"
-            _require_fields(oobj, _OPTION_FIELDS, owhere)
-            if not isinstance(oobj["eligible"], bool):
-                raise SchemaError(f"{owhere}: field 'eligible' must be a boolean")
-            start = _integer(oobj, "start", owhere)
-            duration = _integer(oobj, "duration", owhere)
-            try:
-                interval = SlotInterval(start, duration)
-            except ValueError as exc:
-                raise SchemaError(f"{owhere}: {exc}") from exc
-            options.append(
-                ItemOption(
-                    oobj["eligible"],
-                    _number(oobj, "size", owhere),
-                    _number(oobj, "value", owhere),
-                    interval,
-                )
+        for oobj in odata:
+            if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
+                eligible, size, value, start, duration = _option_values(oobj)
+                # Finite floats: x - x is nan for inf and nan.
+                if (
+                    type(eligible) is bool and type(size) is float and type(value) is float
+                    and type(start) is int and type(duration) is int
+                    and size - size == value - value == 0.0
+                ):
+                    options.append(
+                        new(ItemOption, (eligible, size, value, new(SlotInterval, (start, duration))))
+                    )
+                    continue
+            where = f"item at position {len(items)}, option {len(options)}"
+            eligible, size, value, start, duration = _option_values(
+                _checked(oobj, _OPTION_FIELDS, where)
             )
-        items.append(
-            Item(
-                _integer(iobj, "id", where),
-                _integer(iobj, "arrival", where),
-                tuple(options),
-            )
-        )
+            options.append(ItemOption(eligible, size, value, SlotInterval(start, duration)))
+        items.append(new(Item, (item_id, arrival, tuple(options))))
     try:
-        return Instance(horizon, tuple(knapsacks), tuple(items))
+        return Instance(top["horizon"], tuple(knapsacks), tuple(items))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -127,8 +127,13 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     ``node_budget`` nodes are expanded without finishing, the incumbent is
     returned tagged "upper-bound-only" together with a still-valid bound:
     the smaller of the subtrees the budget refused and ``upper_bound``,
-    and at least the incumbent.
+    and at least the incumbent.  A ``node_budget`` must be None or an
+    integer >= 0 (ValueError otherwise).
     """
+    if node_budget is not None and (
+        isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 0
+    ):
+        raise ValueError(f"node_budget must be an integer >= 0, got {node_budget!r}")
     N = inst.num_items
     K = inst.num_knapsacks
     options, num_keys = _prepared(inst)

@@ -249,7 +249,7 @@ def test_criterion_5_admission_semantics():
         value = rng.uniform(0.0, 2.0 * gamma * size * duration * capacity)
         # Admission through the engine's one path, ``step``, over a state
         # seeded slot by slot; 0.0 + z is exact, so the state holds snapshot.
-        state = UtilizationState(1)
+        state = UtilizationState(1, interval.end)
         for t in interval.slots():
             state.add(0, SlotInterval(t, 1), snapshot[t])
         item = Item(0, 1, (ItemOption(True, size, value, interval),))

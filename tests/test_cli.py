@@ -316,6 +316,48 @@ class TestBenchTune:
         err = capsys.readouterr().err
         assert f"error: config {cfg}" in err and message in err
 
+    @pytest.mark.parametrize(
+        "command, body, flags, message",
+        [
+            ("bench", {"threshold": 5}, (), "threshold must be an object, got 5"),
+            ("bench", {"instances": 5}, (),
+             "config {cfg}: 'instances' must be an array of paths, got 5"),
+            ("bench", {"jobs": "2"}, (), "jobs must be an integer >= 1, got '2'"),
+            ("tune", {"tuner": {"delta": "x"}}, (),
+             "delta must be a number in (0, 1), got 'x'"),
+            ("tune", {"tuner": {"grid_points": 0}}, (),
+             "grid_points must be an integer >= 1, got 0"),
+            ("bench", {"exact_cutoff": "x"}, (),
+             "exact_cutoff must be an integer >= 0, got 'x'"),
+            ("bench", {"crosscheck_cutoff": None}, (),
+             "crosscheck_cutoff must be an integer >= 0, got None"),
+            ("bench", {"node_budget": "x"}, (),
+             "node_budget must be an integer >= 0 or null, got 'x'"),
+            ("bench", {}, ("--exact-cutoff", "-1"),
+             "exact_cutoff must be an integer >= 0, got -1"),
+            ("bench", {}, ("--node-budget", "-5"),
+             "node_budget must be an integer >= 0 or null, got -5"),
+            ("bench", {}, ("--jobs", "0"), "jobs must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, command, body, flags, message):
+        self.make_suite(tmp_path, capsys, n=4, count=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        argv = (command, "--input", str(tmp_path / "suite"), "--config", str(cfg), *flags)
+        assert cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+        assert captured.out == ""
+
+    def test_opt_negative_node_budget_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(one_item_instance()))
+        assert cli("opt", "--input", str(path), "--node-budget", "-5") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: node_budget must be an integer >= 0, got -5\n"
+        assert captured.out == ""
+
 
 def set_path(doc, path, value):
     target = doc

@@ -43,10 +43,17 @@ class TestTypes:
         assert iv.end == 6
 
     def test_interval_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            SlotInterval(start=0, duration=1)
-        with pytest.raises(ValueError):
-            SlotInterval(start=1, duration=0)
+        # The records check nothing; Instance checks every window's bounds,
+        # an ineligible placeholder's too.
+        cases = [
+            (opt(1.0, 2.0, 0, 1), "item 0, knapsack 0: interval start must be >= 1, got 0"),
+            (opt(0.0, 0.0, 1, 0, eligible=False),
+             "item 0, knapsack 0: interval duration must be >= 1, got 0"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError) as info:
+                make_instance([Item(0, 1, (bad,))])
+            assert str(info.value) == message
 
     def test_knapsack_spec_invariants(self):
         with pytest.raises(ValueError):
@@ -160,6 +167,13 @@ STRUCTURAL = {
     "inf-value": (
         20, 1, [single(1.0, math.inf, 1, 2)], "item 0, knapsack 0: value inf is not finite",
     ),
+    "start-zero": (
+        20, 1, [single(1.0, 2.0, 0, 1)], "item 0, knapsack 0: interval start must be >= 1, got 0",
+    ),
+    "ineligible-duration-zero": (
+        20, 2, [Item(2, 1, (opt(1.0, 2.0, 1, 1), opt(0.0, 0.0, 1, 0, eligible=False)))],
+        "item 2, knapsack 1: interval duration must be >= 1, got 0",
+    ),
     "window-past-horizon": (
         20, 1, [single(1.0, 2.0, 19, 4)],
         "item 0, knapsack 0: window ends at 22, beyond horizon 20",
@@ -265,45 +279,39 @@ class TestObservedParameters:
 
 class TestUtilizationState:
     def test_sparse_default_zero(self):
-        state = UtilizationState(2)
-        assert state.get(0, 5) == 0.0
+        state = UtilizationState(2, horizon=10)
+        assert state.window(0, SlotInterval(5, 1)) == [0.0]
         state.add(0, SlotInterval(5, 2), 1.5)
-        assert state.get(0, 5) == 1.5
-        assert state.get(0, 6) == 1.5
-        assert state.get(0, 7) == 0.0
-        assert state.get(1, 5) == 0.0
+        assert state.window(0, SlotInterval(4, 4)) == [0.0, 1.5, 1.5, 0.0]
+        assert state.window(1, SlotInterval(5, 1)) == [0.0]
 
     def test_window_covers_interval(self):
-        state = UtilizationState(1)
+        state = UtilizationState(1, horizon=3)
         state.add(0, SlotInterval(2, 1), 3.0)
         assert state.window(0, SlotInterval(1, 3)) == [0.0, 3.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            UtilizationState(1).add(0, SlotInterval(1, 1), -1.0)
+            UtilizationState(1, horizon=1).add(0, SlotInterval(1, 1), -1.0)
 
-    def test_reads_past_row_end_are_zero(self):
+    def test_window_may_end_on_the_horizon(self):
         state = UtilizationState(1, horizon=4)
         state.add(0, SlotInterval(3, 2), 1.0)
-        assert state.get(0, 4) == 1.0
-        assert state.get(0, 5) == 0.0
-        assert state.get(0, 10**6) == 0.0
-        assert state.get(0, 0) == 0.0 and state.get(0, -1) == 0.0
-        assert state.window(0, SlotInterval(4, 3)) == [1.0, 0.0, 0.0]
-        assert state.window(0, SlotInterval(9, 2)) == [0.0, 0.0]
+        assert state.window(0, SlotInterval(1, 4)) == [0.0, 0.0, 1.0, 1.0]
+        assert state.window(0, SlotInterval(4, 1)) == [1.0]
+        assert list(state.covered(0)) == [(3, 1.0), (4, 1.0)]
 
-    def test_add_grows_row_past_horizon(self):
-        for horizon in (0, 3):
-            state = UtilizationState(2, horizon=horizon)
-            state.add(1, SlotInterval(2, 5), 0.5)
-            state.add(1, SlotInterval(6, 2), 0.25)
-            assert [state.get(1, t) for t in range(1, 9)] == [
-                0.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25, 0.0,
-            ]
-            assert list(state.covered(0)) == []
-            assert list(state.covered(1)) == [
-                (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5), (6, 0.75), (7, 0.25),
-            ]
+    def test_adds_accumulate_per_slot(self):
+        state = UtilizationState(2, horizon=8)
+        state.add(1, SlotInterval(2, 5), 0.5)
+        state.add(1, SlotInterval(6, 2), 0.25)
+        assert state.window(1, SlotInterval(1, 8)) == [
+            0.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25, 0.0,
+        ]
+        assert list(state.covered(0)) == []
+        assert list(state.covered(1)) == [
+            (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5), (6, 0.75), (7, 0.25),
+        ]
 
     def test_covered_lists_slots_in_order(self):
         state = UtilizationState(1, horizon=20)

@@ -28,7 +28,7 @@ def check(value, size, interval, fn, utilization, capacity):
     A single-knapsack item over a state seeded with ``utilization[i]`` in
     slot ``interval.start + i``; each seed is added to 0.0, which is exact.
     """
-    state = UtilizationState(1)
+    state = UtilizationState(1, interval.end)
     for t, z in zip(interval.slots(), utilization):
         state.add(0, SlotInterval(t, 1), z)
     item = Item(0, 1, (ItemOption(True, size, value, interval),))
@@ -82,26 +82,26 @@ def two_knapsack_setup():
 class TestStep:
     def test_argmax_value(self):
         specs, thresholds = two_knapsack_setup()
-        state = UtilizationState(2)
+        state = UtilizationState(2, 1)
         decision, _ = step(two_knapsack_item(3.0, 5.0), state, thresholds, specs)
         assert decision.knapsack == 1
 
     def test_tie_lowest_index(self):
         specs, thresholds = two_knapsack_setup()
-        state = UtilizationState(2)
+        state = UtilizationState(2, 1)
         decision, _ = step(two_knapsack_item(4.0, 4.0), state, thresholds, specs)
         assert decision.knapsack == 0
 
     def test_neither_admissible_leaves_state(self):
         specs, thresholds = two_knapsack_setup()
-        state = UtilizationState(2)
+        state = UtilizationState(2, 1)
         state.add(0, SlotInterval(1, 1), 9.5)
         state.add(1, SlotInterval(1, 1), 9.5)
         decision, audit = step(
             two_knapsack_item(4.0, 4.0), state, thresholds, specs
         )
         assert decision.knapsack is None
-        assert state.get(0, 1) == 9.5 and state.get(1, 1) == 9.5
+        assert state.window(0, SlotInterval(1, 1)) == state.window(1, SlotInterval(1, 1)) == [9.5]
         assert all(not e.fits for e in audit.entries)
 
     def test_ineligible_never_queried(self):
@@ -114,7 +114,7 @@ class TestStep:
                 ItemOption(True, 1.0, 2.0, SlotInterval(1, 1)),
             ),
         )
-        state = UtilizationState(2)
+        state = UtilizationState(2, 1)
         decision, audit = step(item, state, thresholds, specs)
         assert decision.knapsack == 1
         assert [e.knapsack for e in audit.entries] == [1]
@@ -301,12 +301,13 @@ class TestRunInvariants:
     def test_monotone_utilization(self):
         inst = uniform_instance(seed=8, n=30)
         thresholds = for_instance(inst)
-        state = UtilizationState(1)
-        previous: dict[int, float] = {}
+        state = UtilizationState(1, inst.horizon)
+        horizon = SlotInterval(1, inst.horizon)
+        previous = state.window(0, horizon)
         for item in inst.items:
             step(item, state, thresholds, inst.knapsacks)
-            current = {t: state.get(0, t) for t in range(1, inst.horizon + 1)}
-            assert all(current[t] >= previous.get(t, 0.0) for t in current)
+            current = state.window(0, horizon)
+            assert all(now >= before for now, before in zip(current, previous))
             previous = current
 
     def test_value_raise_flips_declined_item(self):

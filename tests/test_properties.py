@@ -1,4 +1,4 @@
-"""Property tests: the parser on mutated documents, and the JSON round trip.
+"""Property tests: the parser, the JSON round trip and the solvers.
 
 Documents start from small generated instances and get one mutation each
 (a dropped or retyped field, a non-finite or negative number, an extra or
@@ -6,27 +6,40 @@ a missing option, a window past the horizon, swapped arrivals, a
 duplicate id).  ``loads_instance`` may refuse a document only with a
 ``SchemaError``; whatever it accepts is well-formed, so the engine and
 the branch-and-bound run on it without raising and return feasible
-assignments.  Examples are derandomized, so every run sees the same ones.
+assignments.  The parser's fast branch and its general branch agree on
+every such document.
+
+On instances small enough for brute force, the online profit never
+exceeds the offline optimum, branch-and-bound proves the brute-force
+optimum, a budget-bound solve reports a bound no smaller than it, and
+every output is the same text from two independent calls.  Examples are
+derandomized, so every run sees the same ones.
 """
 
 import json
 import math
+from types import MappingProxyType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knapdep.core import (
+    Instance,
+    Item,
+    ItemOption,
     KnapsackSpec,
     SchemaError,
+    SlotInterval,
     assignment_violations,
     dumps_instance,
+    instance_from_dict,
     instance_to_dict,
     loads_instance,
 )
 from knapdep.engine import run
 from knapdep.instances import FAMILIES, GenSpec, generate
-from knapdep.oracle import solve_exact
-from knapdep.threshold import for_instance
+from knapdep.oracle import solve_bruteforce, solve_exact
+from knapdep.threshold import TableThreshold, for_instance
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -156,3 +169,136 @@ def test_parser_refuses_only_with_schema_error(inst, mutation, data):
 @given(inst=instances())
 def test_round_trip_identity(inst):
     assert loads_instance(dumps_instance(inst)) == inst
+
+
+def proxied(obj):
+    """``obj`` with every JSON object in it wrapped in a read-only mapping.
+
+    The parser's fast branch takes only exact dicts, so a proxied document
+    is parsed entirely by the general branch.
+    """
+    if isinstance(obj, dict):
+        return MappingProxyType({key: proxied(v) for key, v in obj.items()})
+    if isinstance(obj, list):
+        return [proxied(v) for v in obj]
+    return obj
+
+
+def parsed(doc):
+    """The instance ``doc`` parses to, or the text of its SchemaError."""
+    try:
+        return instance_from_dict(doc)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+@settings(SETTINGS, max_examples=80)
+@given(inst=instances(), data=st.data())
+def test_fast_and_general_branch_agree(inst, data):
+    text = dumps_instance(inst)
+    for mutation in MUTATIONS:
+        doc = json.loads(text)
+        mutation(doc, data.draw)
+        assert parsed(doc) == parsed(proxied(doc)), mutation.__name__
+
+
+# Brute force visits up to (K+1)^n assignments: the item count is capped
+# per knapsack count so that one example stays within a few milliseconds.
+MAX_ITEMS = {1: 9, 2: 7, 3: 6}
+QUARTERS = [0.25, 0.5, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def small_instances(draw):
+    """Instances for the brute-force oracle: n <= 9, K <= 3, horizon <= 6.
+
+    Capacities, sizes and values are multiples of 1/4, so every sum is
+    exact and ties are common: equal values in two knapsacks, windows
+    ending on the horizon and, under ``linear_tables``, values equal to
+    their charge.
+    """
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, MAX_ITEMS[k]))
+    horizon = draw(st.integers(1, 6))
+    knapsacks = tuple(
+        KnapsackSpec(c, 8.0, 1, horizon, c)
+        for c in draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=k, max_size=k))
+    )
+    items = []
+    arrival = 1
+    for item_id in range(n):
+        arrival = draw(st.integers(arrival, horizon))
+        options = []
+        for _ in knapsacks:
+            if draw(st.integers(0, 3)) == 0:
+                options.append(ItemOption(False, 0.0, 0.0, SlotInterval(1, 1)))
+                continue
+            duration = draw(st.integers(1, horizon))
+            start = draw(st.integers(1, horizon - duration + 1))
+            options.append(ItemOption(
+                True, draw(st.sampled_from(QUARTERS)), draw(st.sampled_from(QUARTERS)),
+                SlotInterval(start, duration),
+            ))
+        items.append(Item(item_id, arrival, tuple(options)))
+    return Instance(horizon, knapsacks, tuple(items))
+
+
+def linear_tables(inst):
+    """phi(z) = 2z / capacity per knapsack: exact on multiples of 1/4."""
+    return [TableThreshold(((0.0, 0.0), (ks.capacity, 2.0))) for ks in inst.knapsacks]
+
+
+SMALL = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@SMALL
+@given(inst=small_instances(), table=st.booleans())
+def test_online_profit_at_most_offline_optimum(inst, table):
+    result = run(inst, linear_tables(inst) if table else for_instance(inst))
+    assert assignment_violations(inst, result.assignment()) == []
+    assert result.profit <= solve_bruteforce(inst).objective + 1e-9
+
+
+@SMALL
+@given(inst=small_instances())
+def test_branch_and_bound_equals_bruteforce(inst):
+    exact = solve_exact(inst)
+    assert exact.proof == "exact"
+    assert exact.objective == exact.bound == solve_bruteforce(inst).objective
+
+
+@SMALL
+@given(inst=small_instances(), budget=st.integers(0, 40))
+def test_budget_bound_covers_optimum(inst, budget):
+    solution = solve_exact(inst, node_budget=budget)
+    optimum = solve_bruteforce(inst).objective
+    assert solution.objective <= optimum <= solution.bound
+
+
+@SMALL
+@given(inst=small_instances())
+def test_outputs_identical_from_two_calls(inst):
+    twin = loads_instance(dumps_instance(inst))
+    assert dumps_instance(twin) == dumps_instance(inst)
+    assert run(twin, for_instance(twin)).to_json() == run(inst, for_instance(inst)).to_json()
+    assert (
+        json.dumps(solve_exact(twin, node_budget=30).to_dict(), indent=2)
+        == json.dumps(solve_exact(inst, node_budget=30).to_dict(), indent=2)
+    )
+
+
+@SMALL
+@given(inst=small_instances())
+def test_integer_sizes_and_values_parse_as_floats(inst):
+    doc = json.loads(dumps_instance(inst))
+    for item in doc["items"]:
+        for option in item["options"]:
+            for key in ("size", "value"):
+                if option[key].is_integer():
+                    option[key] = int(option[key])
+    for twin in (instance_from_dict(doc), loads_instance(json.dumps(doc))):
+        assert twin == inst
+        assert all(
+            type(o.size) is float and type(o.value) is float
+            for item in twin.items for o in item.options
+        )
