@@ -18,16 +18,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import oracle, threshold
-from .core import Instance
+from .core import Instance, check_count
 from .engine import run
 
 RATIO_TOL = 1e-9
-
-
-def _check_count(name: str, value: object, low: int, alternative: str = "") -> None:
-    """Refuse anything but an integer >= ``low`` (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}{alternative}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,11 +46,11 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.threshold, Mapping):
             raise ValueError(f"threshold must be an object, got {self.threshold!r}")
-        _check_count("exact_cutoff", self.exact_cutoff, 0)
-        _check_count("crosscheck_cutoff", self.crosscheck_cutoff, 0)
+        check_count("exact_cutoff", self.exact_cutoff, 0)
+        check_count("crosscheck_cutoff", self.crosscheck_cutoff, 0)
         if self.node_budget is not None:
-            _check_count("node_budget", self.node_budget, 0, " or null")
-        _check_count("jobs", self.jobs, 1)
+            check_count("node_budget", self.node_budget, 0, " or null")
+        check_count("jobs", self.jobs, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -281,13 +275,19 @@ class TuneSpec:
     delta: float = 0.5
     grid_points: int = 11
 
+    # The defaults are the fields' own, so that a caller can check the
+    # values it will pass before it has the training set.
+    @staticmethod
+    def check_grid(delta: object = delta, grid_points: object = grid_points) -> None:
+        """Refuse a ``delta`` outside (0, 1) or a ``grid_points`` below 1."""
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
+        check_count("grid_points", grid_points, 1)
+
     def __post_init__(self) -> None:
         if not self.training:
             raise ValueError("training set must be nonempty")
-        delta = self.delta
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
-        _check_count("grid_points", self.grid_points, 1)
+        self.check_grid(self.delta, self.grid_points)
         first = self.training[0].knapsacks
         for inst in self.training:
             if inst.knapsacks != first:

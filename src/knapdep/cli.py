@@ -127,13 +127,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     inst = _read_instance(args.input)
     gamma = None
     if args.gamma is not None:
-        value = _gamma_config(args.gamma)["gamma"]
-        if value == "auto":
-            gamma = [
-                threshold.default_gamma(ks.theta, ks.alpha) for ks in inst.knapsacks
-            ]
-        else:
-            gamma = [value] * inst.num_knapsacks
+        fns = threshold.for_instance(inst, _gamma_config(args.gamma))
+        gamma = [fn.gamma for fn in fns]
     report = validate_instance(inst, strict=args.strict, gamma=gamma)
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     for msg in report.errors:
@@ -224,8 +219,9 @@ def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     file_cfg = _read_config(args.config)
+    cfg = _bench_config(args, file_cfg)  # before any suite file is read
     suite = _load_suite(_suite_sources(args, file_cfg))
-    report = bench.bench_suite(suite, _bench_config(args, file_cfg))
+    report = bench.bench_suite(suite, cfg)
     if args.out:
         Path(f"{args.out}.csv").write_text(report.to_csv())
         Path(f"{args.out}.json").write_text(report.to_json() + "\n")
@@ -242,12 +238,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     file_cfg = _read_config(args.config)
-    suite = _load_suite(_suite_sources(args, file_cfg))
     flags = {"delta": args.delta, "grid_points": args.grid_points}
-    spec = bench.TuneSpec(
-        training=tuple(inst for _, inst in suite),
-        **_layered(flags, file_cfg.get("tuner", {})),
-    )
+    grid = _layered(flags, file_cfg.get("tuner", {}))
+    bench.TuneSpec.check_grid(**grid)  # before any suite file is read
+    suite = _load_suite(_suite_sources(args, file_cfg))
+    spec = bench.TuneSpec(training=tuple(inst for _, inst in suite), **grid)
     result = bench.tune_gamma(spec)
     if args.out:
         Path(f"{args.out}.json").write_text(

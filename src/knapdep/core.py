@@ -5,6 +5,10 @@ knapsacks; capacity is consumed only inside that window and released
 afterwards.  Everything here is plain data plus validation: the admission
 logic lives in :mod:`knapdep.engine`, the offline solver in
 :mod:`knapdep.oracle`.
+
+Each input rule is coded once: field types in the parser, structure in
+``Instance``, declared bounds in ``validate_instance``, and the gamma
+domain and size precondition in :mod:`knapdep.threshold`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from .threshold import size_precondition
+
 # Tolerance for fluctuation-bound comparisons (density/size caps).  Values
 # are synthesized as density*size*duration, so re-derived densities can sit
 # one ulp outside the declared bounds; 1e-9 absorbs that without masking
@@ -25,6 +31,12 @@ BOUND_TOL = 1e-9
 
 class SchemaError(ValueError):
     """Raised when instance JSON does not match the documented schema."""
+
+
+def check_count(name: str, value: object, low: int, alternative: str = "") -> None:
+    """Refuse anything but an integer >= ``low`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}{alternative}, got {value!r}")
 
 
 class SlotInterval(NamedTuple):
@@ -149,8 +161,7 @@ class Instance:
         limit = horizon + 1
         seen: set[int] = set()
         prev_arrival = 1
-        for item in self.items:
-            item_id, arrival, options = item
+        for item_id, arrival, options in self.items:
             if item_id in seen:
                 raise ValueError(f"duplicate item id {item_id}")
             seen.add(item_id)
@@ -163,11 +174,24 @@ class Instance:
             prev_arrival = arrival
             if len(options) != K:
                 raise ValueError(f"item {item_id}: expected {K} options, got {len(options)}")
-            for eligible, size, value, (start, duration) in options:
-                if start < 1 or duration < 1 or eligible and not (
-                    0 < size < inf and 0 < value < inf and start + duration <= limit
-                ):
-                    raise ValueError(_option_fault(item, horizon))
+            for k, (eligible, size, value, (start, duration)) in enumerate(options):
+                # One test per rule, in this order; text only for the one broken.
+                if start < 1:
+                    fault = f"interval start must be >= 1, got {start}"
+                elif duration < 1:
+                    fault = f"interval duration must be >= 1, got {duration}"
+                elif not eligible:
+                    continue
+                elif not 0 < size < inf:
+                    fault = f"nonpositive size {size}" if size <= 0 else f"size {size} is not finite"
+                elif not 0 < value < inf:
+                    fault = (f"nonpositive value {value}" if value <= 0
+                             else f"value {value} is not finite")
+                elif start + duration > limit:
+                    fault = f"window ends at {start + duration - 1}, beyond horizon {horizon}"
+                else:
+                    continue
+                raise ValueError(f"item {item_id}, knapsack {k}: {fault}")
 
     @property
     def num_knapsacks(self) -> int:
@@ -178,34 +202,14 @@ class Instance:
         return len(self.items)
 
 
-def _option_fault(item: Item, horizon: int) -> Optional[str]:
-    """The rule that the first bad option of ``item`` breaks."""
-    for k, opt in enumerate(item.options):
-        where = f"item {item.id}, knapsack {k}"
-        start, duration = opt.interval
-        if start < 1:
-            return f"{where}: interval start must be >= 1, got {start}"
-        if duration < 1:
-            return f"{where}: interval duration must be >= 1, got {duration}"
-        if not opt.eligible:
-            continue
-        for name, v in (("size", opt.size), ("value", opt.value)):
-            if v <= 0:
-                return f"{where}: nonpositive {name} {v}"
-            if not v < math.inf:
-                return f"{where}: {name} {v} is not finite"
-        if opt.interval.end > horizon:
-            return f"{where}: window ends at {opt.interval.end}, beyond horizon {horizon}"
-
-
 class UtilizationState:
     """Per-knapsack, per-slot committed size; the engine's only mutable state.
 
     Each knapsack holds one dense row of floats indexed by slot, 0 to
-    ``horizon`` (index 0 is unused).  Every window passed in must end by
-    the horizon, as the eligible options of an ``Instance`` do.
-    Utilization only ever grows: departures are encoded in the
-    time-indexed windows, never by decrementing.
+    ``horizon`` (index 0 is unused).  A window outside slots 1 to
+    ``horizon`` is refused (ValueError); the eligible options of an
+    ``Instance`` never hold one.  Utilization only ever grows: departures
+    are encoded in the time-indexed windows, never by decrementing.
     """
 
     def __init__(self, num_knapsacks: int, horizon: int) -> None:
@@ -218,15 +222,19 @@ class UtilizationState:
     def window(self, knapsack: int, interval: SlotInterval) -> list[float]:
         """Utilization of the slots of ``interval``, in slot order."""
         start, duration = interval
-        return self._z[knapsack][start:start + duration]
+        stop = start + duration
+        row = self._z[knapsack]
+        if start < 1 or stop > len(row):
+            raise ValueError(f"window {start}..{stop - 1} is outside slots 1..{len(row) - 1}")
+        return row[start:stop]
 
     def add(self, knapsack: int, interval: SlotInterval, size: float) -> None:
         if size < 0:
             raise ValueError("utilization updates must be nonnegative")
-        row = self._z[knapsack]
         start, duration = interval
-        stop = start + duration
-        row[start:stop] = [z + size for z in row[start:stop]]
+        self._z[knapsack][start:start + duration] = [
+            z + size for z in self.window(knapsack, interval)
+        ]
 
     def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
         """(slot, utilization) of each slot some positive ``add`` covered, ascending."""
@@ -303,8 +311,9 @@ def validate_instance(
     for them.
 
     When ``gamma`` supplies one value per knapsack, the report also checks
-    the exponential-threshold size precondition size_cap <= capacity*ln2/gamma;
-    each value must be finite and > 0 (ValueError otherwise).
+    the exponential-threshold size precondition size_cap <= capacity*ln2/gamma,
+    with the bound from ``threshold.size_precondition``, which refuses a
+    gamma that is not finite and > 0 (ValueError).
 
     ``report.knapsacks`` carries each knapsack's observed density range,
     duration range and max size over its eligible options (no ranges and
@@ -312,19 +321,16 @@ def validate_instance(
     computed.
     """
     report = ValidationReport()
-    K = inst.num_knapsacks
-
+    specs = inst.knapsacks
+    K = len(specs)
+    bounds: list[Optional[float]] = [None] * K
     if gamma is not None:
         if len(gamma) != K:
             raise ValueError(f"gamma must have {K} entries, got {len(gamma)}")
-        for g in gamma:
-            if not 0 < g < math.inf:
-                raise ValueError(f"gamma must be a finite number > 0, got {g}")
+        bounds = [size_precondition(s.capacity, g) for s, g in zip(specs, gamma)]
 
-    def violation(msg: str) -> None:
-        (report.errors if strict else report.warnings).append(msg)
-
-    specs = inst.knapsacks
+    warnings = report.warnings
+    violations = report.errors if strict else warnings
     # Per knapsack: the density, duration and size of each eligible option,
     # and the bounds an option within every declared bound stays inside.
     densities: list[list[float]] = [[] for _ in range(K)]
@@ -337,57 +343,46 @@ def validate_instance(
     ]
     rho_lo = 1 - BOUND_TOL
 
-    def findings(item: Item, k: int, rho: float) -> None:
-        """Report each rule option ``k`` of ``item`` breaks; only here is text formed."""
-        opt, spec = item.options[k], specs[k]
-        where = f"item {item.id}, knapsack {k}"
-        if opt.interval.start < item.arrival:
-            report.warnings.append(
-                f"{where}: window starts at {opt.interval.start}, "
-                f"before arrival {item.arrival}"
-            )
-        d = opt.interval.duration
-        if rho < rho_lo:
-            violation(f"{where}: density {rho} below 1")
-        if rho > limits[k][0]:
-            violation(f"{where}: density {rho} above theta {spec.theta}")
-        if d < spec.duration_lo:
-            violation(f"{where}: duration {d} below {spec.duration_lo}")
-        if d > spec.duration_hi:
-            violation(f"{where}: duration {d} above {spec.duration_hi}")
-        if opt.size > limits[k][3]:
-            violation(f"{where}: size {opt.size} above cap {spec.size_cap}")
-
-    for item in inst.items:
-        arrival = item.arrival
+    # One test per rule; the text of a finding is formed only when it fires.
+    for item_id, arrival, options in inst.items:
         vacuous = True
-        for k, (eligible, size, value, (start, d)) in enumerate(item.options):
+        for k, (eligible, size, value, (start, d)) in enumerate(options):
             if not eligible:
                 continue
             vacuous = False
             rho = value / (size * d)  # ItemOption.density
             rho_hi, d_lo, d_hi, size_hi = limits[k]
-            if not (
-                start >= arrival and rho_lo <= rho <= rho_hi
-                and d_lo <= d <= d_hi and size <= size_hi
-            ):
-                findings(item, k, rho)
+            if start < arrival:
+                warnings.append(
+                    f"item {item_id}, knapsack {k}: window starts at {start}, "
+                    f"before arrival {arrival}"
+                )
+            if rho < rho_lo:
+                violations.append(f"item {item_id}, knapsack {k}: density {rho} below 1")
+            if rho > rho_hi:
+                violations.append(
+                    f"item {item_id}, knapsack {k}: density {rho} above theta {specs[k].theta}"
+                )
+            if d < d_lo:
+                violations.append(f"item {item_id}, knapsack {k}: duration {d} below {d_lo}")
+            if d > d_hi:
+                violations.append(f"item {item_id}, knapsack {k}: duration {d} above {d_hi}")
+            if size > size_hi:
+                violations.append(
+                    f"item {item_id}, knapsack {k}: size {size} above cap {specs[k].size_cap}"
+                )
             densities[k].append(rho)
             durations[k].append(d)
             sizes[k].append(size)
         if vacuous:
-            report.warnings.append(f"item {item.id}: no eligible option (vacuous item)")
+            warnings.append(f"item {item_id}: no eligible option (vacuous item)")
 
-    for k, spec in enumerate(specs):
+    for k, bound in enumerate(bounds):
         max_size = max(sizes[k], default=0.0)
-        bound = None
-        if gamma is not None:
-            bound = spec.capacity * math.log(2.0) / gamma[k]
-            if max_size > bound + BOUND_TOL * bound:
-                violation(
-                    f"knapsack {k}: max size {max_size} exceeds "
-                    f"capacity*ln2/gamma = {bound}"
-                )
+        if bound is not None and max_size > bound + BOUND_TOL * bound:
+            violations.append(
+                f"knapsack {k}: max size {max_size} exceeds capacity*ln2/gamma = {bound}"
+            )
         report.knapsacks.append(
             KnapsackObservation(
                 density_range=(min(densities[k]), max(densities[k])) if densities[k] else None,

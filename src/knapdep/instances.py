@@ -194,14 +194,12 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
 
 
 def generate(spec: GenSpec, levels: int = 4) -> list[Instance]:
-    """Dispatch on the family tag; always returns a list of instances."""
+    """Dispatch on the family tag, which ``GenSpec`` checked; returns a list."""
     if spec.family == "uniform":
         return [gen_uniform(spec)]
     if spec.family == "burst":
         return [gen_burst(spec)]
-    if spec.family == "staircase":
-        return gen_staircase(spec, levels)
-    raise ValueError(f"unknown family {spec.family!r}")
+    return gen_staircase(spec, levels)
 
 
 # ---------------------------------------------------------------------------

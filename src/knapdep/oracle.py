@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance
+from .core import Instance, check_count
 
 # Pruning margin guard: prune a subtree only when its bound trails the
 # incumbent by more than accumulated float error possibly could, so the
@@ -130,10 +130,8 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     and at least the incumbent.  A ``node_budget`` must be None or an
     integer >= 0 (ValueError otherwise).
     """
-    if node_budget is not None and (
-        isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 0
-    ):
-        raise ValueError(f"node_budget must be an integer >= 0, got {node_budget!r}")
+    if node_budget is not None:
+        check_count("node_budget", node_budget, 0)
     N = inst.num_items
     K = inst.num_knapsacks
     options, num_keys = _prepared(inst)

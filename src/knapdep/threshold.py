@@ -5,6 +5,9 @@ requested slots and admits only if the item's value covers that charge.
 The exponential family ``phi(z) = exp(z*gamma/capacity) - 1`` is the
 default; a tabulated piecewise-linear kind is provided so ablations and
 the tuner can plug in alternative shapes.
+
+The exponential curve's domain (finite gamma and capacity > 0) and the
+size precondition are coded here only; ``validate_instance`` uses them.
 """
 
 from __future__ import annotations
@@ -12,9 +15,18 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .core import Instance, KnapsackSpec
+if TYPE_CHECKING:  # core imports this module, for size_precondition
+    from .core import Instance, KnapsackSpec
+
+
+def _check_curve(capacity: float, gamma: float) -> None:
+    """Refuse a capacity or gamma outside the exponential curve's domain."""
+    if not 0 < capacity < math.inf:
+        raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
 
 
 class ThresholdFn(abc.ABC):
@@ -37,10 +49,7 @@ class ExponentialThreshold(ThresholdFn):
     kind = "exponential"
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
+        _check_curve(self.capacity, self.gamma)
 
     def eval(self, z: float) -> float:
         """The curve at ``z``; +inf where ``exp`` overflows, its limit there."""
@@ -107,10 +116,7 @@ def size_precondition(capacity: float, gamma: float) -> float:
 
     Returns capacity * ln2 / gamma.
     """
-    if not 0 < capacity < math.inf:
-        raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
+    _check_curve(capacity, gamma)
     return capacity * math.log(2.0) / gamma
 
 

@@ -350,6 +350,27 @@ class TestBenchTune:
         assert captured.err == f"error: {message.format(cfg=cfg)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("bench", {"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
+            ("tune", {"tuner": {"delta": 5}}, "delta must be a number in (0, 1), got 5"),
+        ],
+    )
+    def test_config_checked_before_suite_read(self, tmp_path, capsys, command, body, message):
+        # The second file is malformed; the config value is still the one reported.
+        (good,) = self.make_suite(tmp_path, capsys, n=4, count=1)
+        bad = tmp_path / "bad.json"
+        data = one_item_instance()
+        data["horizon"] = 0
+        bad.write_text(json.dumps(data))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert cli(command, "--input", str(good), str(bad), "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_opt_negative_node_budget_exits_1(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(one_item_instance()))

@@ -89,37 +89,120 @@ class TestValidate:
         assert obs.duration_range == (2, 2)
         assert obs.max_size == 1.0
 
-    def test_density_below_one(self):
-        inst = make_instance([single(2.0, 2.0, 1, 2)])  # density 0.5
-        lax = validate_instance(inst, strict=False)
-        assert lax.ok and any("density" in w for w in lax.warnings)
-        strict = validate_instance(inst, strict=True)
-        assert not strict.ok and any("density" in e for e in strict.errors)
-
-    def test_size_precondition_with_gamma(self):
-        # capacity 10, gamma = ln9: bound = 10*ln2/ln9 = 3.154648767857287.
-        inst = make_instance([single(4.0, 8.0, 1, 2)], eps=5.0)
-        report = validate_instance(inst, gamma=[math.log(9.0)])
-        bound = 10.0 * math.log(2.0) / math.log(9.0)
-        assert report.knapsacks[0].size_bound == pytest.approx(3.154648767857287, abs=1e-12)
-        assert any(f"capacity*ln2/gamma = {bound}" in w for w in report.warnings)
-
     def test_size_precondition_ok(self):
         inst = make_instance([single(3.0, 6.0, 1, 2)], eps=3.0)
         report = validate_instance(inst, gamma=[math.log(2.0)])
         assert report.ok and not report.warnings
 
-    def test_start_before_arrival_warns_even_strict(self):
-        inst = make_instance([single(1.0, 2.0, 1, 2, arrival=3)])
-        report = validate_instance(inst, strict=True)
-        assert report.ok
-        assert any("before arrival" in w for w in report.warnings)
 
-    def test_vacuous_item_warns(self):
-        item = Item(0, 1, (opt(0.0, 0.0, 1, 1, eligible=False),))
-        report = validate_instance(make_instance([item]))
-        assert report.ok
-        assert any("vacuous" in w for w in report.warnings)
+LN9 = math.log(9.0)
+
+# One case per validate finding: (instance, gamma, promoted under strict,
+# exact text).  Default knapsack: capacity 10, theta 4, durations in [1, 4].
+FINDINGS = {
+    "start-before-arrival": (
+        make_instance([single(1.0, 2.0, 1, 2, arrival=3)]), None, False,
+        "item 0, knapsack 0: window starts at 1, before arrival 3",
+    ),
+    "density-below-one": (
+        make_instance([single(2.0, 2.0, 1, 2)]), None, True,
+        "item 0, knapsack 0: density 0.5 below 1",
+    ),
+    "density-above-theta": (
+        make_instance([single(1.0, 10.0, 1, 2)]), None, True,
+        "item 0, knapsack 0: density 5.0 above theta 4.0",
+    ),
+    "duration-below-lo": (
+        make_instance([single(1.0, 1.0, 1, 1)], dlo=2), None, True,
+        "item 0, knapsack 0: duration 1 below 2",
+    ),
+    "duration-above-hi": (
+        make_instance([single(1.0, 5.0, 1, 5)]), None, True,
+        "item 0, knapsack 0: duration 5 above 4",
+    ),
+    "size-above-cap": (
+        make_instance([single(3.0, 6.0, 1, 2)], eps=2.0), None, True,
+        "item 0, knapsack 0: size 3.0 above cap 2.0",
+    ),
+    "size-precondition": (
+        make_instance([single(4.0, 8.0, 1, 2)], eps=5.0), [LN9], True,
+        "knapsack 0: max size 4.0 exceeds capacity*ln2/gamma = 3.154648767857287",
+    ),
+    "vacuous-item": (
+        make_instance([Item(5, 1, (opt(0.0, 0.0, 1, 1, eligible=False),))]), None, False,
+        "item 5: no eligible option (vacuous item)",
+    ),
+}
+
+
+class TestValidateFindings:
+    """The exact text and order of every finding ``validate_instance`` reports."""
+
+    @pytest.mark.parametrize("case", list(FINDINGS))
+    def test_finding_text(self, case):
+        inst, gamma, promoted, message = FINDINGS[case]
+        lax = validate_instance(inst, gamma=gamma)
+        assert (lax.errors, lax.warnings) == ([], [message])
+        strict = validate_instance(inst, strict=True, gamma=gamma)
+        expected = ([message], []) if promoted else ([], [message])
+        assert (strict.errors, strict.warnings) == expected
+
+    def test_rules_broken_together_keep_their_order(self):
+        # One option starts before arrival, has density 2/15, lasts 5 slots
+        # and is 3.0 large against a cap of 2.0.
+        inst = make_instance([single(3.0, 2.0, 1, 5, arrival=2)], eps=2.0)
+        violations = [
+            "item 0, knapsack 0: density 0.13333333333333333 below 1",
+            "item 0, knapsack 0: duration 5 above 4",
+            "item 0, knapsack 0: size 3.0 above cap 2.0",
+        ]
+        start = "item 0, knapsack 0: window starts at 1, before arrival 2"
+        lax = validate_instance(inst)
+        assert (lax.errors, lax.warnings) == ([], [start, *violations])
+        strict = validate_instance(inst, strict=True)
+        assert (strict.errors, strict.warnings) == (violations, [start])
+
+    def test_density_above_theta_before_duration_below(self):
+        inst = make_instance([single(1.0, 5.0, 1, 1)], dlo=2)
+        report = validate_instance(inst, strict=True)
+        assert report.errors == [
+            "item 0, knapsack 0: density 5.0 above theta 4.0",
+            "item 0, knapsack 0: duration 1 below 2",
+        ]
+
+    def test_item_findings_before_knapsack_findings(self):
+        # Per item in order, then the size precondition per knapsack.
+        ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+        items = (
+            Item(0, 1, (opt(4.0, 8.0, 1, 2), opt(1.0, 10.0, 1, 2))),
+            Item(1, 1, (OFF, OFF)),
+        )
+        inst = Instance(20, (ks, ks), items)
+        report = validate_instance(inst, strict=True, gamma=[LN9, 0.5])
+        assert report.errors == [
+            "item 0, knapsack 1: density 5.0 above theta 4.0",
+            "knapsack 0: max size 4.0 exceeds capacity*ln2/gamma = 3.154648767857287",
+        ]
+        assert report.warnings == ["item 1: no eligible option (vacuous item)"]
+        assert [o.size_bound for o in report.knapsacks] == [
+            3.154648767857287, 10.0 * math.log(2.0) / 0.5,
+        ]
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            ([math.nan], "gamma must be a finite number > 0, got nan"),
+            ([0.0], "gamma must be a finite number > 0, got 0.0"),
+            ([math.inf], "gamma must be a finite number > 0, got inf"),
+            ([1.0, 1.0], "gamma must have 1 entries, got 2"),
+            ([], "gamma must have 1 entries, got 0"),
+        ],
+    )
+    def test_bad_gamma_raises(self, gamma, message):
+        inst = make_instance([single(1.0, 2.0, 1, 2)])
+        with pytest.raises(ValueError) as info:
+            validate_instance(inst, gamma=gamma)
+        assert str(info.value) == message
 
 
 

@@ -119,6 +119,28 @@ class TestStep:
         assert decision.knapsack == 1
         assert [e.knapsack for e in audit.entries] == [1]
 
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            (SlotInterval(2, 4), "window 2..5 is outside slots 1..3"),
+            (SlotInterval(0, 2), "window 0..1 is outside slots 1..3"),
+        ],
+    )
+    def test_window_outside_the_slots_refused(self, interval, message):
+        # An Instance never holds such a window; a bare step is refused too,
+        # before it charges or commits anything.
+        state = UtilizationState(1, 3)
+        state.add(0, SlotInterval(1, 3), 1.0)
+        item = Item(0, 1, (ItemOption(True, 1.0, 100.0, interval),))
+        spec = KnapsackSpec(10.0, 100.0, 1, 4, 10.0)
+        with pytest.raises(ValueError) as info:
+            step(item, state, [flat()], [spec])
+        assert str(info.value) == message
+        with pytest.raises(ValueError):
+            state.add(0, interval, 1.0)
+        assert state.window(0, SlotInterval(1, 3)) == [1.0, 1.0, 1.0]
+        assert list(state.covered(0)) == [(1, 1.0), (2, 1.0), (3, 1.0)]
+
 
 def uniform_instance(seed, n=20, k=1, horizon=30, theta=4.0, capacity=10.0):
     ks = KnapsackSpec(capacity, theta, 1, 4, capacity / 2)

@@ -68,6 +68,12 @@ class TestEval:
         with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
             ExponentialThreshold(gamma=-math.inf, capacity=10.0)
 
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 0.0, -1.0])
+    def test_capacity_outside_domain_rejected(self, capacity):
+        with pytest.raises(ValueError) as info:
+            ExponentialThreshold(gamma=1.0, capacity=capacity)
+        assert str(info.value) == f"capacity must be a finite number > 0, got {capacity}"
+
     def test_overflow_is_infinite(self):
         # exp overflows past about 709.78; its limit there is +inf.
         fn = ExponentialThreshold(gamma=1e5, capacity=10.0)
