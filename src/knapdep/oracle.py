@@ -6,6 +6,16 @@ exhaustive enumerator used purely as an independent cross-check
 instances too large to solve (`upper_bound`).  All solvers are in-house;
 desk-scale instances do not justify an external MILP dependency and a
 hermetic build keeps CI deterministic.
+
+The branch-and-bound prunes with two bounds on what items i.. can still
+add: the sum of their best values, and a fractional-density capacity
+bound (Martello & Toth, *Knapsack Problems*, 1990), which per knapsack
+is their largest value density times the capacity left on the slots they
+request.  The load on those slots is carried down the search as one sum
+per knapsack, so the capacity bound costs O(K + keys expiring at that
+depth) per node and the set-up is linear in options and slots.  The
+search keeps its own stack, so its depth is not limited by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -51,14 +61,16 @@ class OfflineSolution:
 
 def _prepared(inst: Instance):
     """Per-item eligible options as (knapsack, size, value, slot keys), and
-    the key count; slot t of knapsack k is key k*(horizon+1) + t.
+    the key count; slot t of knapsack k is key k*(horizon+1) + t, so an
+    option's keys are one ``range``.
     """
     stride = inst.horizon + 1
     options = []
     for item in inst.items:
         opts = []
         for k, opt in item.eligible_options():
-            keys = tuple(k * stride + t for t in opt.interval.slots())
+            first = k * stride + opt.interval.start
+            keys = range(first, first + opt.interval.duration)
             opts.append((k, opt.size, opt.value, keys))
         options.append(opts)
     return options, inst.num_knapsacks * stride + 1
@@ -129,15 +141,29 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     the smaller of the subtrees the budget refused and ``upper_bound``,
     and at least the incumbent.  A ``node_budget`` must be None or an
     integer >= 0 (ValueError otherwise).
+
+    The capacity bound at depth i is the fractional-density relaxation
+    (Martello & Toth, *Knapsack Problems*, 1990): per knapsack k, the
+    largest value per unit of size and slot among the options of items
+    i.. times the room left in F(i, k), the slots any of those options
+    requests.  That room is ``cap_k * |F(i, k)|`` less the load already
+    on F(i, k).  The load sum is carried down the search: a child gets its
+    parent's, less the load on the slots whose last requester is item i,
+    plus the placed option's size on each of its slots that a later item
+    also requests.  So a node costs O(K + keys expiring at its depth), and
+    the footprints themselves are never built.  Every placement is checked
+    against capacity, so no slot is over full and the room needs no
+    per-slot clamp.
+
+    The search runs on an explicit stack of child generators, in the order
+    a recursive visit would take, so its depth is not limited by Python's
+    recursion limit.
     """
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)
     N = inst.num_items
     K = inst.num_knapsacks
     options, num_keys = _prepared(inst)
-    # Assignment children explored best value first (ties to lower index),
-    # decline last, so dense incumbents appear early and tighten pruning.
-    children_of = [sorted(opts, key=lambda o: (-o[2], o[0])) for opts in options]
     caps = [ks.capacity for ks in inst.knapsacks]
     load = [0.0] * num_keys
 
@@ -148,76 +174,123 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
         best_v = max((v for _, _, v, _ in options[i]), default=0.0)
         suffix_value[i] = suffix_value[i + 1] + best_v
 
-    # Capacity-aware bound ingredients: per knapsack, the max density among
-    # items i.. and the slots any of them requests.  footprint[i][k] is the
-    # tuple of flat slot keys; density_suffix[i][k] the max value density.
-    density_suffix = [[0.0] * K for _ in range(N + 1)]
-    footprint: list[list[frozenset[int]]] = [
-        [frozenset() for _ in range(K)] for _ in range(N + 1)
-    ]
-    for i in range(N - 1, -1, -1):
-        for k in range(K):
-            density_suffix[i][k] = density_suffix[i + 1][k]
-            footprint[i][k] = footprint[i + 1][k]
-        for k, size, value, keys in options[i]:
-            density_suffix[i][k] = max(
-                density_suffix[i][k], value / (size * len(keys))
-            )
-            footprint[i][k] = footprint[i][k] | frozenset(keys)
+    # last[t]: the last item with an option on slot key t.  Key t is in
+    # F(i, k) exactly when last[t] >= i, so it leaves the footprint after
+    # item last[t]: expiring[i] lists those keys as runs (k, first, end).
+    # Slot 0 is never requested, so no run crosses into the next knapsack.
+    last = [-1] * num_keys
+    for i, opts in enumerate(options):
+        for _, _, _, keys in opts:
+            for t in keys:
+                last[t] = i
+    stride = inst.horizon + 1
+    expiring: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
+    for t, i in enumerate(last):
+        if i >= 0:
+            runs = expiring[i]
+            if runs and runs[-1][2] == t:
+                runs[-1] = (runs[-1][0], runs[-1][1], t + 1)
+            else:
+                runs.append((t // stride, t, t + 1))
 
-    def capacity_bound(i: int) -> float:
-        """Value still placeable for items i.. given current loads."""
-        total = 0.0
-        for k in range(K):
-            dens = density_suffix[i][k]
-            if dens == 0.0:
-                continue
-            cap = caps[k]
-            residual = sum(max(cap - load[t], 0.0) for t in footprint[i][k])
-            total += dens * residual
-        return total
+    # terms[i]: (k, dens, room) for each knapsack with an option among
+    # items i..: the max value density there and cap_k * |F(i, k)|.
+    terms: list[tuple[tuple[int, float, float], ...]] = [()] * N
+    dens = [0.0] * K
+    footprint_size = [0] * K
+    for i in range(N - 1, -1, -1):
+        for k, lo, hi in expiring[i]:
+            footprint_size[k] += hi - lo
+        for k, size, value, keys in options[i]:
+            dens[k] = max(dens[k], value / (size * len(keys)))
+        terms[i] = tuple(
+            (k, dens[k], caps[k] * footprint_size[k]) for k in range(K) if dens[k] != 0.0
+        )
+
+    # Assignment children explored best value first (ties to lower index),
+    # decline last, so dense incumbents appear early and tighten pruning.
+    # Each is (k, size, value, cap, first key, end key, keys kept after i).
+    children_of = [
+        [
+            (k, size, value, caps[k], keys.start, keys.stop,
+             sum(1 for t in keys if last[t] > i))
+            for k, size, value, keys in sorted(opts, key=lambda o: (-o[2], o[0]))
+        ]
+        for i, opts in enumerate(options)
+    ]
 
     best_value = 0.0
+    # A subtree whose bound is at most ``floor`` cannot beat the incumbent.
+    floor = best_value - _PRUNE_SLACK * (1.0 + abs(best_value))
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
     nodes = 0
     exhausted = False
     refused_bound = 0.0  # max bound among subtrees skipped by the budget
 
-    def visit(i: int, value: float) -> None:
-        nonlocal best_value, best_assignment, nodes, exhausted, refused_bound
+    def branches(i: int, value: float, held: list[float]):
+        """Yield node i's children as (depth, value, held load sums).
+
+        A placement's size sits on ``load`` only while its subtree is
+        searched, i.e. until the next value is drawn from this generator.
+        """
+        if expiring[i]:
+            held = held.copy()
+            for k, lo, hi in expiring[i]:
+                held[k] -= sum(load[lo:hi])
+        nxt = i + 1
+        for k, size, item_value, cap, lo, hi, kept in children_of[i]:
+            # One max suffices: x + size is monotone in x.
+            if max(load[lo:hi]) + size <= cap:
+                for t in range(lo, hi):
+                    load[t] += size
+                current[i] = k
+                if kept:
+                    child = held.copy()
+                    child[k] += size * kept
+                else:
+                    child = held
+                yield nxt, value + item_value, child
+                current[i] = None
+                for t in range(lo, hi):
+                    load[t] -= size
+        yield nxt, value, held  # decline last
+
+    stack = [iter(((0, 0.0, [0.0] * K),))]  # the root, as a one-child parent
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        i, value, held = node
         cheap = value + suffix_value[i]
         if exhausted:
             refused_bound = max(refused_bound, cheap)
-            return
-        margin = _PRUNE_SLACK * (1.0 + abs(best_value))
-        if cheap <= best_value - margin:
-            return
-        if i < N and value + capacity_bound(i) <= best_value - margin:
-            return
+            continue
+        if cheap <= floor:
+            continue
+        if i < N:
+            bound = 0.0
+            for k, d, room in terms[i]:
+                # Clamped so that an infinite density never meets a
+                # negative rounding residue.
+                left = room - held[k]
+                bound += d * (left if left > 0.0 else 0.0)
+            if value + bound <= floor:
+                continue
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             exhausted = True
             refused_bound = max(refused_bound, cheap)
-            return
+            continue
         if i == N:
             if value > best_value:
                 best_value = value
+                floor = best_value - _PRUNE_SLACK * (1.0 + abs(best_value))
                 best_assignment = current.copy()
-            return
-        for k, size, item_value, keys in children_of[i]:
-            cap = caps[k]
-            if all(load[t] + size <= cap for t in keys):
-                for t in keys:
-                    load[t] += size
-                current[i] = k
-                visit(i + 1, value + item_value)
-                current[i] = None
-                for t in keys:
-                    load[t] -= size
-        visit(i + 1, value)  # decline last
+            continue
+        stack.append(branches(i, value, held))
 
-    visit(0, 0.0)
     if exhausted:
         # Both the refused subtrees' bound and the root relaxation are
         # valid; report the tighter, never below the incumbent.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,31 @@ class TestExact:
     def test_node_count_reported(self):
         inst = random_instance(3, n=6, k=1)
         assert solve_exact(inst).nodes > 0
+
+    def test_search_deeper_than_recursion_limit(self):
+        # `gen --n 1500 --k 1 --t 3000 --capacity 10 --theta 8 --eps 2
+        # --seed 1`: the first 1200 nodes run down one path 1200 items deep.
+        ks = KnapsackSpec(10.0, 8.0, 1, 2, 2.0)
+        inst = gen_uniform(GenSpec("uniform", 1500, 3000, (ks,), 1))
+        sol = solve_exact(inst, node_budget=1200)
+        assert sol.proof == "upper-bound-only"
+        assert sol.nodes == 1201
+        assert assignment_violations(inst, list(sol.assignment)) == []
+        assert sol.objective <= sol.bound
+
+    def test_budget_bound_solve_memory_stays_small(self):
+        # A stream-sized instance (K=4, T=2000, n=2000) with a tiny budget:
+        # set-up memory must not grow with items x knapsacks x slots.
+        ks = KnapsackSpec(10.0, 8.0, 4, 16, 2.0)
+        inst = gen_uniform(GenSpec("uniform", 2000, 2000, (ks,) * 4, 1))
+        tracemalloc.start()
+        try:
+            sol = solve_exact(inst, node_budget=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.proof == "upper-bound-only"
+        assert peak < 50e6
 
 
 class TestUpperBound:

@@ -14,11 +14,18 @@ exceeds the offline optimum, branch-and-bound proves the brute-force
 optimum, a budget-bound solve reports a bound no smaller than it, and
 every output is the same text from two independent calls.  Examples are
 derandomized, so every run sees the same ones.
+
+``reference_solve_exact`` is the branch-and-bound as it was before its
+capacity bound was carried down the search: recursive, re-summing each
+knapsack's slot footprint at every node.  ``solve_exact`` must make the
+same search, so its result, node count included, equals the reference's.
 """
 
 import json
 import math
+import random
 from types import MappingProxyType
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +45,7 @@ from knapdep.core import (
 )
 from knapdep.engine import run
 from knapdep.instances import FAMILIES, GenSpec, generate
-from knapdep.oracle import solve_bruteforce, solve_exact
+from knapdep.oracle import OfflineSolution, solve_bruteforce, solve_exact, upper_bound
 from knapdep.threshold import TableThreshold, for_instance
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -302,3 +309,121 @@ def test_integer_sizes_and_values_parse_as_floats(inst):
             type(o.size) is float and type(o.value) is float
             for item in twin.items for o in item.options
         )
+
+
+def reference_solve_exact(inst, node_budget=None):
+    """Branch-and-bound with the capacity bound summed over footprints."""
+    N = inst.num_items
+    K = inst.num_knapsacks
+    stride = inst.horizon + 1
+    options = [
+        [
+            (k, opt.size, opt.value, tuple(k * stride + t for t in opt.interval.slots()))
+            for k, opt in item.eligible_options()
+        ]
+        for item in inst.items
+    ]
+    children_of = [sorted(opts, key=lambda o: (-o[2], o[0])) for opts in options]
+    caps = [ks.capacity for ks in inst.knapsacks]
+    load = [0.0] * (K * stride + 1)
+
+    suffix_value = [0.0] * (N + 1)
+    for i in range(N - 1, -1, -1):
+        best_v = max((v for _, _, v, _ in options[i]), default=0.0)
+        suffix_value[i] = suffix_value[i + 1] + best_v
+
+    density_suffix = [[0.0] * K for _ in range(N + 1)]
+    footprint = [[frozenset() for _ in range(K)] for _ in range(N + 1)]
+    for i in range(N - 1, -1, -1):
+        for k in range(K):
+            density_suffix[i][k] = density_suffix[i + 1][k]
+            footprint[i][k] = footprint[i + 1][k]
+        for k, size, value, keys in options[i]:
+            density_suffix[i][k] = max(density_suffix[i][k], value / (size * len(keys)))
+            footprint[i][k] = footprint[i][k] | frozenset(keys)
+
+    def capacity_bound(i):
+        total = 0.0
+        for k in range(K):
+            dens = density_suffix[i][k]
+            if dens == 0.0:
+                continue
+            residual = sum(max(caps[k] - load[t], 0.0) for t in footprint[i][k])
+            total += dens * residual
+        return total
+
+    best_value = 0.0
+    best_assignment: list[Optional[int]] = [None] * N
+    current: list[Optional[int]] = [None] * N
+    nodes = 0
+    exhausted = False
+    refused_bound = 0.0
+
+    def visit(i, value):
+        nonlocal best_value, best_assignment, nodes, exhausted, refused_bound
+        cheap = value + suffix_value[i]
+        if exhausted:
+            refused_bound = max(refused_bound, cheap)
+            return
+        margin = 1e-9 * (1.0 + abs(best_value))
+        if cheap <= best_value - margin:
+            return
+        if i < N and value + capacity_bound(i) <= best_value - margin:
+            return
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            exhausted = True
+            refused_bound = max(refused_bound, cheap)
+            return
+        if i == N:
+            if value > best_value:
+                best_value = value
+                best_assignment = current.copy()
+            return
+        for k, size, item_value, keys in children_of[i]:
+            if all(load[t] + size <= caps[k] for t in keys):
+                for t in keys:
+                    load[t] += size
+                current[i] = k
+                visit(i + 1, value + item_value)
+                current[i] = None
+                for t in keys:
+                    load[t] -= size
+        visit(i + 1, value)
+
+    visit(0, 0.0)
+    if exhausted:
+        return OfflineSolution(
+            tuple(best_assignment), best_value, "upper-bound-only", nodes,
+            max(best_value, min(refused_bound, upper_bound(inst))),
+        )
+    return OfflineSolution(tuple(best_assignment), best_value, "exact", nodes, best_value)
+
+
+@SMALL
+@given(
+    inst=st.one_of(instances(), small_instances()),
+    budget=st.sampled_from([None, 1, 10, 100]),
+)
+def test_branch_and_bound_matches_reference(inst, budget):
+    assert (
+        solve_exact(inst, node_budget=budget).to_dict()
+        == reference_solve_exact(inst, node_budget=budget).to_dict()
+    )
+
+
+def test_branch_and_bound_matches_reference_on_larger_instances():
+    rng = random.Random(2024)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        capacity = rng.choice([1.0, 4.0, 10.0])
+        ks = KnapsackSpec(capacity, 8.0, 1, 6, capacity / rng.choice([1, 2]))
+        spec = GenSpec(
+            rng.choice(["uniform", "burst"]), rng.randint(10, 40), rng.randint(8, 40),
+            (ks,) * k, rng.randint(0, 10**6),
+        )
+        inst = generate(spec)[0]
+        assert (
+            solve_exact(inst, node_budget=2000).to_dict()
+            == reference_solve_exact(inst, node_budget=2000).to_dict()
+        ), spec
