@@ -14,7 +14,8 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from . import oracle, threshold
@@ -46,6 +47,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.threshold, Mapping):
             raise ValueError(f"threshold must be an object, got {self.threshold!r}")
+        # A plain dict pickles to the worker processes of a parallel run.
+        object.__setattr__(self, "threshold", dict(self.threshold))
         check_count("exact_cutoff", self.exact_cutoff, 0)
         check_count("crosscheck_cutoff", self.crosscheck_cutoff, 0)
         if self.node_budget is not None:
@@ -53,13 +56,7 @@ class BenchConfig:
         check_count("jobs", self.jobs, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": dict(self.threshold),
-            "exact_cutoff": self.exact_cutoff,
-            "crosscheck_cutoff": self.crosscheck_cutoff,
-            "node_budget": self.node_budget,
-            "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -144,7 +141,7 @@ def _shared_knapsack_echo(
     if any(inst.knapsacks != first.knapsacks for _, inst in instances):
         return None
     try:
-        fns = threshold.for_instance(first, dict(cfg.threshold))
+        fns = threshold.for_instance(first, cfg.threshold)
     except ValueError:
         return None
     return [
@@ -167,16 +164,15 @@ def _ratio(alg: float, opt: float) -> tuple[float, bool]:
     return opt / alg, False
 
 
-def _evaluate(args: tuple[str, Instance, dict, int, int, Optional[int]]) -> BenchRow:
-    instance_id, inst, threshold_cfg, exact_cutoff, crosscheck_cutoff, node_budget = args
+def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
     try:
-        fns = threshold.for_instance(inst, threshold_cfg)
+        fns = threshold.for_instance(inst, cfg.threshold)
         result = run(inst, fns)
-        if inst.num_items <= exact_cutoff:
-            sol = oracle.solve_exact(inst, node_budget=node_budget)
+        if inst.num_items <= cfg.exact_cutoff:
+            sol = oracle.solve_exact(inst, node_budget=cfg.node_budget)
             if sol.proof == "exact":
                 opt, tag = sol.objective, "exact"
-                if inst.num_items <= crosscheck_cutoff:
+                if inst.num_items <= cfg.crosscheck_cutoff:
                     check = oracle.solve_bruteforce(inst)
                     if check.objective != sol.objective:
                         raise AssertionError(
@@ -222,17 +218,13 @@ def bench_suite(
     byte-reproducible either way.
     """
     cfg = config or BenchConfig()
-    tasks = [
-        (iid, inst, dict(cfg.threshold), cfg.exact_cutoff, cfg.crosscheck_cutoff, cfg.node_budget)
-        for iid, inst in instances
-    ]
     echo = cfg.to_dict()
     echo["knapsacks"] = _shared_knapsack_echo(instances, cfg)
-    if cfg.jobs > 1 and len(tasks) > 1:
+    if cfg.jobs > 1 and len(instances) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_evaluate, tasks))
+            rows = list(pool.map(_evaluate, *zip(*instances), repeat(cfg)))
     else:
-        rows = [_evaluate(t) for t in tasks]
+        rows = [_evaluate(iid, inst, cfg) for iid, inst in instances]
 
     exact_rows = [r for r in rows if r.opt_tag == "exact"]
     cr: Optional[float] = None
@@ -268,30 +260,19 @@ class TuneSpec:
     The grid is ``grid_points`` multipliers spanning [1-delta, 1+delta],
     applied to each knapsack's default gamma, so every candidate stays
     inside the safety band [gamma_lo, gamma_hi] per knapsack.  An odd
-    ``grid_points`` puts the default itself on the grid.
+    ``grid_points`` puts the default itself on the grid.  Each value is
+    checked when the spec is made (ValueError otherwise): ``delta`` is a
+    number in (0, 1) and ``grid_points`` an integer >= 1.
     """
 
-    training: tuple[Instance, ...]
     delta: float = 0.5
     grid_points: int = 11
 
-    # The defaults are the fields' own, so that a caller can check the
-    # values it will pass before it has the training set.
-    @staticmethod
-    def check_grid(delta: object = delta, grid_points: object = grid_points) -> None:
-        """Refuse a ``delta`` outside (0, 1) or a ``grid_points`` below 1."""
+    def __post_init__(self) -> None:
+        delta = self.delta
         if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
-        check_count("grid_points", grid_points, 1)
-
-    def __post_init__(self) -> None:
-        if not self.training:
-            raise ValueError("training set must be nonempty")
-        self.check_grid(self.delta, self.grid_points)
-        first = self.training[0].knapsacks
-        for inst in self.training:
-            if inst.knapsacks != first:
-                raise ValueError("training instances must share knapsack specs")
+        check_count("grid_points", self.grid_points, 1)
 
     def multipliers(self) -> list[float]:
         if self.grid_points == 1:
@@ -333,25 +314,29 @@ class TuneResult:
         return out.getvalue()
 
 
-def tune_gamma(spec: TuneSpec) -> TuneResult:
-    """Pick the grid multiplier maximizing mean training profit.
+def tune_gamma(training: Sequence[Instance], spec: Optional[TuneSpec] = None) -> TuneResult:
+    """Pick the grid multiplier maximizing mean profit over ``training``.
 
-    Ties resolve toward the multiplier closest to 1 (the analytic
-    default), then toward the smaller multiplier; the returned gammas are
-    always inside each knapsack's safety band.
+    The training instances must share their knapsack specs.  Ties resolve
+    toward the multiplier closest to 1 (the analytic default), then toward
+    the smaller multiplier; the returned gammas are always inside each
+    knapsack's safety band.
     """
-    shared = spec.training[0]
-    defaults = tuple(
-        threshold.default_gamma(ks.theta, ks.alpha) for ks in shared.knapsacks
-    )
+    spec = spec or TuneSpec()
+    if not training:
+        raise ValueError("training set must be nonempty")
+    shared = training[0]
+    if any(inst.knapsacks != shared.knapsacks for inst in training):
+        raise ValueError("training instances must share knapsack specs")
+    defaults = tuple(threshold.default_gamma(ks.theta, ks.alpha) for ks in shared.knapsacks)
     curve: list[tuple[float, float]] = []
     best: Optional[tuple[float, float]] = None  # (mean profit, multiplier)
     for mult in spec.multipliers():
+        fns = threshold.scaled_defaults(shared, mult)
         total = 0.0
-        for inst in spec.training:
-            fns = threshold.scaled_defaults(inst, mult)
+        for inst in training:
             total += run(inst, fns).profit
-        mean_profit = total / len(spec.training)
+        mean_profit = total / len(training)
         curve.append((mult, mean_profit))
         if (
             best is None

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,6 +66,8 @@ def _gamma_config(raw: str) -> dict:
 
 
 def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
+    if not 1 <= args.alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 1, got {args.alpha}")
     duration_hi = max(args.dlo, int(round(args.dlo * args.alpha)))
     size_cap = args.eps if args.eps is not None else args.capacity
     spec = KnapsackSpec(
@@ -90,7 +94,10 @@ def _collect_paths(sources: Sequence[str]) -> list[Path]:
 def _load_suite(sources: Sequence[str]) -> list[tuple[str, Instance]]:
     suite = []
     for p in _collect_paths(sources):
-        suite.append((p.name, loads_instance(p.read_text())))
+        try:
+            suite.append((p.name, loads_instance(p.read_text())))
+        except ValueError as exc:  # SchemaError, or text that is not UTF-8
+            raise SchemaError(f"{p}: {exc}") from exc
     return suite
 
 
@@ -161,18 +168,19 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Keys of the --config file shared by bench and tune.
-_CONFIG_KEYS = frozenset(
-    ("instances", "threshold", "exact_cutoff", "crosscheck_cutoff",
-     "node_budget", "jobs", "tuner")
-)
-_TUNER_KEYS = frozenset(("delta", "grid_points"))
+# Keys of the --config file shared by bench and tune: the bench settings,
+# the suite, and the tuner settings under their own key.
+_CONFIG_KEYS = frozenset(f.name for f in fields(bench.BenchConfig)) | {"instances", "tuner"}
+_TUNER_KEYS = frozenset(f.name for f in fields(bench.TuneSpec))
 
 
 def _read_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ValueError(f"config {path}: invalid JSON: {exc}") from exc
     _check_keys(cfg, _CONFIG_KEYS, f"config {path}")
     _check_keys(cfg.get("tuner", {}), _TUNER_KEYS, f"config {path}, tuner")
     # The other values are checked by BenchConfig and TuneSpec, which
@@ -191,22 +199,20 @@ def _check_keys(obj: object, known: frozenset[str], where: str) -> None:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _layered(flags: dict, file_cfg: dict) -> dict:
-    """Flags given over config file values; keys set by neither are left out."""
-    layered = {key: file_cfg[key] for key in flags if key in file_cfg}
-    layered.update((key, v) for key, v in flags.items() if v is not None)
-    return layered
+def _settings(cls: type, file_cfg: dict, args: argparse.Namespace, **flags: object):
+    """A ``cls`` from flags, over config file values, over its defaults.
 
-
-def _bench_config(args: argparse.Namespace, file_cfg: dict) -> bench.BenchConfig:
-    flags = {
-        "threshold": None if args.gamma is None else _gamma_config(args.gamma),
-        "exact_cutoff": args.exact_cutoff,
-        "crosscheck_cutoff": args.crosscheck_cutoff,
-        "node_budget": args.node_budget,
-        "jobs": args.jobs,
-    }
-    return bench.BenchConfig(**_layered(flags, file_cfg))
+    A field's flag is its entry in ``flags``, else the ``args`` attribute
+    of its name; None means the flag was not given.
+    """
+    values = {}
+    for f in fields(cls):
+        flag = flags.get(f.name, getattr(args, f.name, None))
+        if flag is not None:
+            values[f.name] = flag
+        elif f.name in file_cfg:
+            values[f.name] = file_cfg[f.name]
+    return cls(**values)
 
 
 def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
@@ -219,7 +225,8 @@ def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     file_cfg = _read_config(args.config)
-    cfg = _bench_config(args, file_cfg)  # before any suite file is read
+    gamma = None if args.gamma is None else _gamma_config(args.gamma)
+    cfg = _settings(bench.BenchConfig, file_cfg, args, threshold=gamma)  # before the suite
     suite = _load_suite(_suite_sources(args, file_cfg))
     report = bench.bench_suite(suite, cfg)
     if args.out:
@@ -238,12 +245,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     file_cfg = _read_config(args.config)
-    flags = {"delta": args.delta, "grid_points": args.grid_points}
-    grid = _layered(flags, file_cfg.get("tuner", {}))
-    bench.TuneSpec.check_grid(**grid)  # before any suite file is read
+    spec = _settings(bench.TuneSpec, file_cfg.get("tuner", {}), args)  # before the suite
     suite = _load_suite(_suite_sources(args, file_cfg))
-    spec = bench.TuneSpec(training=tuple(inst for _, inst in suite), **grid)
-    result = bench.tune_gamma(spec)
+    result = bench.tune_gamma([inst for _, inst in suite], spec)
     if args.out:
         Path(f"{args.out}.json").write_text(
             json.dumps(result.to_dict(), indent=2) + "\n"

@@ -632,6 +632,6 @@ def instance_from_dict(data: Mapping) -> Instance:
 def loads_instance(text: str) -> Instance:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(data)

@@ -125,10 +125,11 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
 
     Schema: {"kind": "exponential", "gamma": float | "auto"} where "auto"
     means ``default_gamma`` from the knapsack's declared theta and alpha;
-    or {"kind": "table", "points": [[z, phi], ...]}.
+    or {"kind": "table", "points": [[z, phi], ...]}.  Any other key is refused.
     """
     kind = config.get("kind", "exponential")
     if kind == "exponential":
+        _refuse_unknown_keys(config, kind, "gamma")
         gamma = config.get("gamma", "auto")
         if gamma == "auto":
             gamma = default_gamma(spec.theta, spec.alpha)
@@ -136,6 +137,7 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
             raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
         return ExponentialThreshold(gamma=float(gamma), capacity=spec.capacity)
     if kind == "table":
+        _refuse_unknown_keys(config, kind, "points")
         raw = config.get("points")
         try:
             if not all(type(v) in (int, float) for point in raw for v in point):
@@ -151,6 +153,12 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
             )
         return fn
     raise ValueError(f"unknown threshold kind {kind!r}")
+
+
+def _refuse_unknown_keys(config: Mapping, kind: str, key: str) -> None:
+    unknown = set(config) - {"kind", key}
+    if unknown:
+        raise ValueError(f"{kind} threshold: unknown keys {sorted(unknown, key=str)}")
 
 
 def for_instance(inst: Instance, config: Mapping | None = None) -> list[ThresholdFn]:

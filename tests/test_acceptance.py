@@ -307,7 +307,7 @@ def test_criterion_7_tuner_safety():
             gen_uniform(GenSpec("uniform", 8, 30, (ks,), seed * 1000 + j))
             for j in range(2)
         )
-        result = tune_gamma(TuneSpec(training=training, delta=0.5, grid_points=7))
+        result = tune_gamma(training, TuneSpec(delta=0.5, grid_points=7))
         for gamma, (lo, hi) in zip(result.gammas, result.bands):
             if not lo <= gamma <= hi:
                 escapes += 1
@@ -317,7 +317,7 @@ def test_criterion_7_tuner_safety():
     ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
     item = Item(0, 1, (ItemOption(True, 1.0, 2.0, SlotInterval(1, 2)),))
     flat_training = (Instance(10, (ks,), (item,)),)
-    flat = tune_gamma(TuneSpec(training=flat_training, delta=0.5, grid_points=11))
+    flat = tune_gamma(flat_training, TuneSpec(delta=0.5, grid_points=11))
     tie_ok = flat.multiplier == 1.0 and flat.gammas == flat.defaults
 
     ok = escapes == 0 and tie_ok

@@ -1,5 +1,6 @@
 import json
 import math
+from types import MappingProxyType
 
 import pytest
 
@@ -138,6 +139,15 @@ class TestBenchSuite:
         parallel = bench_suite(suite, BenchConfig(jobs=2))
         assert serial.to_csv() == parallel.to_csv()
 
+    def test_read_only_threshold_runs_in_parallel(self):
+        # The config keeps a plain dict copy, which pickles to the workers.
+        suite = uniform_suite(range(3))
+        threshold = {"kind": "exponential", "gamma": 0.5}
+        cfg = BenchConfig(threshold=MappingProxyType(threshold), jobs=2)
+        assert type(cfg.threshold) is dict and cfg.threshold == threshold
+        serial = bench_suite(suite, BenchConfig(threshold=threshold))
+        assert bench_suite(suite, cfg).to_csv() == serial.to_csv()
+
     def test_infinite_row_rendering(self):
         row = BenchRow("x", 1, 0.0, 5.0, "exact", math.inf, True)
         report = BenchReport(
@@ -161,30 +171,30 @@ class TestTuneGamma:
         # the profit curve is flat and the tie-break picks the default.
         assert default_gamma(4.0, 4.0) == pytest.approx(math.log(17.0))
         training = (single_item_instance(),)
-        result = tune_gamma(TuneSpec(training=training))
+        result = tune_gamma(training, TuneSpec())
         assert result.multiplier == 1.0
         assert result.gammas == result.defaults
 
     def test_two_point_grid_argmax(self):
         training = self.training_set([3])
-        spec = TuneSpec(training=training, grid_points=2)
+        spec = TuneSpec(grid_points=2)
         profits = {
             mult: run(training[0], scaled_defaults(training[0], mult)).profit
             for mult in spec.multipliers()
         }
-        result = tune_gamma(spec)
+        result = tune_gamma(training, spec)
         best = max(profits.values())
         assert profits[result.multiplier] == best
 
     def test_gamma_inside_band(self):
         for seed in range(10):
             training = self.training_set([seed, seed + 50])
-            result = tune_gamma(TuneSpec(training=training, delta=0.5))
+            result = tune_gamma(training, TuneSpec(delta=0.5))
             for gamma, (lo, hi) in zip(result.gammas, result.bands):
                 assert lo <= gamma <= hi
 
     def test_curve_emitted(self):
-        result = tune_gamma(TuneSpec(training=self.training_set([1]), grid_points=5))
+        result = tune_gamma(self.training_set([1]), TuneSpec(grid_points=5))
         assert len(result.curve) == 5
         csv_text = result.curve_csv()
         assert csv_text.startswith("multiplier,mean_profit\n")
@@ -200,8 +210,8 @@ class TestTuneGamma:
         for rep in range(reps):
             train = self.training_set([rep * 10 + 1, rep * 10 + 2])
             test = self.training_set([rep * 10 + 5, rep * 10 + 6])
-            spec = TuneSpec(training=train, delta=0.5, grid_points=7)
-            tuned = tune_gamma(spec).multiplier
+            spec = TuneSpec(delta=0.5, grid_points=7)
+            tuned = tune_gamma(train, spec).multiplier
 
             def test_profit(mult):
                 return sum(
@@ -220,11 +230,11 @@ class TestTuneGamma:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
-            TuneSpec(training=())
+            tune_gamma(())
         with pytest.raises(ValueError, match="delta"):
-            TuneSpec(training=(empty_instance(),), delta=1.5)
+            TuneSpec(delta=1.5)
         mixed = (empty_instance(), single_item_instance())
-        TuneSpec(training=mixed)  # same specs: fine
+        tune_gamma(mixed)  # same specs: fine
         other = Instance(10, (ksp(capacity=3.0, eps=3.0),), ())
         with pytest.raises(ValueError, match="share"):
-            TuneSpec(training=(empty_instance(), other))
+            tune_gamma((empty_instance(), other))

@@ -3,10 +3,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import knapdep
+from knapdep import cli as cli_module
+from knapdep.bench import BenchConfig, TuneSpec
 from knapdep.cli import main
 from knapdep.core import loads_instance
 
@@ -317,6 +320,42 @@ class TestBenchTune:
         assert f"error: config {cfg}" in err and message in err
 
     @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("bench", b"{\n",
+             "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+            ("tune", b"[" * 200_000, ""),  # RecursionError, worded by the Python version
+            ("bench", b"\xff", ""),  # the decoder's message depends on the locale
+        ],
+        ids=["not-json", "too-deep", "not-utf8"],
+    )
+    def test_config_not_json_exits_1(self, tmp_path, capsys, command, text, message):
+        self.make_suite(tmp_path, capsys, n=4, count=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        argv = (command, "--input", str(tmp_path / "suite"), "--config", str(cfg))
+        assert cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config {cfg}: invalid JSON: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_config_keys_are_the_settings_fields(self, tmp_path, capsys):
+        # Every accepted key, each at its default: the settings' fields, the
+        # suite, and the tuner's fields under "tuner".
+        paths = self.make_suite(tmp_path, capsys, n=4, count=1)
+        body = {**asdict(BenchConfig()), "instances": [str(p) for p in paths],
+                "tuner": asdict(TuneSpec())}
+        assert set(body) == {"threshold", "exact_cutoff", "crosscheck_cutoff",
+                             "node_budget", "jobs", "instances", "tuner"}
+        assert set(body["tuner"]) == {"delta", "grid_points"}
+        assert cli_module._CONFIG_KEYS == set(body)
+        assert cli_module._TUNER_KEYS == set(body["tuner"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert cli("bench", "--config", str(cfg)) == 0
+        assert cli("tune", "--config", str(cfg)) == 0
+
+    @pytest.mark.parametrize(
         "command, body, flags, message",
         [
             ("bench", {"threshold": 5}, (), "threshold must be an object, got 5"),
@@ -370,6 +409,39 @@ class TestBenchTune:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (json.dumps({**one_item_instance(), "horizon": 0}).encode(),
+             "horizon must be >= 1, got 0"),
+            (b"{", "invalid JSON: Expecting property name enclosed in double quotes"),
+            (b"\xff", ""),  # the decoder's message depends on the locale
+        ],
+        ids=["malformed", "not-json", "not-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["bench", "tune"])
+    def test_malformed_suite_file_is_named(self, tmp_path, capsys, command, content, message):
+        # One bad file among three; it is named, and nothing is run.
+        self.make_suite(tmp_path, capsys, n=4, count=2)
+        bad = tmp_path / "suite" / "b.json"
+        bad.write_bytes(content)
+        assert cli(command, "--input", str(tmp_path / "suite")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_unknown_threshold_key_gives_error_rows(self, tmp_path, capsys):
+        self.make_suite(tmp_path, capsys, n=4, count=2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": {"kind": "exponential", "gama": 0.5}}))
+        assert cli("bench", "--input", str(tmp_path / "suite"), "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)["rows"]
+        assert [r["opt_tag"] for r in rows] == ["error", "error"]
+        for name in ("s0.json", "s1.json"):
+            assert (f"error: {name}: ValueError: exponential threshold: "
+                    f"unknown keys ['gama']\n") in captured.err
 
     def test_opt_negative_node_budget_exits_1(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -444,6 +516,8 @@ class TestRefusal:
         path.write_text(json.dumps(data))
         assert cli(command, "--input", str(path)) == 1
         captured = capsys.readouterr()
+        if command == "bench":  # a suite file is named
+            message = f"{path}: {message}"
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
@@ -455,6 +529,22 @@ class TestRefusal:
             result = run_pipe([command], stdin_text=json.dumps(data))
             assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["validate", "run", "opt", "bench", "tune"])
+    def test_deeply_nested_input_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert cli(command, "--input", str(path)) == 1
+        captured = capsys.readouterr()
+        where = f"{path}: " if command in ("bench", "tune") else ""
+        assert captured.err.startswith(f"error: {where}invalid JSON: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_deeply_nested_input_in_a_fresh_process(self):
+        result = run_pipe(["run"], stdin_text="[" * 200_000)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: invalid JSON: ")
+        assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -462,6 +552,9 @@ class TestRefusal:
             (("--theta", "nan"), "theta must be a finite number >= 1, got nan"),
             (("--capacity", "inf", "--eps", "1"),
              "capacity must be a finite number > 0, got inf"),
+            (("--alpha", "inf"), "alpha must be a finite number >= 1, got inf"),
+            (("--alpha", "nan"), "alpha must be a finite number >= 1, got nan"),
+            (("--alpha", "0.5"), "alpha must be a finite number >= 1, got 0.5"),
         ],
     )
     def test_gen_refuses_non_finite_knapsack(self, capsys, flags, message):

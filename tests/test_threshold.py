@@ -225,6 +225,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="table points must be "):
             from_config(config, self.spec())
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "exponential", "gama": 0.5}, "exponential threshold: unknown keys ['gama']"),
+            ({"gamma": 1.0, "points": []}, "exponential threshold: unknown keys ['points']"),
+            ({"kind": "table", "points": [[0, 0], [10, 1]], "gamma": 1.0},
+             "table threshold: unknown keys ['gamma']"),
+        ],
+        ids=["misspelt", "implicit-kind", "table-with-gamma"],
+    )
+    def test_unknown_keys_refused(self, config, message):
+        with pytest.raises(ValueError) as info:
+            from_config(config, self.spec())
+        assert str(info.value) == message
+
     def test_table_from_config(self):
         fn = from_config({"kind": "table", "points": [[0, 0], [10, 5.5]]}, self.spec())
         assert fn.points == ((0.0, 0.0), (10.0, 5.5))
