@@ -213,15 +213,17 @@ def bench_suite(
     """Run engine and oracle over a suite and assemble the report.
 
     ``instances`` pairs a stable id (e.g. filename) with each instance.
-    With ``config.jobs > 1`` instances are evaluated in parallel; rows are
-    reassembled in submission order before sorting, so reports are
-    byte-reproducible either way.
+    With ``config.jobs > 1`` instances are evaluated in parallel, by at
+    most one worker process per instance; rows are reassembled in
+    submission order before sorting, so reports are byte-reproducible
+    either way.
     """
     cfg = config or BenchConfig()
     echo = cfg.to_dict()
     echo["knapsacks"] = _shared_knapsack_echo(instances, cfg)
     if cfg.jobs > 1 and len(instances) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # No more workers than instances: a fork pool starts them all at once.
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(instances))) as pool:
             rows = list(pool.map(_evaluate, *zip(*instances), repeat(cfg)))
     else:
         rows = [_evaluate(iid, inst, cfg) for iid, inst in instances]

@@ -16,6 +16,13 @@ per knapsack, so the capacity bound costs O(K + keys expiring at that
 depth) per node and the set-up is linear in options and slots.  The
 search keeps its own stack, so its depth is not limited by Python's
 recursion limit.
+
+Both searches undo a placement by writing back the slot loads saved
+before it, never by subtracting its size: ``(x + s) - s`` need not be
+``x`` in floating point.  So every feasibility test sees exactly the
+loads ``assignment_violations`` would sum, for any float sizes.  The
+enumerator scores the last item's leaves in place, without a call, and
+still counts each as a node.
 """
 
 from __future__ import annotations
@@ -81,7 +88,15 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
 
     Refuses instances with more than 1e8 raw vectors.  Prefixes that
     already violate capacity are cut, which loses no feasible vector
-    because loads only grow with further assignments.
+    because loads only grow with further assignments.  Children are
+    visited decline first, then knapsacks in index order, and a vector
+    replaces the incumbent only when strictly better.
+
+    A placement's slots are restored on backtrack to the exact values
+    saved before it, so every feasibility test sees the loads that
+    ``assignment_violations`` would sum, for any float sizes.  The last
+    item's leaves are scored in place, without a call and without
+    touching the loads; each still counts as a node.
     """
     N = inst.num_items
     K = inst.num_knapsacks
@@ -91,35 +106,52 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
         )
     options, num_keys = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
+    # Per item: (k, size, value, cap, first key, end key) per option.
+    flat = [
+        [(k, size, value, caps[k], keys.start, keys.stop) for k, size, value, keys in opts]
+        for opts in options
+    ]
     load = [0.0] * num_keys
 
     best_value = 0.0
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
     nodes = 0
+    last = N - 1
 
     def visit(i: int, value: float) -> None:
         nonlocal best_value, best_assignment, nodes
-        nodes += 1
-        if i == N:
+        if i == last:
+            # This node and its leaves: decline, then each feasible option.
+            nodes += 2
             if value > best_value:
                 best_value = value
                 best_assignment = current.copy()
+            for k, size, item_value, cap, lo, hi in flat[i]:
+                # One max suffices: x + size is monotone in x.
+                if max(load[lo:hi]) + size <= cap:
+                    nodes += 1
+                    if value + item_value > best_value:
+                        best_value = value + item_value
+                        best_assignment = current.copy()
+                        best_assignment[i] = k
             return
-        current[i] = None
+        nodes += 1
         visit(i + 1, value)
-        for k, size, item_value, keys in options[i]:
-            cap = caps[k]
-            if all(load[t] + size <= cap for t in keys):
-                for t in keys:
+        for k, size, item_value, cap, lo, hi in flat[i]:
+            saved = load[lo:hi]
+            if max(saved) + size <= cap:
+                for t in range(lo, hi):
                     load[t] += size
                 current[i] = k
                 visit(i + 1, value + item_value)
-                current[i] = None
-                for t in keys:
-                    load[t] -= size
+                load[lo:hi] = saved
+        current[i] = None
 
-    visit(0, 0.0)
+    if N:
+        visit(0, 0.0)
+    else:
+        nodes = 1  # the root is the one leaf
     return OfflineSolution(
         assignment=tuple(best_assignment),
         objective=best_value,
@@ -240,8 +272,9 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                 held[k] -= sum(load[lo:hi])
         nxt = i + 1
         for k, size, item_value, cap, lo, hi, kept in children_of[i]:
+            saved = load[lo:hi]
             # One max suffices: x + size is monotone in x.
-            if max(load[lo:hi]) + size <= cap:
+            if max(saved) + size <= cap:
                 for t in range(lo, hi):
                     load[t] += size
                 current[i] = k
@@ -252,8 +285,7 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                     child = held
                 yield nxt, value + item_value, child
                 current[i] = None
-                for t in range(lo, hi):
-                    load[t] -= size
+                load[lo:hi] = saved
         yield nxt, value, held  # decline last
 
     stack = [iter(((0, 0.0, [0.0] * K),))]  # the root, as a one-child parent

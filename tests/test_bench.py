@@ -139,6 +139,30 @@ class TestBenchSuite:
         parallel = bench_suite(suite, BenchConfig(jobs=2))
         assert serial.to_csv() == parallel.to_csv()
 
+    def test_pool_capped_at_suite_size(self, monkeypatch):
+        # A recording stand-in that maps in-process: no process is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("knapdep.bench.ProcessPoolExecutor", RecordingPool)
+        suite = uniform_suite(range(2))
+        report = bench_suite(suite, BenchConfig(jobs=5000))
+        assert sizes == [2]
+        assert report.config["jobs"] == 5000
+        assert report.to_csv() == bench_suite(suite, BenchConfig(jobs=1)).to_csv()
+
     def test_read_only_threshold_runs_in_parallel(self):
         # The config keeps a plain dict copy, which pickles to the workers.
         suite = uniform_suite(range(3))

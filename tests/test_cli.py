@@ -30,6 +30,25 @@ def one_item_instance():
     }
 
 
+def tenths_instance():
+    """Five items on one slot of capacity 1.3; the optimum 9.5 is 0.9 + 0.4."""
+    pairs = [(1.1, 6.0), (0.6, 4.0), (0.2, 0.5), (0.9, 7.0), (0.4, 2.5)]
+    return {
+        "horizon": 1,
+        "knapsacks": [
+            {"capacity": 1.3, "theta": 8.0, "duration_lo": 1,
+             "duration_hi": 1, "size_cap": 1.3}
+        ],
+        "items": [
+            {"id": i, "arrival": 1, "options": [
+                {"eligible": True, "size": size, "value": value,
+                 "start": 1, "duration": 1}
+            ]}
+            for i, (size, value) in enumerate(pairs)
+        ],
+    }
+
+
 def cli(*argv):
     return main(list(argv))
 
@@ -193,6 +212,17 @@ class TestRunOpt:
         assert exact["objective"] == brute["objective"]
         assert exact["proof"] == "exact"
 
+    def test_opt_tenths_sized_optimum(self, tmp_path, capsys):
+        # Sizes in tenths are not exact in binary: loads must be restored
+        # exactly on backtrack, or 0.9 + 0.4 no longer fits in 1.3.
+        path = tmp_path / "tenths.json"
+        path.write_text(json.dumps(tenths_instance()))
+        for method in ("exact", "bruteforce"):
+            assert cli("opt", "--input", str(path), "--method", method) == 0
+            solution = json.loads(capsys.readouterr().out)
+            assert solution["proof"] == "exact"
+            assert solution["objective"] == 9.5
+
     def test_pipe_gen_run_and_opt(self):
         gen = run_pipe(["gen", "--n", "5", "--seed", "2"])
         assert gen.returncode == 0
@@ -235,6 +265,17 @@ class TestBenchTune:
         assert csv_text.splitlines()[0] == (
             "instance_id,n_items,alg,opt,opt_tag,ratio,infinite,error"
         )
+
+    def test_bench_tenths_sized_suite(self, tmp_path, capsys):
+        # Branch-and-bound and the brute-force cross-check agree on 9.5.
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        (suite_dir / "tenths.json").write_text(json.dumps(tenths_instance()))
+        assert cli("bench", "--input", str(suite_dir)) == 0
+        captured = capsys.readouterr()
+        assert "mismatch" not in captured.err
+        [row] = json.loads(captured.out)["rows"]
+        assert (row["opt"], row["opt_tag"]) == (9.5, "exact")
 
     def test_bench_stdout_json(self, tmp_path, capsys):
         self.make_suite(tmp_path, capsys, count=2)

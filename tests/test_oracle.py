@@ -296,3 +296,67 @@ class TestStructuralBoundaries:
             assert exact.objective == solve_bruteforce(inst).objective == 3.0
             assert upper_bound(inst) >= exact.objective
             assert solve_exact(inst, node_budget=1).bound >= exact.objective
+
+
+def drift_instance():
+    """One slot of capacity 1.3 and five items on it, sizes in tenths.
+
+    The optimum is 9.5 (sizes 0.9 and 0.4).  Tenths are not exact in
+    binary, so a search that undoes a placement by subtracting its size
+    from the float load sees a load slightly off after some backtracks,
+    and then refuses 0.9 + 0.4.
+    """
+    ks = KnapsackSpec(1.3, 8.0, 1, 1, 1.3)
+    pairs = [(1.1, 6.0), (0.6, 4.0), (0.2, 0.5), (0.9, 7.0), (0.4, 2.5)]
+    return Instance(
+        1, (ks,), tuple(Item(i, 1, (opt(s, v, 1, 1),)) for i, (s, v) in enumerate(pairs))
+    )
+
+
+def product_optimum(inst):
+    """The best objective over every vector ``assignment_violations`` accepts.
+
+    Values are summed in item order, as both solvers sum them.
+    """
+    best = 0.0
+    for vector in itertools.product([None, *range(inst.num_knapsacks)], repeat=inst.num_items):
+        if assignment_violations(inst, vector) == []:
+            value = 0.0
+            for item, k in zip(inst.items, vector):
+                if k is not None:
+                    value += item.options[k].value
+            best = max(best, value)
+    return best
+
+
+class TestExactRestore:
+    """Loads are restored exactly on backtrack, so feasibility agrees with
+    ``assignment_violations`` for float sizes that are not exact in binary.
+    """
+
+    def test_five_items_on_one_slot(self):
+        inst = drift_instance()
+        assert product_optimum(inst) == 9.5
+        for sol in (solve_exact(inst), solve_bruteforce(inst)):
+            assert sol.proof == "exact"
+            assert sol.objective == sol.bound == 9.5
+            assert sol.assignment == (None, None, None, 0, 0)
+
+    def test_tenths_sized_draws(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            k = rng.randint(1, 2)
+            capacity = rng.randint(9, 13) / 10
+            ks = KnapsackSpec(capacity, 8.0, 1, 1, capacity)
+            items = tuple(
+                Item(i, 1, tuple(
+                    opt(rng.randint(1, 12) / 10, rng.randint(1, 16) / 2, 1, 1)
+                    for _ in range(k)
+                ))
+                for i in range(rng.randint(3, 5))
+            )
+            inst = Instance(1, (ks,) * k, items)
+            optimum = product_optimum(inst)
+            for sol in (solve_exact(inst), solve_bruteforce(inst)):
+                assert sol.objective == optimum, inst
+                assert assignment_violations(inst, sol.assignment) == []

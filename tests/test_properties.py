@@ -15,10 +15,19 @@ optimum, a budget-bound solve reports a bound no smaller than it, and
 every output is the same text from two independent calls.  Examples are
 derandomized, so every run sees the same ones.
 
+Sizes here are quarters, which are exact in binary, so no sum of them
+rounds.  These properties therefore cannot show a search whose loads
+drift when a placement is undone by subtraction; ``tests/test_oracle.py``
+pins exact restore on sizes in tenths.
+
 ``reference_solve_exact`` is the branch-and-bound as it was before its
 capacity bound was carried down the search: recursive, re-summing each
 knapsack's slot footprint at every node.  ``solve_exact`` must make the
 same search, so its result, node count included, equals the reference's.
+``reference_solve_bruteforce`` is the enumerator as it was before it
+scored the last item's leaves in place: one call per node, leaves
+included.  ``solve_bruteforce`` must visit the same nodes in the same
+order, so its result, node count included, equals the reference's.
 """
 
 import json
@@ -426,4 +435,67 @@ def test_branch_and_bound_matches_reference_on_larger_instances():
         assert (
             solve_exact(inst, node_budget=2000).to_dict()
             == reference_solve_exact(inst, node_budget=2000).to_dict()
+        ), spec
+
+
+def reference_solve_bruteforce(inst):
+    """Enumeration with one recursive call per node, leaves included."""
+    N = inst.num_items
+    stride = inst.horizon + 1
+    options = [
+        [
+            (k, opt.size, opt.value, k * stride + opt.interval.start,
+             k * stride + opt.interval.end + 1)
+            for k, opt in item.eligible_options()
+        ]
+        for item in inst.items
+    ]
+    caps = [ks.capacity for ks in inst.knapsacks]
+    load = [0.0] * (inst.num_knapsacks * stride + 1)
+
+    best_value = 0.0
+    best_assignment: list[Optional[int]] = [None] * N
+    current: list[Optional[int]] = [None] * N
+    nodes = 0
+
+    def visit(i, value):
+        nonlocal best_value, best_assignment, nodes
+        nodes += 1
+        if i == N:
+            if value > best_value:
+                best_value = value
+                best_assignment = current.copy()
+            return
+        current[i] = None
+        visit(i + 1, value)
+        for k, size, item_value, lo, hi in options[i]:
+            if all(load[t] + size <= caps[k] for t in range(lo, hi)):
+                saved = load[lo:hi]
+                for t in range(lo, hi):
+                    load[t] += size
+                current[i] = k
+                visit(i + 1, value + item_value)
+                current[i] = None
+                load[lo:hi] = saved
+
+    visit(0, 0.0)
+    return OfflineSolution(tuple(best_assignment), best_value, "exact", nodes, best_value)
+
+
+@SMALL
+@given(inst=st.one_of(instances(), small_instances()))
+def test_bruteforce_matches_reference(inst):
+    assert solve_bruteforce(inst).to_dict() == reference_solve_bruteforce(inst).to_dict()
+
+
+def test_bruteforce_matches_reference_on_suite_shaped_instances():
+    # The shape of the benchmark's proof suite: n = 9, K = 2, T = 20,
+    # capacity 4 and sizes up to the full capacity.
+    ks = KnapsackSpec(4.0, 8.0, 2, 6, 4.0)
+    rng = random.Random(9)
+    for _ in range(40):
+        spec = GenSpec(rng.choice(["uniform", "burst"]), 9, 20, (ks, ks), rng.randint(0, 10**6))
+        inst = generate(spec)[0]
+        assert (
+            solve_bruteforce(inst).to_dict() == reference_solve_bruteforce(inst).to_dict()
         ), spec
