@@ -9,10 +9,14 @@ logic lives in :mod:`knapdep.engine`, the offline solver in
 Each input rule is coded once: field types in the parser, structure in
 ``Instance``, declared bounds in ``validate_instance``, and the gamma
 domain and size precondition in :mod:`knapdep.threshold`.
+
+Records hold only scalars and tuples and cannot form cycles, so the bulk
+builders of them pause the cyclic collector (``_CollectorPaused``).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -629,9 +633,23 @@ def instance_from_dict(data: Mapping) -> Instance:
         raise SchemaError(str(exc)) from exc
 
 
+class _CollectorPaused:
+    """Pause the cyclic collector, if on: its passes walk every record, free none."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        # Unlike a generator's exit, this allocates nothing once collection is on.
+        if self.enabled:
+            gc.enable()
+
+
 def loads_instance(text: str) -> Instance:
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return instance_from_dict(data)
+    with _CollectorPaused():
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaError(f"invalid JSON: {exc}") from exc
+        return instance_from_dict(data)

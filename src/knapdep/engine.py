@@ -5,7 +5,8 @@ Per knapsack, an item is charged the summed marginal cost of its window
 at current utilization and admitted only if its value covers the charge
 and capacity holds in every requested slot.  Across knapsacks, the item
 goes to the admissible knapsack of maximum value.  ``step`` is the one
-admission path; ``run`` calls it once per item.
+admission path; ``run`` calls it once per item, with the cyclic collector
+paused, as decisions and audits are acyclic records.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     Item,
     KnapsackSpec,
     UtilizationState,
+    _CollectorPaused,
     json_block,
     json_scalar,
 )
@@ -195,10 +197,11 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
     decisions: list[Decision] = []
     audits: list[ItemAudit] = []
     profit = 0.0
-    for item in inst.items:
-        decision, audit = step(item, state, thresholds, inst.knapsacks)
-        decisions.append(decision)
-        audits.append(audit)
-        if decision.admitted:
-            profit += item.options[decision.knapsack].value
-    return RunResult(decisions=decisions, profit=profit, state=state, audits=audits)
+    with _CollectorPaused():
+        for item in inst.items:
+            decision, audit = step(item, state, thresholds, inst.knapsacks)
+            decisions.append(decision)
+            audits.append(audit)
+            if decision.admitted:
+                profit += item.options[decision.knapsack].value
+        return RunResult(decisions=decisions, profit=profit, state=state, audits=audits)

@@ -3,7 +3,8 @@
 All generators are deterministic functions of their spec: the PRNG is
 Python's ``random.Random`` (MT19937) seeded from the spec, and the draw
 order per item is fixed, so identical specs reproduce byte-identical
-instances across platforms.
+instances across platforms.  ``generate`` pauses the cyclic collector, as
+the records it builds are acyclic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     ItemOption,
     KnapsackSpec,
     SlotInterval,
+    _CollectorPaused,
 )
 
 FAMILIES = ("uniform", "staircase", "burst")
@@ -195,11 +197,12 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
 
 def generate(spec: GenSpec, levels: int = 4) -> list[Instance]:
     """Dispatch on the family tag, which ``GenSpec`` checked; returns a list."""
-    if spec.family == "uniform":
-        return [gen_uniform(spec)]
-    if spec.family == "burst":
-        return [gen_burst(spec)]
-    return gen_staircase(spec, levels)
+    with _CollectorPaused():
+        if spec.family == "uniform":
+            return [gen_uniform(spec)]
+        if spec.family == "burst":
+            return [gen_burst(spec)]
+        return gen_staircase(spec, levels)
 
 
 # ---------------------------------------------------------------------------

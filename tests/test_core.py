@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -21,6 +22,9 @@ from knapdep.core import (
     loads_instance,
     validate_instance,
 )
+from knapdep.engine import run
+from knapdep.instances import GenSpec, generate
+from knapdep.threshold import for_instance
 
 
 def opt(size, value, start, duration, eligible=True):
@@ -570,3 +574,67 @@ class TestJsonSchema:
         with pytest.raises(SchemaError) as info:
             instance_from_dict(data)
         assert str(info.value) == "item at position 1: expected an object"
+
+
+class TestCollectorPause:
+    """The bulk record builders pause the cyclic collector and restore it."""
+
+    def test_state_restored_after_parse(self, collector):
+        text = dumps_instance(TestJsonSchema().roundtrip_instance())
+        loads_instance(text)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"horizon": 20, ', "invalid JSON"),
+            (
+                '{"horizon": 20, "knapsacks": [], "items": [{"id": 0, "arrival": 1, '
+                '"options": [{"eligible": true, "size": "1", "value": 2.0, '
+                '"start": 1, "duration": 1}]}]}',
+                "option 0: field 'size' must be a number",
+            ),
+        ],
+        ids=["malformed-json", "bad-option-record"],
+    )
+    def test_state_restored_after_schema_error(self, collector, text, message):
+        with pytest.raises(SchemaError, match=message):
+            loads_instance(text)
+        assert gc.isenabled() is collector
+
+    def test_no_collection_while_records_are_built(self):
+        # With the collector on and a small generation-0 threshold, each of
+        # these calls would set off hundreds of collections unless it paused
+        # it.  A full collection first zeroes the allocation count, so that
+        # the few allocations made before the pause cannot set one off.
+        ks = KnapsackSpec(10.0, 8.0, 4, 16, 2.0)
+        spec = GenSpec("uniform", 2000, 2000, (ks,) * 4, 1)
+        starts = []
+
+        def on_collect(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        def collections(call, *args):
+            gc.collect()
+            starts.clear()
+            result = call(*args)
+            return len(starts), result
+
+        was_enabled = gc.isenabled()
+        threshold = gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(100)
+        gc.callbacks.append(on_collect)
+        try:
+            in_generate, (inst,) = collections(generate, spec)
+            text = dumps_instance(inst)
+            in_parse, parsed = collections(loads_instance, text)
+            thresholds = for_instance(inst)
+            in_run, _ = collections(run, inst, thresholds)
+        finally:
+            gc.callbacks.remove(on_collect)
+            gc.set_threshold(*threshold)
+            (gc.enable if was_enabled else gc.disable)()
+        assert parsed == inst
+        assert (in_generate, in_parse, in_run) == (0, 0, 0)

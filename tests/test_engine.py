@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -380,3 +381,21 @@ class TestRunResultJson:
                 assert record["phi"] is not None
             else:
                 assert record["knapsack"] is None
+
+
+class ExplodingThreshold(ExponentialThreshold):
+    def eval(self, z):
+        raise RuntimeError("eval failed")
+
+
+class TestCollectorPause:
+    def test_state_restored_after_run(self, collector):
+        inst = uniform_instance(seed=5, n=30, k=2)
+        run(inst, for_instance(inst))
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_the_loop_raises(self, collector):
+        inst = uniform_instance(seed=5, n=30)
+        with pytest.raises(RuntimeError, match="eval failed"):
+            run(inst, [ExplodingThreshold(gamma=LN9, capacity=10.0)])
+        assert gc.isenabled() is collector

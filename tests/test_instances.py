@@ -1,3 +1,4 @@
+import gc
 
 import pytest
 
@@ -244,3 +245,15 @@ class TestIngestTrace:
         assert stats.rows_dropped == 1
         assert inst.num_items == 2
         assert validate_instance(inst).ok
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("family", ["uniform", "burst", "staircase"])
+    def test_state_restored_after_generate(self, collector, family):
+        generate(GenSpec(family, 20, 40, (ksp(),), 3))
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_generate_raises(self, collector):
+        with pytest.raises(ValueError, match="too short"):
+            generate(uspec(horizon=4, dhi=4))
+        assert gc.isenabled() is collector
