@@ -31,8 +31,10 @@ class BenchConfig:
 
     Instances with at most ``exact_cutoff`` items get a proven optimum
     (branch-and-bound); at most ``crosscheck_cutoff`` items additionally
-    get an exhaustive-enumeration cross-check; larger instances are scored
-    against the cheap upper bound only and flagged.  Each value is checked
+    get an exhaustive-enumeration cross-check, when the enumerator takes
+    the instance's size ((K+1)^N at most 1e8; a proven row it refuses
+    stays ``exact``, unchecked); larger instances are scored against the
+    cheap upper bound only and flagged.  Each value is checked
     when the config is made (ValueError otherwise): ``threshold`` is a
     mapping, the cutoffs are integers >= 0, ``node_budget`` is None or an
     integer >= 0, and ``jobs`` is an integer >= 1.
@@ -66,18 +68,23 @@ class BenchRow:
     alg: float
     opt: float
     opt_tag: str      # "exact" | "bound"
-    ratio: float      # may be math.inf
+    ratio: float      # may be math.inf; NaN on an error row
     infinite: bool
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
+        ratio: object = self.ratio
+        if self.error is not None:
+            ratio = None  # an error row's ratio is NaN, which JSON cannot hold
+        elif self.infinite:
+            ratio = "inf"
         return {
             "instance_id": self.instance_id,
             "n_items": self.n_items,
             "alg": self.alg,
             "opt": self.opt,
             "opt_tag": self.opt_tag,
-            "ratio": "inf" if self.infinite else self.ratio,
+            "ratio": ratio,
             "infinite": self.infinite,
             "error": self.error,
         }
@@ -172,7 +179,7 @@ def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
             sol = oracle.solve_exact(inst, node_budget=cfg.node_budget)
             if sol.proof == "exact":
                 opt, tag = sol.objective, "exact"
-                if inst.num_items <= cfg.crosscheck_cutoff:
+                if inst.num_items <= cfg.crosscheck_cutoff and oracle.bruteforce_accepts(inst):
                     check = oracle.solve_bruteforce(inst)
                     if check.objective != sol.objective:
                         raise AssertionError(

@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import bench, instances, oracle, threshold
 from .core import (
@@ -38,17 +39,17 @@ def _read_instance(path: str) -> Instance:
     return loads_instance(Path(path).read_text())
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    # Written in two calls: a run document can be tens of megabytes, and
-    # text + "\n" would copy it.
-    end = "" if text.endswith("\n") else "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        sys.stdout.write(end)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
-            f.write(end)
+def _emit(parts: Iterable[str], out: Optional[str]) -> None:
+    """Write each of ``parts``, then one newline, to stdout or the ``out`` file.
+
+    ``run`` passes its document as a generator of batches
+    (``RunResult.json_parts``), so the document is written as it is formed
+    and never held whole; every other command passes its one text.  The
+    file is opened here, after the command has its result.
+    """
+    with nullcontext(sys.stdout) if out is None or out == "-" else open(out, "w") as f:
+        f.writelines(parts)
+        f.write("\n")
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -116,7 +117,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise _usage_error(f"--level must be in [1, {len(generated)}]")
         generated = [generated[args.level - 1]]
     if len(generated) == 1:
-        _emit(dumps_instance(generated[0]), args.out)
+        _emit([dumps_instance(generated[0])], args.out)
     else:
         if args.out is None:
             raise _usage_error(
@@ -137,7 +138,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         fns = threshold.for_instance(inst, _gamma_config(args.gamma))
         gamma = [fn.gamma for fn in fns]
     report = validate_instance(inst, strict=args.strict, gamma=gamma)
-    _emit(json.dumps(report.to_dict(), indent=2), args.out)
+    _emit([json.dumps(report.to_dict(), indent=2)], args.out)
     for msg in report.errors:
         print(f"error: {msg}", file=sys.stderr)
     for msg in report.warnings:
@@ -149,7 +150,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     inst = _read_instance(args.input)
     fns = threshold.for_instance(inst, _gamma_config(args.gamma))
     result = engine_run(inst, fns)
-    _emit(result.to_json(), args.out)
+    _emit(result.json_parts(), args.out)
     print(f"profit {result.profit!r} over {inst.num_items} items", file=sys.stderr)
     return EXIT_OK
 
@@ -160,7 +161,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         sol = oracle.solve_bruteforce(inst)
     else:
         sol = oracle.solve_exact(inst, node_budget=args.node_budget)
-    _emit(json.dumps(sol.to_dict(), indent=2), args.out)
+    _emit([json.dumps(sol.to_dict(), indent=2)], args.out)
     print(
         f"objective {sol.objective!r} ({sol.proof}, {sol.nodes} nodes)",
         file=sys.stderr,
@@ -234,7 +235,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         Path(f"{args.out}.json").write_text(report.to_json() + "\n")
         print(f"wrote {args.out}.csv and {args.out}.json", file=sys.stderr)
     else:
-        _emit(report.to_json(), None)
+        _emit([report.to_json()], None)
     cr = "inf" if report.cr_infinite else report.cr
     print(f"suite CR {cr} over {len(report.rows)} instances", file=sys.stderr)
     failed = [r for r in report.rows if r.error is not None]
@@ -255,7 +256,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         Path(f"{args.out}.curve.csv").write_text(result.curve_csv())
         print(f"wrote {args.out}.json and {args.out}.curve.csv", file=sys.stderr)
     else:
-        _emit(json.dumps(result.to_dict(), indent=2), None)
+        _emit([json.dumps(result.to_dict(), indent=2)], None)
     print(
         f"tuned multiplier {result.multiplier!r} "
         f"(gammas {[round(g, 6) for g in result.gammas]})",

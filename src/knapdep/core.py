@@ -20,9 +20,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .threshold import size_precondition
 
@@ -472,6 +472,36 @@ def json_block(elements: list[str], indent: str, brackets: str = "[]") -> str:
     if not elements:
         return brackets
     return f"{brackets[0]}\n" + ",\n".join(elements) + f"\n{indent}{brackets[1]}"
+
+
+# Elements joined into one part by ``json_block_parts``: a streamed block
+# then holds one batch of text at a time, and each write still moves
+# thousands of elements.
+JSON_BATCH = 2048
+
+
+def json_block_parts(
+    elements: Iterable[str], indent: str, brackets: str = "[]"
+) -> Iterator[str]:
+    """``json_block`` in parts of at most ``JSON_BATCH`` elements each.
+
+    ``elements`` is drawn lazily, one batch at a time, so a block of any
+    length never exists whole; ``"".join`` of the parts is ``json_block``
+    of the same elements.
+    """
+    elements = iter(elements)
+    batch = list(islice(elements, JSON_BATCH))
+    if not batch:
+        yield brackets
+        return
+    head = f"{brackets[0]}\n"
+    while batch:
+        # The head joins the first element, not the part, which would copy it.
+        batch[0] = head + batch[0]
+        head = ",\n"
+        yield ",\n".join(batch)
+        batch = list(islice(elements, JSON_BATCH))
+    yield f"\n{indent}{brackets[1]}"
 
 
 def dumps_instance(inst: Instance) -> str:

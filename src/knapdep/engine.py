@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Decision,
@@ -23,6 +23,7 @@ from .core import (
     UtilizationState,
     _CollectorPaused,
     json_block,
+    json_block_parts,
     json_scalar,
 )
 from .threshold import ThresholdFn
@@ -103,7 +104,12 @@ def step(
 
 @dataclass
 class RunResult:
-    """Full outcome of one online run: decisions, profit, state, audit."""
+    """Full outcome of one online run: decisions, profit, state, audit.
+
+    ``json_parts`` is the one definition of the run document's text;
+    ``to_json`` joins it and ``to_dict`` parses that back.  A writer that
+    takes the parts one by one never holds the document whole.
+    """
 
     decisions: list[Decision]
     profit: float
@@ -113,29 +119,37 @@ class RunResult:
     def assignment(self) -> list[Optional[int]]:
         return [d.knapsack for d in self.decisions]
 
-    def to_json(self) -> str:
-        """The run document, byte for byte as ``json.dumps(doc, indent=2)``.
+    def json_parts(self) -> Iterator[str]:
+        """The run document in parts, byte for byte as ``json.dumps(doc, indent=2)``.
 
         ``{"profit", "decisions": [{"id", "admitted", "knapsack", "phi",
         "audit"}], "utilization": {knapsack: {slot: z}}}``, where ``phi`` is
         the charge of the chosen knapsack (null when declined) and the
         utilization lists the covered slots.  Written straight from the
-        decisions, audits and state; this is the one definition of the
-        document's shape, and ``to_dict`` parses it back.
+        decisions, audits and state: the head, then the decision records
+        and each knapsack's slots in batches of ``JSON_BATCH`` elements
+        (``json_block_parts``), so no part holds more than one batch.
         """
-        # Each part is joined as soon as it is built, so that its many
-        # small strings are freed before the next part is formed.
-        decisions = json_block(self._decision_texts(), "  ")
-        utilization = json_block(self._utilization_texts(), "  ", "{}")
-        return (
-            f'{{\n  "profit": {json_scalar(self.profit)},\n'
-            f'  "decisions": {decisions},\n'
-            f'  "utilization": {utilization}\n}}'
-        )
+        yield f'{{\n  "profit": {json_scalar(self.profit)},\n  "decisions": '
+        yield from json_block_parts(self._decision_texts(), "  ")
+        yield ',\n  "utilization": '
+        if not self.state.num_knapsacks:
+            yield "{}"
+        else:
+            head = "{\n"
+            for k in range(self.state.num_knapsacks):
+                yield f'{head}    "{k}": '
+                head = ",\n"
+                yield from json_block_parts(self._slot_texts(k), "    ", "{}")
+            yield "\n  }"
+        yield "\n}"
 
-    def _decision_texts(self) -> list[str]:
+    def to_json(self) -> str:
+        """The whole run document as one string: ``json_parts`` joined."""
+        return "".join(self.json_parts())
+
+    def _decision_texts(self) -> Iterator[str]:
         s = json_scalar
-        records = []
         for decision, audit in zip(self.decisions, self.audits):
             phi = None
             if decision.admitted:
@@ -149,30 +163,24 @@ class RunResult:
                 f'          "admissible": {s(e.admissible)}\n        }}'
                 for e in audit.entries
             ]
-            records.append(
+            yield (
                 f'    {{\n      "id": {s(decision.item_id)},\n'
                 f'      "admitted": {s(decision.admitted)},\n'
                 f'      "knapsack": {s(decision.knapsack)},\n'
                 f'      "phi": {s(phi)},\n'
                 f'      "audit": {json_block(entries, "      ")}\n    }}'
             )
-        return records
 
-    def _utilization_texts(self) -> list[str]:
-        # Many slots share a utilization value, so each value's text is
-        # formed once.  Rows hold floats built up from 0.0 by nonnegative
-        # adds, never -0.0, so equal keys always have equal text.
-        texts: dict[float, str] = {}
-        rows = []
-        for k in range(self.state.num_knapsacks):
-            slots = []
-            for t, z in self.state.covered(k):
-                text = texts.get(z)
-                if text is None:
-                    text = texts[z] = json_scalar(z)
-                slots.append(f'      "{t}": {text}')
-            rows.append(f'    "{k}": {json_block(slots, "    ", "{}")}')
-        return rows
+    def _slot_texts(self, k: int) -> Iterator[str]:
+        # Neighbouring slots are often covered by the same windows and hold
+        # the same sum, so a value's text is formed once per run of equal
+        # slots.  Covered slots hold positive sums, never -0.0, so equal
+        # values always have equal text.
+        last = text = None
+        for t, z in self.state.covered(k):
+            if z != last:
+                last, text = z, json_scalar(z)
+            yield f'      "{t}": {text}'
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

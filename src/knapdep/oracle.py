@@ -83,6 +83,11 @@ def _prepared(inst: Instance):
     return options, inst.num_knapsacks * stride + 1
 
 
+def bruteforce_accepts(inst: Instance) -> bool:
+    """Whether ``solve_bruteforce`` takes ``inst``: (K+1)^N at most 1e8."""
+    return (inst.num_knapsacks + 1) ** inst.num_items <= _BRUTEFORCE_LIMIT
+
+
 def solve_bruteforce(inst: Instance) -> OfflineSolution:
     """Enumerate every feasible assignment vector; exists as a cross-check.
 
@@ -100,7 +105,7 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     """
     N = inst.num_items
     K = inst.num_knapsacks
-    if (K + 1) ** N > _BRUTEFORCE_LIMIT:
+    if not bruteforce_accepts(inst):
         raise ValueError(
             f"instance too large for brute force: (K+1)^N = {(K + 1) ** N}"
         )

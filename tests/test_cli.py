@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -11,7 +12,11 @@ import knapdep
 from knapdep import cli as cli_module
 from knapdep.bench import BenchConfig, TuneSpec
 from knapdep.cli import main
-from knapdep.core import loads_instance
+from knapdep.core import JSON_BATCH, KnapsackSpec, dumps_instance, loads_instance
+from knapdep.engine import run as engine_run
+from knapdep.instances import GenSpec, generate
+from knapdep.oracle import bruteforce_accepts
+from knapdep.threshold import for_instance
 
 
 def one_item_instance():
@@ -235,6 +240,95 @@ class TestRunOpt:
         assert profit <= objective + 1e-9
 
 
+def two_knapsack_one_used():
+    """Knapsack 1 is never eligible, so it covers no slot: ``"1": {}``."""
+    data = one_item_instance()
+    data["knapsacks"] *= 2
+    option = data["items"][0]["options"][0]
+    data["items"][0]["options"] = [option, dict(option, eligible=False)]
+    return data
+
+
+STREAM_CASES = {
+    "no-knapsacks": {
+        "horizon": 3, "knapsacks": [],
+        "items": [{"id": 0, "arrival": 1, "options": []}],
+    },
+    "no-items": dict(one_item_instance(), items=[]),
+    "knapsack-without-slots": two_knapsack_one_used(),
+}
+
+
+class TestRunStreamed:
+    """``run`` writes its document in batches, as ``to_json()`` plus a newline."""
+
+    def check_both_sinks(self, path, tmp_path, capsys):
+        inst = loads_instance(path.read_text())
+        result = engine_run(inst, for_instance(inst))
+        expected = result.to_json() + "\n"
+        assert cli("run", "--input", str(path)) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "run.json"
+        assert cli("run", "--input", str(path), "--out", str(out)) == 0
+        assert out.read_bytes() == expected.encode()
+        return result, expected
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_edge_cases(self, case, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(STREAM_CASES[case]))
+        _, text = self.check_both_sinks(path, tmp_path, capsys)
+        if case == "knapsack-without-slots":
+            assert '"1": {}' in text
+
+    def test_several_batches(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        assert cli("gen", "--n", "5000", "--k", "2", "--t", "6000", "--out", str(path)) == 0
+        result, text = self.check_both_sinks(path, tmp_path, capsys)
+        # Decisions and each knapsack's slots both span batch seams.
+        assert len(result.decisions) > 2 * JSON_BATCH
+        for k in range(2):
+            assert len(list(result.state.covered(k))) > JSON_BATCH
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_emit_memory_stays_below_document(self, tmp_path, monkeypatch):
+        # Memory is traced from the moment the engine returns, so the peak
+        # is what writing the document costs, over the input and result.
+        knapsack = KnapsackSpec(capacity=10.0, theta=8.0, duration_lo=4,
+                                duration_hi=16, size_cap=2.0)
+        inst = generate(GenSpec("uniform", 20_000, 500_000, (knapsack,), seed=1))[0]
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_instance(inst))
+        original = cli_module.engine_run
+
+        def run_then_trace(inst, thresholds):
+            result = original(inst, thresholds)
+            tracemalloc.start()
+            return result
+
+        class Discard:
+            length = 0
+
+            def write(self, text):
+                self.length += len(text)
+                return len(text)
+
+            def writelines(self, parts):
+                for part in parts:
+                    self.write(part)
+
+        sink = Discard()
+        monkeypatch.setattr(cli_module, "engine_run", run_then_trace)
+        monkeypatch.setattr(sys, "stdout", sink)
+        try:
+            assert cli("run", "--input", str(path)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.length > 8_000_000
+        assert peak < sink.length / 4
+
+
 class TestBenchTune:
     def make_suite(self, tmp_path, capsys, n=8, count=3):
         suite_dir = tmp_path / "suite"
@@ -276,6 +370,39 @@ class TestBenchTune:
         assert "mismatch" not in captured.err
         [row] = json.loads(captured.out)["rows"]
         assert (row["opt"], row["opt_tag"]) == (9.5, "exact")
+
+    def test_bench_proves_what_enumeration_refuses(self, tmp_path, capsys):
+        # (K+1)^N = 7^10 is past the enumerator's limit; branch-and-bound
+        # still proves the optimum, and the row stays exact, unchecked.
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        path = suite_dir / "a.json"
+        assert cli("gen", "--n", "10", "--k", "6", "--seed", "1", "--out", str(path)) == 0
+        assert not bruteforce_accepts(loads_instance(path.read_text()))
+        assert cli("opt", "--input", str(path)) == 0
+        objective = json.loads(capsys.readouterr().out)["objective"]
+        assert cli("bench", "--input", str(suite_dir)) == 0
+        captured = capsys.readouterr()
+        assert "error" not in captured.err
+        [row] = json.loads(captured.out)["rows"]
+        assert (row["opt"], row["opt_tag"], row["error"]) == (objective, "exact", None)
+
+    def test_error_row_report_is_strict_json(self, tmp_path, capsys):
+        self.make_suite(tmp_path, capsys, count=1)
+        config = tmp_path / "cfg.json"
+        # A table threshold whose capacity is not the knapsack's: an error row.
+        config.write_text(json.dumps({"threshold": {"kind": "table", "points": [[0, 0], [1, 1]]}}))
+        out = tmp_path / "BASE"
+        args = ("bench", "--input", str(tmp_path / "suite"), "--config", str(config))
+        assert cli(*args, "--out", str(out)) == 1
+        capsys.readouterr()
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "BASE.json").read_text(), parse_constant=refuse)
+        [row] = report["rows"]
+        assert (row["opt_tag"], row["ratio"]) == ("error", None)
 
     def test_bench_stdout_json(self, tmp_path, capsys):
         self.make_suite(tmp_path, capsys, count=2)

@@ -8,6 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from knapdep.core import (
+    JSON_BATCH,
     Instance,
     Item,
     ItemOption,
@@ -19,6 +20,8 @@ from knapdep.core import (
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
+    json_block,
+    json_block_parts,
     loads_instance,
     validate_instance,
 )
@@ -638,3 +641,31 @@ class TestCollectorPause:
             (gc.enable if was_enabled else gc.disable)()
         assert parsed == inst
         assert (in_generate, in_parse, in_run) == (0, 0, 0)
+
+
+class TestJsonBlockParts:
+    @pytest.mark.parametrize("brackets", ["[]", "{}"])
+    @pytest.mark.parametrize(
+        "n", [0, 1, JSON_BATCH - 1, JSON_BATCH, JSON_BATCH + 1, 2 * JSON_BATCH + 3]
+    )
+    def test_joined_parts_are_the_block(self, n, brackets):
+        elements = [f'    "{i}": {i}' for i in range(n)]
+        parts = list(json_block_parts(elements, "  ", brackets))
+        assert "".join(parts) == json_block(elements, "  ", brackets)
+        # One part per batch, then the closing bracket.
+        assert len(parts) == (-(-n // JSON_BATCH) + 1 if n else 1)
+
+    def test_elements_drawn_one_batch_at_a_time(self):
+        drawn = []
+
+        def elements():
+            for i in range(3 * JSON_BATCH):
+                drawn.append(i)
+                yield str(i)
+
+        parts = json_block_parts(elements(), "")
+        first = next(parts)
+        assert len(drawn) == JSON_BATCH
+        assert first.count("\n") == JSON_BATCH
+        next(parts)
+        assert len(drawn) == 2 * JSON_BATCH
