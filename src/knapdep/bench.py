@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Mapping, Optional, Sequence
@@ -36,8 +35,9 @@ class BenchConfig:
     stays ``exact``, unchecked); larger instances are scored against the
     cheap upper bound only and flagged.  Each value is checked
     when the config is made (ValueError otherwise): ``threshold`` is a
-    mapping, the cutoffs are integers >= 0, ``node_budget`` is None or an
-    integer >= 0, and ``jobs`` is an integer >= 1.
+    mapping that holds no NaN or infinity, the cutoffs are integers >= 0,
+    ``node_budget`` is None or an integer >= 0, and ``jobs`` is an
+    integer >= 1.
     """
 
     threshold: Mapping = field(default_factory=lambda: {"kind": "exponential", "gamma": "auto"})
@@ -49,6 +49,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.threshold, Mapping):
             raise ValueError(f"threshold must be an object, got {self.threshold!r}")
+        threshold.check_finite(self.threshold)  # the report echoes it as JSON
         # A plain dict pickles to the worker processes of a parallel run.
         object.__setattr__(self, "threshold", dict(self.threshold))
         check_count("exact_cutoff", self.exact_cutoff, 0)
@@ -229,6 +230,10 @@ def bench_suite(
     echo = cfg.to_dict()
     echo["knapsacks"] = _shared_knapsack_echo(instances, cfg)
     if cfg.jobs > 1 and len(instances) > 1:
+        # Imported here, so that a serial run and every other command start
+        # without the pool's modules (multiprocessing, logging, pickle).
+        from concurrent.futures import ProcessPoolExecutor
+
         # No more workers than instances: a fork pool starts them all at once.
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(instances))) as pool:
             rows = list(pool.map(_evaluate, *zip(*instances), repeat(cfg)))

@@ -17,7 +17,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from . import bench, instances, oracle, threshold
+# oracle and bench are imported in the handlers that use them, so that
+# gen, validate and run start without them.
+from . import instances, threshold
 from .core import (
     Instance,
     KnapsackSpec,
@@ -156,6 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_opt(args: argparse.Namespace) -> int:
+    from . import oracle
+
     inst = _read_instance(args.input)
     if args.method == "bruteforce":
         sol = oracle.solve_bruteforce(inst)
@@ -169,10 +173,16 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Keys of the --config file shared by bench and tune: the bench settings,
-# the suite, and the tuner settings under their own key.
-_CONFIG_KEYS = frozenset(f.name for f in fields(bench.BenchConfig)) | {"instances", "tuner"}
-_TUNER_KEYS = frozenset(f.name for f in fields(bench.TuneSpec))
+def _config_keys() -> tuple[frozenset[str], frozenset[str]]:
+    """Keys of the --config file shared by bench and tune, and of its tuner.
+
+    The file holds the bench settings, the suite, and the tuner settings
+    under their own key.
+    """
+    from . import bench
+
+    top = frozenset(f.name for f in fields(bench.BenchConfig)) | {"instances", "tuner"}
+    return top, frozenset(f.name for f in fields(bench.TuneSpec))
 
 
 def _read_config(path: Optional[str]) -> dict:
@@ -182,8 +192,9 @@ def _read_config(path: Optional[str]) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ValueError(f"config {path}: invalid JSON: {exc}") from exc
-    _check_keys(cfg, _CONFIG_KEYS, f"config {path}")
-    _check_keys(cfg.get("tuner", {}), _TUNER_KEYS, f"config {path}, tuner")
+    config_keys, tuner_keys = _config_keys()
+    _check_keys(cfg, config_keys, f"config {path}")
+    _check_keys(cfg.get("tuner", {}), tuner_keys, f"config {path}, tuner")
     # The other values are checked by BenchConfig and TuneSpec, which
     # also check the flags layered over them.
     listed = cfg.get("instances", [])
@@ -225,6 +236,8 @@ def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
+
     file_cfg = _read_config(args.config)
     gamma = None if args.gamma is None else _gamma_config(args.gamma)
     cfg = _settings(bench.BenchConfig, file_cfg, args, threshold=gamma)  # before the suite
@@ -245,6 +258,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from . import bench
+
     file_cfg = _read_config(args.config)
     spec = _settings(bench.TuneSpec, file_cfg.get("tuner", {}), args)  # before the suite
     suite = _load_suite(_suite_sources(args, file_cfg))

@@ -29,6 +29,24 @@ def _check_curve(capacity: float, gamma: float) -> None:
         raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
 
 
+def check_finite(config: Mapping) -> None:
+    """Refuse a threshold config that holds a NaN or an infinity, at any depth.
+
+    No curve is built from one, and JSON cannot hold one, so a caller that
+    echoes its config refuses it before any knapsack is known.  The other
+    rules need the knapsack and are left to ``from_config``.
+    """
+    stack: list = [config]
+    while stack:  # not recursive: a parsed config may nest deeply
+        value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"threshold must hold only finite numbers, got {value}")
+        if isinstance(value, Mapping):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+
+
 class ThresholdFn(abc.ABC):
     """Nondecreasing marginal-cost curve on [0, capacity] with phi(0) = 0."""
 

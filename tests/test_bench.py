@@ -115,6 +115,20 @@ class TestBenchSuite:
         assert row.opt_tag == "bound"
         assert report.cr is None  # no exact rows to take the max over
 
+    @pytest.mark.parametrize(
+        "threshold",
+        [
+            {"kind": "exponential", "gamma": math.nan},
+            {"kind": "exponential", "gamma": math.inf},
+            {"kind": "table", "points": [[0.0, 0.0], [10.0, math.nan]]},
+        ],
+        ids=["nan-gamma", "inf-gamma", "nan-point"],
+    )
+    def test_non_finite_threshold_refused(self, threshold):
+        # The report echoes the threshold, and JSON holds no NaN or infinity.
+        with pytest.raises(ValueError, match="threshold must hold only finite numbers"):
+            BenchConfig(threshold=threshold)
+
     def test_error_rows_isolated(self):
         bad_cfg = BenchConfig(
             threshold={"kind": "table", "points": [[0.0, 0.0], [1.0, 1.0]]}
@@ -156,7 +170,8 @@ class TestBenchSuite:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("knapdep.bench.ProcessPoolExecutor", RecordingPool)
+        # bench_suite imports the pool class only when it runs in parallel.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         suite = uniform_suite(range(2))
         report = bench_suite(suite, BenchConfig(jobs=5000))
         assert sizes == [2]

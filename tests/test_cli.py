@@ -516,8 +516,9 @@ class TestBenchTune:
         assert set(body) == {"threshold", "exact_cutoff", "crosscheck_cutoff",
                              "node_budget", "jobs", "instances", "tuner"}
         assert set(body["tuner"]) == {"delta", "grid_points"}
-        assert cli_module._CONFIG_KEYS == set(body)
-        assert cli_module._TUNER_KEYS == set(body["tuner"])
+        config_keys, tuner_keys = cli_module._config_keys()
+        assert config_keys == set(body)
+        assert tuner_keys == set(body["tuner"])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
         assert cli("bench", "--config", str(cfg)) == 0
@@ -598,6 +599,34 @@ class TestBenchTune:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}: {message}")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "body, flags, bad",
+        [
+            ({}, ("--gamma", "nan"), "nan"),
+            ({}, ("--gamma", "inf"), "inf"),
+            ({"threshold": {"gamma": math.nan}}, (), "nan"),
+            ({"threshold": {"kind": "exponential", "gamma": -math.inf}}, (), "-inf"),
+        ],
+        ids=["flag-nan", "flag-inf", "config-nan", "config-inf"],
+    )
+    def test_non_finite_threshold_refused_before_suite_read(
+        self, tmp_path, capsys, body, flags, bad
+    ):
+        # One error line, no report, and the malformed suite file is not read.
+        (good,) = self.make_suite(tmp_path, capsys, n=4, count=1)
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))  # NaN and Infinity, which json.loads accepts
+        out = tmp_path / "rep"
+        argv = ("bench", "--input", str(good), str(broken), "--config", str(cfg),
+                "--out", str(out), *flags)
+        assert cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: threshold must hold only finite numbers, got {bad}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
 
     def test_unknown_threshold_key_gives_error_rows(self, tmp_path, capsys):
         self.make_suite(tmp_path, capsys, n=4, count=2)
@@ -783,5 +812,10 @@ def test_golden_bytes(tmp_path, capsys):
 
 
 def test_public_names_resolve():
+    # Each to the very object of the module that defines it.
     for name in knapdep.__all__:
-        assert getattr(knapdep, name) is not None, name
+        obj = getattr(knapdep, name)
+        assert obj is not None, name
+        if name != "__version__":
+            assert obj.__module__.startswith("knapdep."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name

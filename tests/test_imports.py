@@ -1,0 +1,99 @@
+"""What each CLI process imports, and the lazily loaded package names.
+
+That each public name resolves to its module's object is checked in
+test_cli.test_public_names_resolve.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import knapdep
+from knapdep.cli import main
+
+# Runs ``knapdep.cli`` as ``python -m`` does, then writes the names of the
+# loaded modules to stderr as its last line.
+MODULES_AFTER_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("knapdep.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.stderr.write("\\n" + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+POOL = {"concurrent.futures", "multiprocessing"}
+
+
+def loaded_by(*argv):
+    result = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER_CLI, *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def suite(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("suite")
+    for seed in (1, 2):
+        path = directory / f"i{seed}.json"
+        assert main(["gen", "--n", "6", "--k", "2", "--seed", str(seed),
+                     "--out", str(path)]) == 0
+    return directory
+
+
+@pytest.mark.parametrize("command", ["--help", "validate", "run"])
+def test_stream_commands_load_neither_oracle_nor_bench(suite, command):
+    argv = [command] if command == "--help" else [command, "--input", str(suite / "i1.json")]
+    loaded = loaded_by(*argv)
+    assert "knapdep.engine" in loaded
+    assert not loaded & (POOL | {"knapdep.oracle", "knapdep.bench"})
+
+
+def test_opt_loads_oracle_only(suite):
+    loaded = loaded_by("opt", "--input", str(suite / "i1.json"))
+    assert "knapdep.oracle" in loaded
+    assert not loaded & (POOL | {"knapdep.bench"})
+
+
+def test_serial_bench_loads_no_pool(suite):
+    loaded = loaded_by("bench", "--input", str(suite), "--jobs", "1")
+    assert {"knapdep.oracle", "knapdep.bench"} <= loaded
+    assert not loaded & POOL
+
+
+def test_package_import_loads_on_first_access():
+    script = (
+        "import json, sys, knapdep\n"
+        "before = sorted(m for m in sys.modules if m.startswith('knapdep.'))\n"
+        "knapdep.BenchConfig\n"
+        "after = sorted(m for m in sys.modules if m.startswith('knapdep.'))\n"
+        "print(json.dumps([before, after]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    before, after = json.loads(result.stdout)
+    assert before == []
+    assert "knapdep.bench" in after and "knapdep.cli" not in after
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from knapdep import *", namespace)
+    for name in knapdep.__all__:
+        assert namespace[name] is getattr(knapdep, name), name
+
+
+def test_dir_lists_every_public_name():
+    assert set(knapdep.__all__) <= set(dir(knapdep))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        knapdep.no_such_name
+    assert not hasattr(knapdep, "no_such_name")

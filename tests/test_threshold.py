@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from knapdep.threshold import (
     ExponentialThreshold,
     TableThreshold,
     ThresholdFn,
+    check_finite,
     default_gamma,
     for_instance,
     from_config,
@@ -239,6 +241,43 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             from_config(config, self.spec())
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "config, bad",
+        [
+            ({"kind": "exponential", "gamma": math.nan}, "nan"),
+            ({"gamma": math.inf}, "inf"),
+            ({"kind": "table", "points": [[0.0, 0.0], [10.0, -math.inf]]}, "-inf"),
+            ({"kind": "table", "points": ((0.0, 0.0), (math.nan, 1.0))}, "nan"),
+            ({"extra": {"deep": [[math.nan]]}}, "nan"),
+        ],
+        ids=["nan-gamma", "inf-gamma", "table-point", "tuple-point", "nested"],
+    )
+    def test_check_finite_refuses(self, config, bad):
+        with pytest.raises(ValueError) as info:
+            check_finite(config)
+        assert str(info.value) == f"threshold must hold only finite numbers, got {bad}"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "exponential", "gamma": "auto"},
+            {"gamma": -1.0},  # finite: from_config refuses it per knapsack
+            {"kind": "table", "points": [[0, 0], [10**400, 1]]},  # an int, not a float
+            {"kind": "table", "points": 3},
+        ],
+        ids=["auto", "negative", "huge-int", "malformed"],
+    )
+    def test_check_finite_accepts(self, config):
+        check_finite(config)
+
+    def test_check_finite_walks_deep_nesting(self):
+        # Deeper than the recursion limit, as a parsed config file may be.
+        deep: list = [math.nan]
+        for _ in range(sys.getrecursionlimit() + 10):
+            deep = [deep]
+        with pytest.raises(ValueError, match="got nan"):
+            check_finite({"points": deep})
 
     def test_table_from_config(self):
         fn = from_config({"kind": "table", "points": [[0, 0], [10, 5.5]]}, self.spec())
