@@ -35,7 +35,8 @@ class BenchConfig:
     stays ``exact``, unchecked); larger instances are scored against the
     cheap upper bound only and flagged.  Each value is checked
     when the config is made (ValueError otherwise): ``threshold`` is a
-    mapping that holds no NaN or infinity, the cutoffs are integers >= 0,
+    mapping that holds no NaN or infinity, and whose exponential gamma, if
+    a number, is > 0 (``threshold.check_gamma``); the cutoffs are integers >= 0,
     ``node_budget`` is None or an integer >= 0, and ``jobs`` is an
     integer >= 1.
     """
@@ -50,6 +51,10 @@ class BenchConfig:
         if not isinstance(self.threshold, Mapping):
             raise ValueError(f"threshold must be an object, got {self.threshold!r}")
         threshold.check_finite(self.threshold)  # the report echoes it as JSON
+        # A numeric gamma is refused here, or every row would be an error row.
+        kind, gamma = self.threshold.get("kind", "exponential"), self.threshold.get("gamma")
+        if kind == "exponential" and type(gamma) in (int, float):
+            threshold.check_gamma(gamma)
         # A plain dict pickles to the worker processes of a parallel run.
         object.__setattr__(self, "threshold", dict(self.threshold))
         check_count("exact_cutoff", self.exact_cutoff, 0)

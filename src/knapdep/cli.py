@@ -241,7 +241,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     file_cfg = _read_config(args.config)
     gamma = None if args.gamma is None else _gamma_config(args.gamma)
     cfg = _settings(bench.BenchConfig, file_cfg, args, threshold=gamma)  # before the suite
-    suite = _load_suite(_suite_sources(args, file_cfg))
+    sources = _suite_sources(args, file_cfg)
+    suite = _load_suite(sources)
+    if not suite:  # a report of no rows would claim nothing and exit 0
+        raise ValueError(f"no *.json instance files in {', '.join(sources)}")
     report = bench.bench_suite(suite, cfg)
     if args.out:
         Path(f"{args.out}.csv").write_text(report.to_csv())

@@ -224,17 +224,19 @@ class UtilizationState:
         return len(self._z)
 
     def window(self, knapsack: int, interval: SlotInterval) -> list[float]:
-        """Utilization of the slots of ``interval``, in slot order."""
+        """Utilization of the slots of ``interval``, in slot order; never empty."""
         start, duration = interval
         stop = start + duration
         row = self._z[knapsack]
+        if duration < 1:
+            raise ValueError(f"window duration must be >= 1, got {duration}")
         if start < 1 or stop > len(row):
             raise ValueError(f"window {start}..{stop - 1} is outside slots 1..{len(row) - 1}")
         return row[start:stop]
 
     def add(self, knapsack: int, interval: SlotInterval, size: float) -> None:
-        if size < 0:
-            raise ValueError("utilization updates must be nonnegative")
+        if not size >= 0:  # NaN too, which would poison every slot it touched
+            raise ValueError(f"utilization updates must be nonnegative, got {size}")
         start, duration = interval
         self._z[knapsack][start:start + duration] = [
             z + size for z in self.window(knapsack, interval)
@@ -246,9 +248,11 @@ class UtilizationState:
         return zip(compress(range(len(row)), row), compress(row, row))
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Irrevocable outcome for one item: assigned knapsack or declined."""
+class Decision(NamedTuple):
+    """Irrevocable outcome for one item: assigned knapsack or declined.
+
+    A named tuple because the engine builds one per item.
+    """
 
     item_id: int
     knapsack: Optional[int]

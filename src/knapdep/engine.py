@@ -32,22 +32,23 @@ from .threshold import ThresholdFn
 def _charge(
     fn: ThresholdFn, size: float, capacity: float, window: list[float]
 ) -> tuple[float, bool]:
-    """Threshold charge and capacity clause of one window, in one pass.
+    """Threshold charge and capacity clause of one window.
 
-    ``window`` holds the utilization of each slot in slot order.  The
-    charge is added left to right, never with builtin ``sum()``: from
-    Python 3.12 on it sums floats with compensation, so charges, and with
-    them decisions, would depend on the Python version.  ``fits`` is the
-    capacity clause alone.
+    ``window`` holds the utilization of each slot in slot order, at least
+    one slot.  An empty slot (``z == 0.0``) adds ``size * phi(0) == 0.0``,
+    which changes no bit of a charge that is never -0.0, so it is skipped
+    (``run`` checks ``phi(0) == 0``).  The rest is added left to right,
+    never with builtin ``sum()``: from Python 3.12 on it sums floats with
+    compensation, so charges, and with them decisions, would depend on the
+    Python version.  ``fits`` is the capacity clause alone, tested on the
+    fullest slot only, which is exact because ``z + size`` is monotone in z.
     """
     evaluate = fn.eval
     phi = 0.0
-    fits = True
     for z in window:
-        phi += size * evaluate(z)
-        if z + size > capacity:
-            fits = False
-    return phi, fits
+        if z:
+            phi += size * evaluate(z)
+    return phi, max(window) + size <= capacity
 
 
 class KnapsackAudit(NamedTuple):
@@ -63,8 +64,9 @@ class KnapsackAudit(NamedTuple):
     admissible: bool  # value clause AND capacity clause
 
 
-@dataclass(frozen=True)
-class ItemAudit:
+class ItemAudit(NamedTuple):
+    """Every per-knapsack check of one item, in knapsack order."""
+
     item_id: int
     entries: tuple[KnapsackAudit, ...]
 
@@ -87,7 +89,9 @@ def step(
     entries: list[KnapsackAudit] = []
     best: Optional[int] = None
     best_value = 0.0
-    for k, opt in item.eligible_options():
+    for k, opt in enumerate(item.options):
+        if not opt.eligible:
+            continue
         phi, fits = _charge(
             thresholds[k], opt.size, specs[k].capacity, state.window(k, opt.interval)
         )
@@ -149,26 +153,37 @@ class RunResult:
         return "".join(self.json_parts())
 
     def _decision_texts(self) -> Iterator[str]:
+        # Each audit entry's text is formed once, from its knapsack's head,
+        # its phi and one of four (fits, admissible) tails; the decision's
+        # "phi" is the chosen entry's text.  The fixed texts around them are
+        # formed once per document.
         s = json_scalar
-        for decision, audit in zip(self.decisions, self.audits):
-            phi = None
-            if decision.admitted:
-                phi = next(
-                    e.phi for e in audit.entries if e.knapsack == decision.knapsack
-                )
-            entries = [
-                f'        {{\n          "knapsack": {s(e.knapsack)},\n'
-                f'          "phi": {s(e.phi)},\n'
-                f'          "fits": {s(e.fits)},\n'
-                f'          "admissible": {s(e.admissible)}\n        }}'
-                for e in audit.entries
+        knapsacks = range(self.state.num_knapsacks)
+        heads = [f'        {{\n          "knapsack": {k},\n          "phi": ' for k in knapsacks]
+        tails = [
+            [
+                f',\n          "fits": {s(fits)},\n'
+                f'          "admissible": {s(admissible)}\n        }}'
+                for admissible in (False, True)
             ]
+            for fits in (False, True)
+        ]
+        outcomes = {
+            k: f',\n      "admitted": {s(k is not None)},\n      "knapsack": {s(k)},\n'
+            for k in (None, *knapsacks)
+        }
+        for (item_id, chosen), (_, entries) in zip(self.decisions, self.audits):
+            phi = "null"
+            texts = []
+            for k, charge, fits, admissible in entries:
+                text = s(charge)
+                if k == chosen:
+                    phi = text
+                texts.append(f"{heads[k]}{text}{tails[fits][admissible]}")
             yield (
-                f'    {{\n      "id": {s(decision.item_id)},\n'
-                f'      "admitted": {s(decision.admitted)},\n'
-                f'      "knapsack": {s(decision.knapsack)},\n'
-                f'      "phi": {s(phi)},\n'
-                f'      "audit": {json_block(entries, "      ")}\n    }}'
+                f'    {{\n      "id": {s(item_id)}{outcomes[chosen]}'
+                f'      "phi": {phi},\n'
+                f'      "audit": {json_block(texts, "      ")}\n    }}'
             )
 
     def _slot_texts(self, k: int) -> Iterator[str]:
@@ -201,6 +216,9 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
                 f"knapsack {k}: threshold capacity {fn.capacity} does not "
                 f"match spec capacity {spec.capacity}"
             )
+        zero = fn.eval(0.0)
+        if zero != 0.0:  # step skips empty slots, which relies on it
+            raise ValueError(f"knapsack {k}: threshold phi(0) must be 0.0, got {zero}")
     state = UtilizationState(inst.num_knapsacks, inst.horizon)
     decisions: list[Decision] = []
     audits: list[ItemAudit] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -21,12 +22,21 @@ if TYPE_CHECKING:  # core imports this module, for size_precondition
     from .core import Instance, KnapsackSpec
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a gamma outside the exponential curve's domain, (0, inf).
+
+    An int too large for a float is refused too, since ``float()`` of it
+    would raise OverflowError.
+    """
+    if not 0 < gamma <= sys.float_info.max:
+        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
+
+
 def _check_curve(capacity: float, gamma: float) -> None:
     """Refuse a capacity or gamma outside the exponential curve's domain."""
     if not 0 < capacity < math.inf:
         raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
+    check_gamma(gamma)
 
 
 def check_finite(config: Mapping) -> None:
@@ -48,7 +58,11 @@ def check_finite(config: Mapping) -> None:
 
 
 class ThresholdFn(abc.ABC):
-    """Nondecreasing marginal-cost curve on [0, capacity] with phi(0) = 0."""
+    """Nondecreasing marginal-cost curve on [0, capacity] with phi(0) = 0.
+
+    ``engine.run`` refuses a curve whose ``eval(0.0)`` is not exactly 0.0:
+    the engine skips empty slots, which is exact only under that contract.
+    """
 
     kind: str
     capacity: float
@@ -153,6 +167,7 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
             gamma = default_gamma(spec.theta, spec.alpha)
         elif isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
             raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
+        check_gamma(gamma)  # before float(), which overflows on a huge int
         return ExponentialThreshold(gamma=float(gamma), capacity=spec.capacity)
     if kind == "table":
         _refuse_unknown_keys(config, kind, "points")

@@ -129,6 +129,21 @@ class TestBenchSuite:
         with pytest.raises(ValueError, match="threshold must hold only finite numbers"):
             BenchConfig(threshold=threshold)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0, -5, 10**400])
+    def test_gamma_outside_domain_refused(self, gamma):
+        # Every row would be an error row, so the config is refused whole.
+        with pytest.raises(ValueError) as info:
+            BenchConfig(threshold={"kind": "exponential", "gamma": gamma})
+        assert str(info.value) == f"gamma must be a finite number > 0, got {gamma}"
+        with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
+            BenchConfig(threshold={"gamma": gamma})  # kind defaults to exponential
+
+    def test_gamma_check_leaves_other_thresholds(self):
+        # "auto" and tables are built per knapsack, as before.
+        BenchConfig(threshold={"kind": "exponential", "gamma": "auto"})
+        BenchConfig(threshold={"kind": "exponential", "gamma": 0.5})
+        BenchConfig(threshold={"kind": "table", "points": [[0.0, 0.0], [1.0, 1.0]]})
+
     def test_error_rows_isolated(self):
         bad_cfg = BenchConfig(
             threshold={"kind": "table", "points": [[0.0, 0.0], [1.0, 1.0]]}

@@ -628,6 +628,48 @@ class TestBenchTune:
         assert captured.out == ""
         assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "body, flags, bad",
+        [
+            ({}, ("--gamma", "-1"), "-1.0"),
+            ({}, ("--gamma", "0"), "0.0"),
+            ({"threshold": {"gamma": -1}}, (), "-1"),
+            ({"threshold": {"kind": "exponential", "gamma": 0.0}}, (), "0.0"),
+            ({"threshold": {"gamma": 10**400}}, (), str(10**400)),  # float() overflows
+        ],
+        ids=["flag-negative", "flag-zero", "config-negative", "config-zero", "config-huge"],
+    )
+    def test_gamma_outside_domain_refused_before_suite_read(
+        self, tmp_path, capsys, body, flags, bad
+    ):
+        # One error line, no report, and the malformed suite file is not read.
+        (good,) = self.make_suite(tmp_path, capsys, n=4, count=1)
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        out = tmp_path / "rep"
+        argv = ("bench", "--input", str(good), str(broken), "--config", str(cfg),
+                "--out", str(out), *flags)
+        assert cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: gamma must be a finite number > 0, got {bad}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
+
+    def test_bench_refuses_empty_suite(self, tmp_path, capsys):
+        # A directory without *.json files: no report of no rows, exit 1.
+        empty, other = tmp_path / "empty", tmp_path / "other"
+        empty.mkdir()
+        other.mkdir()
+        (other / "notes.txt").write_text("not an instance")
+        out = tmp_path / "rep"
+        assert cli("bench", "--input", str(empty), str(other), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no *.json instance files in {empty}, {other}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
+
     def test_unknown_threshold_key_gives_error_rows(self, tmp_path, capsys):
         self.make_suite(tmp_path, capsys, n=4, count=2)
         cfg = tmp_path / "cfg.json"

@@ -384,6 +384,27 @@ class TestUtilizationState:
         with pytest.raises(ValueError):
             UtilizationState(1, horizon=1).add(0, SlotInterval(1, 1), -1.0)
 
+    def test_rejects_nan_size(self):
+        # NaN passes a plain `size < 0` test and would poison the slots.
+        state = UtilizationState(1, horizon=4)
+        state.add(0, SlotInterval(2, 1), 1.0)
+        with pytest.raises(ValueError) as info:
+            state.add(0, SlotInterval(2, 2), math.nan)
+        assert str(info.value) == "utilization updates must be nonnegative, got nan"
+        assert state.window(0, SlotInterval(1, 4)) == [0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("duration", [0, -2])
+    def test_window_refuses_duration_below_one(self, duration):
+        # An empty window would charge nothing and fit everywhere.
+        state = UtilizationState(1, horizon=4)
+        message = f"window duration must be >= 1, got {duration}"
+        with pytest.raises(ValueError) as info:
+            state.window(0, SlotInterval(2, duration))
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match=message):
+            state.add(0, SlotInterval(2, duration), 1.0)
+        assert list(state.covered(0)) == []
+
     def test_window_may_end_on_the_horizon(self):
         state = UtilizationState(1, horizon=4)
         state.add(0, SlotInterval(3, 2), 1.0)

@@ -125,6 +125,7 @@ class TestStep:
         [
             (SlotInterval(2, 4), "window 2..5 is outside slots 1..3"),
             (SlotInterval(0, 2), "window 0..1 is outside slots 1..3"),
+            (SlotInterval(2, 0), "window duration must be >= 1, got 0"),
         ],
     )
     def test_window_outside_the_slots_refused(self, interval, message):
@@ -385,6 +386,8 @@ class TestRunResultJson:
 
 class ExplodingThreshold(ExponentialThreshold):
     def eval(self, z):
+        if z == 0.0:  # the phi(0) = 0 that run checks before its loop
+            return 0.0
         raise RuntimeError("eval failed")
 
 

@@ -20,6 +20,11 @@ rounds.  These properties therefore cannot show a search whose loads
 drift when a placement is undone by subtraction; ``tests/test_oracle.py``
 pins exact restore on sizes in tenths.
 
+The engine skips empty slots: ``step``'s charge and capacity clause on
+windows that mix exact ``0.0`` slots with filled ones equal a reference
+that evaluates every slot, and ``run`` refuses a curve with phi(0) != 0,
+the contract that makes the skip exact.
+
 ``reference_solve_exact`` is the branch-and-bound as it was before its
 capacity bound was carried down the search: recursive, re-summing each
 knapsack's slot footprint at every node.  ``solve_exact`` must make the
@@ -36,6 +41,7 @@ import random
 from types import MappingProxyType
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,16 +52,17 @@ from knapdep.core import (
     KnapsackSpec,
     SchemaError,
     SlotInterval,
+    UtilizationState,
     assignment_violations,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
 )
-from knapdep.engine import run
+from knapdep.engine import run, step
 from knapdep.instances import FAMILIES, GenSpec, generate
 from knapdep.oracle import OfflineSolution, solve_bruteforce, solve_exact, upper_bound
-from knapdep.threshold import TableThreshold, for_instance
+from knapdep.threshold import ExponentialThreshold, TableThreshold, ThresholdFn, for_instance
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -499,3 +506,121 @@ def test_bruteforce_matches_reference_on_suite_shaped_instances():
         assert (
             solve_bruteforce(inst).to_dict() == reference_solve_bruteforce(inst).to_dict()
         ), spec
+
+
+# ---------------------------------------------------------------------------
+# Empty slots
+# ---------------------------------------------------------------------------
+
+@st.composite
+def curves(draw, capacity):
+    """An exponential curve, or a nondecreasing table from (0, 0) to capacity."""
+    if draw(st.booleans()):
+        return ExponentialThreshold(draw(st.floats(0.05, 8.0)), capacity)
+    inner = sorted(set(draw(st.lists(st.floats(0.0, capacity), max_size=3))) - {0.0, capacity})
+    phis = sorted(draw(st.lists(st.floats(0.0, 50.0), min_size=len(inner) + 1,
+                                max_size=len(inner) + 1)))
+    return TableThreshold(((0.0, 0.0), *zip([*inner, capacity], phis)))
+
+
+def seeded_step(capacity, fn, window, size, value):
+    """``step`` of one single-knapsack item over a state holding ``window``.
+
+    Each filled slot is seeded by one ``add`` to 0.0, which is exact.
+    """
+    interval = SlotInterval(2, len(window))
+    state = UtilizationState(1, interval.end + 1)
+    for t, z in zip(interval.slots(), window):
+        if z:
+            state.add(0, SlotInterval(t, 1), z)
+    assert state.window(0, interval) == window
+    item = Item(0, 1, (ItemOption(True, size, value, interval),))
+    decision, audit = step(item, state, [fn], [KnapsackSpec(capacity, 1.0, 1, 1, capacity)])
+    (entry,) = audit.entries
+    return decision, entry
+
+
+@SETTINGS
+@given(data=st.data())
+def test_step_equals_reference_on_windows_with_empty_slots(data):
+    capacity = data.draw(st.sampled_from([1.0, 4.0, 10.0]))
+    fn = data.draw(curves(capacity))
+    # Tiny loads sit next to empty slots, so a skip of more than 0.0 shows.
+    window = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300]),
+                  st.floats(0.0, capacity, exclude_min=True)),
+        min_size=1, max_size=8,
+    ))
+    size = data.draw(st.floats(0.0, 1.5 * capacity, exclude_min=True))
+    value = data.draw(st.floats(0.0, 100.0 * capacity))
+    decision, entry = seeded_step(capacity, fn, window, size, value)
+    # The paper's charge over every slot, empty ones included, left to right.
+    phi = 0.0
+    for z in window:
+        phi += size * fn.eval(z)
+    fits = all(z + size <= capacity for z in window)
+    assert (entry.phi, entry.fits) == (phi, fits)
+    assert math.copysign(1.0, entry.phi) == 1.0  # never -0.0
+    assert entry.admissible == decision.admitted == (value >= phi and fits)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_oversized_item_on_empty_window_declines(data):
+    # Every slot is skipped by the charge; the capacity clause still holds.
+    capacity = data.draw(st.sampled_from([1.0, 4.0, 10.0]))
+    fn = data.draw(curves(capacity))
+    window = [0.0] * data.draw(st.integers(1, 8))
+    size = data.draw(st.floats(capacity, 4.0 * capacity, exclude_min=True))
+    decision, entry = seeded_step(capacity, fn, window, size, 1e9)
+    assert entry.phi == 0.0
+    assert not entry.fits and not entry.admissible and not decision.admitted
+
+
+class Offset(ThresholdFn):
+    """A curve shifted by a constant, so phi(0) is that constant."""
+
+    kind = "offset"
+
+    def __init__(self, inner, offset):
+        self.inner = inner
+        self.capacity = inner.capacity
+        self.offset = offset
+
+    def eval(self, z):
+        return self.inner.eval(z) + self.offset
+
+
+@SETTINGS
+@given(inst=instances(), offset=st.floats().filter(lambda c: c != 0.0), data=st.data())
+def test_run_refuses_nonzero_phi_at_zero(inst, offset, data):
+    fns = for_instance(inst)
+    k = data.draw(st.integers(0, len(fns) - 1))
+    fns[k] = Offset(fns[k], offset)
+    with pytest.raises(ValueError) as info:
+        run(inst, fns)
+    assert str(info.value) == f"knapsack {k}: threshold phi(0) must be 0.0, got {offset}"
+
+
+class Recording(ThresholdFn):
+    kind = "recording"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.capacity = inner.capacity
+        self.seen = []
+
+    def eval(self, z):
+        self.seen.append(z)
+        return self.inner.eval(z)
+
+
+@SETTINGS
+@given(inst=instances())
+def test_step_never_evaluates_an_empty_slot(inst):
+    # The mechanism: step skips z == 0.0 rather than evaluating phi(0).
+    fns = [Recording(fn) for fn in for_instance(inst)]
+    state = UtilizationState(inst.num_knapsacks, inst.horizon)
+    decisions = [step(item, state, fns, inst.knapsacks)[0] for item in inst.items]
+    assert all(z != 0.0 for fn in fns for z in fn.seen)
+    assert decisions == run(inst, for_instance(inst)).decisions

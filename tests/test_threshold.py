@@ -199,6 +199,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             from_config({"kind": "exponential", "gamma": "fast"}, self.spec())
 
+    def test_huge_int_gamma_refused(self):
+        # float() of it would raise OverflowError, not a ValueError.
+        with pytest.raises(ValueError, match="gamma must be a finite number > 0, got 1000"):
+            from_config({"kind": "exponential", "gamma": 10**400}, self.spec())
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_config({"kind": "quadratic"}, self.spec())
