@@ -612,13 +612,22 @@ def _checked(obj: object, fields: dict[str, str], where: str) -> dict:
 def instance_from_dict(data: Mapping) -> Instance:
     """Parse the instance schema; unknown or missing fields are rejected.
 
-    One walk over the document.  An item or option holding exactly the
-    types ``json.loads`` gives (with finite floats) is built as it stands;
-    any other record goes through ``_checked``, which names its first
-    fault or converts its values.  ``Instance`` then checks the structural
-    rules once, for records built either way.
+    ``data`` is left as it was.
     """
     top = _checked(data, _INSTANCE_FIELDS, "instance")
+    return _build_instance(top, top["items"])
+
+
+def _build_instance(top: dict, item_objs: Iterable) -> Instance:
+    """The instance of the checked top-level fields ``top``.
+
+    One walk over the document, whose items are taken from ``item_objs``
+    in order.  An item or option holding exactly the types ``json.loads``
+    gives (with finite floats) is built as it stands; any other record goes
+    through ``_checked``, which names its first fault or converts its
+    values.  ``Instance`` then checks the structural rules once, for
+    records built either way.
+    """
     knapsacks = []
     for kobj in top["knapsacks"]:
         where = f"knapsack {len(knapsacks)}"
@@ -632,7 +641,7 @@ def instance_from_dict(data: Mapping) -> Instance:
 
     new = tuple.__new__
     items = []
-    for iobj in top["items"]:
+    for iobj in item_objs:
         if type(iobj) is dict and iobj.keys() == _ITEM_KEYS:
             item_id, arrival, odata = _item_values(iobj)
             exact = type(item_id) is int and type(arrival) is int and type(odata) is list
@@ -680,10 +689,25 @@ class _CollectorPaused:
             gc.enable()
 
 
+def _drained(objs: list) -> Iterator:
+    """The elements of ``objs`` in order, each removed from ``objs`` as it is taken."""
+    objs.reverse()
+    pop = objs.pop
+    while objs:
+        yield pop()
+
+
 def loads_instance(text: str) -> Instance:
+    """Parse an instance document, as ``instance_from_dict`` of its JSON.
+
+    The parsed document is this function's own, so its items are drained
+    as they are built: each item's objects are freed once its record
+    exists, and the two are never alive whole at once.
+    """
     with _CollectorPaused():
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-        return instance_from_dict(data)
+        top = _checked(data, _INSTANCE_FIELDS, "instance")
+        return _build_instance(top, _drained(top["items"]))

@@ -29,28 +29,6 @@ from .core import (
 from .threshold import ThresholdFn
 
 
-def _charge(
-    fn: ThresholdFn, size: float, capacity: float, window: list[float]
-) -> tuple[float, bool]:
-    """Threshold charge and capacity clause of one window.
-
-    ``window`` holds the utilization of each slot in slot order, at least
-    one slot.  An empty slot (``z == 0.0``) adds ``size * phi(0) == 0.0``,
-    which changes no bit of a charge that is never -0.0, so it is skipped
-    (``run`` checks ``phi(0) == 0``).  The rest is added left to right,
-    never with builtin ``sum()``: from Python 3.12 on it sums floats with
-    compensation, so charges, and with them decisions, would depend on the
-    Python version.  ``fits`` is the capacity clause alone, tested on the
-    fullest slot only, which is exact because ``z + size`` is monotone in z.
-    """
-    evaluate = fn.eval
-    phi = 0.0
-    for z in window:
-        if z:
-            phi += size * evaluate(z)
-    return phi, max(window) + size <= capacity
-
-
 class KnapsackAudit(NamedTuple):
     """Outcome of one per-knapsack admission check.
 
@@ -79,31 +57,34 @@ def step(
 ) -> tuple[Decision, ItemAudit]:
     """Process one item against the current state; mutates ``state`` on admit.
 
-    Every eligible knapsack is queried; ineligible ones never are.  The
-    charge is sum(size * phi(z_t)) over the option's window; the option is
+    Every eligible knapsack is queried; ineligible ones never are, and
+    each query is one ``ThresholdFn.charge`` call.  The charge is
+    sum(size * phi(z_t)) over the option's window; the option is
     admissible iff value >= charge (ties admit) and z_t + size <= capacity
     in every slot, both exact comparisons on the computed floats.  Among
     admissible knapsacks the item goes to the one of maximum value, ties
     to the lowest index.
     """
+    new = tuple.__new__  # the records' own __new__ is an extra Python call
     entries: list[KnapsackAudit] = []
     best: Optional[int] = None
     best_value = 0.0
-    for k, opt in enumerate(item.options):
-        if not opt.eligible:
+    for k, (eligible, size, value, interval) in enumerate(item.options):
+        if not eligible:
             continue
-        phi, fits = _charge(
-            thresholds[k], opt.size, specs[k].capacity, state.window(k, opt.interval)
-        )
-        admissible = opt.value >= phi and fits
-        entries.append(KnapsackAudit(k, phi, fits, admissible))
-        if admissible and (best is None or opt.value > best_value):
+        window = state.window(k, interval)
+        phi = thresholds[k].charge(size, window)
+        # Tested on the fullest slot only, exact as z + size is monotone in z.
+        fits = max(window) + size <= specs[k].capacity
+        admissible = value >= phi and fits
+        entries.append(new(KnapsackAudit, (k, phi, fits, admissible)))
+        if admissible and (best is None or value > best_value):
             best = k
-            best_value = opt.value
+            best_value = value
     if best is not None:
         chosen = item.options[best]
         state.add(best, chosen.interval, chosen.size)
-    return Decision(item.id, best), ItemAudit(item.id, tuple(entries))
+    return new(Decision, (item.id, best)), new(ItemAudit, (item.id, tuple(entries)))
 
 
 @dataclass
@@ -217,7 +198,7 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
                 f"match spec capacity {spec.capacity}"
             )
         zero = fn.eval(0.0)
-        if zero != 0.0:  # step skips empty slots, which relies on it
+        if zero != 0.0:  # charge skips empty slots, which relies on it
             raise ValueError(f"knapsack {k}: threshold phi(0) must be 0.0, got {zero}")
     state = UtilizationState(inst.num_knapsacks, inst.horizon)
     decisions: list[Decision] = []

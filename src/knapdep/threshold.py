@@ -16,7 +16,7 @@ import abc
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # core imports this module, for size_precondition
     from .core import Instance, KnapsackSpec
@@ -61,7 +61,9 @@ class ThresholdFn(abc.ABC):
     """Nondecreasing marginal-cost curve on [0, capacity] with phi(0) = 0.
 
     ``engine.run`` refuses a curve whose ``eval(0.0)`` is not exactly 0.0:
-    the engine skips empty slots, which is exact only under that contract.
+    ``charge`` skips empty slots, which is exact only under that contract.
+    A subclass may override ``charge`` for speed, but it must return this
+    base method's float bit for bit.
     """
 
     kind: str
@@ -70,6 +72,23 @@ class ThresholdFn(abc.ABC):
     @abc.abstractmethod
     def eval(self, z: float) -> float:
         """Marginal cost per unit size per slot at utilization ``z`` in [0, capacity]."""
+
+    def charge(self, size: float, window: Sequence[float]) -> float:
+        """The charge ``sum(size * phi(z))`` of an item over ``window``.
+
+        ``window`` holds the utilization of each slot in slot order.  An
+        empty slot (``z == 0.0``) adds ``size * phi(0) == 0.0``, which changes
+        no bit of a charge that is never -0.0, so it is skipped.  The rest is
+        added left to right, never with builtin ``sum()``: from Python 3.12
+        on it sums floats with compensation, so charges, and with them
+        decisions, would depend on the Python version.
+        """
+        evaluate = self.eval
+        phi = 0.0
+        for z in window:
+            if z:
+                phi += size * evaluate(z)
+        return phi
 
 
 @dataclass(frozen=True)
@@ -89,6 +108,27 @@ class ExponentialThreshold(ThresholdFn):
             return math.exp(z * self.gamma / self.capacity) - 1.0
         except OverflowError:
             return math.inf
+
+    def charge(self, size: float, window: Sequence[float]) -> float:
+        """``ThresholdFn.charge`` with ``eval``'s expression inlined.
+
+        Where ``exp`` overflows, the generic loop forms the whole charge, so
+        an infinite charge is its +inf bit for bit.  A subclass that
+        overrides ``eval`` always gets the generic loop, which calls it.
+        """
+        if type(self).eval is not ExponentialThreshold.eval:
+            return super().charge(size, window)
+        gamma = self.gamma
+        capacity = self.capacity
+        exp = math.exp
+        phi = 0.0
+        try:
+            for z in window:
+                if z:
+                    phi += size * (exp(z * gamma / capacity) - 1.0)
+        except OverflowError:
+            return super().charge(size, window)
+        return phi
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import copy
 import gc
 import json
 import math
 import random
+import tracemalloc
 from collections import OrderedDict
 from types import MappingProxyType
 
@@ -460,6 +462,26 @@ class TestJsonSchema:
         inst = self.roundtrip_instance()
         assert instance_from_dict(instance_to_dict(inst)) == inst
         assert loads_instance(dumps_instance(inst)) == inst
+
+    def test_instance_from_dict_leaves_its_argument(self):
+        data = instance_to_dict(self.roundtrip_instance())
+        before = copy.deepcopy(data)
+        instance_from_dict(data)
+        assert data == before
+
+    def test_parse_frees_each_item_once_built(self):
+        # The parsed document is drained as the records are built.  Holding
+        # the whole document until the last record exists peaks at about
+        # 2.7 times the text on this instance; draining at about 1.8.
+        ks = KnapsackSpec(10.0, 8.0, 4, 16, 2.0)
+        text = dumps_instance(generate(GenSpec("uniform", 3000, 2000, (ks,) * 4, 1))[0])
+        tracemalloc.start()
+        try:
+            loads_instance(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * len(text)
 
     def test_unknown_field_rejected(self):
         data = instance_to_dict(self.roundtrip_instance())

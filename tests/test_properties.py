@@ -23,7 +23,9 @@ pins exact restore on sizes in tenths.
 The engine skips empty slots: ``step``'s charge and capacity clause on
 windows that mix exact ``0.0`` slots with filled ones equal a reference
 that evaluates every slot, and ``run`` refuses a curve with phi(0) != 0,
-the contract that makes the skip exact.
+the contract that makes the skip exact.  The exponential curve's own
+charge kernel equals the generic ``ThresholdFn.charge`` bit for bit, +inf
+included, and a curve that overrides only ``eval`` is charged through it.
 
 ``reference_solve_exact`` is the branch-and-bound as it was before its
 capacity bound was carried down the search: recursive, re-summing each
@@ -512,11 +514,25 @@ def test_bruteforce_matches_reference_on_suite_shaped_instances():
 # Empty slots
 # ---------------------------------------------------------------------------
 
+# Above a gamma of about 710, exp overflows on a full slot: the charge is +inf.
+GAMMAS = st.one_of(st.floats(0.05, 8.0), st.floats(8.0, 1e5))
+
+
+def windows(capacity):
+    """Slot loads mixing empty slots, tiny loads and loads up to ``capacity``."""
+    # Tiny loads sit next to empty slots, so a skip of more than 0.0 shows.
+    return st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300]),
+                  st.floats(0.0, capacity, exclude_min=True)),
+        min_size=1, max_size=8,
+    )
+
+
 @st.composite
 def curves(draw, capacity):
     """An exponential curve, or a nondecreasing table from (0, 0) to capacity."""
     if draw(st.booleans()):
-        return ExponentialThreshold(draw(st.floats(0.05, 8.0)), capacity)
+        return ExponentialThreshold(draw(GAMMAS), capacity)
     inner = sorted(set(draw(st.lists(st.floats(0.0, capacity), max_size=3))) - {0.0, capacity})
     phis = sorted(draw(st.lists(st.floats(0.0, 50.0), min_size=len(inner) + 1,
                                 max_size=len(inner) + 1)))
@@ -545,12 +561,7 @@ def seeded_step(capacity, fn, window, size, value):
 def test_step_equals_reference_on_windows_with_empty_slots(data):
     capacity = data.draw(st.sampled_from([1.0, 4.0, 10.0]))
     fn = data.draw(curves(capacity))
-    # Tiny loads sit next to empty slots, so a skip of more than 0.0 shows.
-    window = data.draw(st.lists(
-        st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300]),
-                  st.floats(0.0, capacity, exclude_min=True)),
-        min_size=1, max_size=8,
-    ))
+    window = data.draw(windows(capacity))
     size = data.draw(st.floats(0.0, 1.5 * capacity, exclude_min=True))
     value = data.draw(st.floats(0.0, 100.0 * capacity))
     decision, entry = seeded_step(capacity, fn, window, size, value)
@@ -575,6 +586,24 @@ def test_oversized_item_on_empty_window_declines(data):
     decision, entry = seeded_step(capacity, fn, window, size, 1e9)
     assert entry.phi == 0.0
     assert not entry.fits and not entry.admissible and not decision.admitted
+
+
+class Doubled(ExponentialThreshold):
+    """An exponential curve with ``eval`` overridden, to twice the curve."""
+
+    def eval(self, z):
+        return 2.0 * super().eval(z)
+
+
+@SETTINGS
+@given(cls=st.sampled_from([ExponentialThreshold, Doubled]), data=st.data())
+def test_exponential_charge_equals_generic_charge(cls, data):
+    # A subclass that overrides eval is charged through its own eval.
+    capacity = data.draw(st.sampled_from([1.0, 4.0, 10.0]))
+    fn = cls(data.draw(GAMMAS), capacity)
+    window = data.draw(windows(capacity))
+    size = data.draw(st.floats(0.0, 1.5 * capacity, exclude_min=True))
+    assert repr(fn.charge(size, window)) == repr(ThresholdFn.charge(fn, size, window))
 
 
 class Offset(ThresholdFn):
@@ -603,16 +632,24 @@ def test_run_refuses_nonzero_phi_at_zero(inst, offset, data):
 
 
 class Recording(ThresholdFn):
-    kind = "recording"
+    """Records each ``eval``; shaped like the benchmark's counting wrapper.
+
+    Every other attribute is the inner curve's, but ``charge`` is found on
+    ``ThresholdFn`` first, so the generic charge calls this ``eval``.
+    """
 
     def __init__(self, inner):
-        self.inner = inner
+        self._inner = inner
+        self.kind = inner.kind
         self.capacity = inner.capacity
         self.seen = []
 
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
     def eval(self, z):
         self.seen.append(z)
-        return self.inner.eval(z)
+        return self._inner.eval(z)
 
 
 @SETTINGS
@@ -624,3 +661,21 @@ def test_step_never_evaluates_an_empty_slot(inst):
     decisions = [step(item, state, fns, inst.knapsacks)[0] for item in inst.items]
     assert all(z != 0.0 for fn in fns for z in fn.seen)
     assert decisions == run(inst, for_instance(inst)).decisions
+
+
+@SETTINGS
+@given(inst=instances())
+def test_run_evaluates_each_occupied_slot_once(inst):
+    # Through run, a recording curve sees the phi(0) check, then each
+    # occupied slot of each check once, in order.
+    fns = for_instance(inst)
+    recorded = [Recording(fn) for fn in fns]
+    result = run(inst, recorded)
+    state = UtilizationState(inst.num_knapsacks, inst.horizon)
+    expected = [[0.0] for _ in fns]
+    for item in inst.items:
+        for k, opt in item.eligible_options():
+            expected[k].extend(z for z in state.window(k, opt.interval) if z)
+        step(item, state, fns, inst.knapsacks)
+    assert [fn.seen for fn in recorded] == expected
+    assert result.to_json() == run(inst, fns).to_json()
