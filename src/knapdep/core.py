@@ -525,14 +525,25 @@ def dumps_instance(inst: Instance) -> str:
     ]
     items = []
     for item_id, arrival, item_options in inst.items:
-        options = [
-            f'        {{\n          "eligible": {s(eligible)},\n'
-            f'          "size": {s(size)},\n'
-            f'          "value": {s(value)},\n'
-            f'          "start": {s(start)},\n'
-            f'          "duration": {s(duration)}\n        }}'
-            for eligible, size, value, (start, duration) in item_options
-        ]
+        options = []
+        for eligible, size, value, (start, duration) in item_options:
+            # Exact types with finite floats (x - x is nan for inf and nan)
+            # format as their repr, which is their JSON text; any other
+            # option is spelled field by field.
+            if (type(eligible) is bool and type(size) is type(value) is float
+                    and type(start) is type(duration) is int
+                    and size - size == value - value == 0.0):
+                eligible = "true" if eligible else "false"
+            else:
+                eligible, size, value = s(eligible), s(size), s(value)
+                start, duration = s(start), s(duration)
+            options.append(
+                f'        {{\n          "eligible": {eligible},\n'
+                f'          "size": {size},\n'
+                f'          "value": {value},\n'
+                f'          "start": {start},\n'
+                f'          "duration": {duration}\n        }}'
+            )
         items.append(
             f'    {{\n      "id": {s(item_id)},\n      "arrival": {s(arrival)},\n'
             f'      "options": {json_block(options, "      ")}\n    }}'
@@ -655,11 +666,9 @@ def _build_instance(top: dict, item_objs: Iterable) -> Instance:
             if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
                 eligible, size, value, start, duration = _option_values(oobj)
                 # Finite floats: x - x is nan for inf and nan.
-                if (
-                    type(eligible) is bool and type(size) is float and type(value) is float
-                    and type(start) is int and type(duration) is int
-                    and size - size == value - value == 0.0
-                ):
+                if (type(eligible) is bool and type(size) is type(value) is float
+                        and type(start) is type(duration) is int
+                        and size - size == value - value == 0.0):
                     options.append(
                         new(ItemOption, (eligible, size, value, new(SlotInterval, (start, duration))))
                     )

@@ -3,7 +3,9 @@
 All generators are deterministic functions of their spec: the PRNG is
 Python's ``random.Random`` (MT19937) seeded from the spec, and the draw
 order per item is fixed, so identical specs reproduce byte-identical
-instances across platforms.  ``generate`` pauses the cyclic collector, as
+instances across platforms.  Integers come from ``getrandbits`` exactly as
+``randrange`` makes them (``_below``), pinned here rather than taken from
+each Python's ``randint``.  ``generate`` pauses the cyclic collector, as
 the records it builds are acyclic.
 """
 
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Instance,
@@ -23,6 +25,7 @@ from .core import (
     KnapsackSpec,
     SlotInterval,
     _CollectorPaused,
+    check_count,
 )
 
 FAMILIES = ("uniform", "staircase", "burst")
@@ -46,12 +49,13 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        check_count("n", self.n, 0)
+        check_count("horizon", self.horizon, 1)
         if not self.knapsacks:
             raise ValueError("at least one knapsack is required")
+        for k, ks in enumerate(self.knapsacks):
+            check_count(f"knapsack {k} duration_lo", ks.duration_lo, 1)
+            check_count(f"knapsack {k} duration_hi", ks.duration_hi, 1)
         if not 0.0 <= self.eligibility <= 1.0:
             raise ValueError(f"eligibility must be in [0, 1], got {self.eligibility}")
 
@@ -66,51 +70,58 @@ def _check_durations_fit(spec: GenSpec) -> int:
     return max_hi
 
 
-def _draw_item(rng: Random, item_id: int, arrival: int, spec: GenSpec) -> Item:
-    """One item: per knapsack draw duration, start, size, density, eligibility.
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform integer in [0, n), drawn as ``Random.randrange(n)`` draws it."""
+    if n < 1:
+        raise ValueError(f"empty range: nothing below {n} to draw")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Instance:
+    """One item per arrival; per knapsack, draw duration, start, size, density, eligibility.
 
     Sizes land in (0, size_cap], densities in [1, theta], and
     value = density * size * duration, so Assumption-style bounds hold by
-    construction.
+    construction.  Ineligible options share one placeholder record.
     """
-    options = []
-    for ks in spec.knapsacks:
-        duration = rng.randint(ks.duration_lo, ks.duration_hi)
-        start = rng.randint(arrival, spec.horizon - duration + 1)
-        size = ks.size_cap * (1.0 - rng.random())
-        density = rng.uniform(1.0, ks.theta)
-        eligible = spec.eligibility >= 1.0 or rng.random() < spec.eligibility
-        if eligible:
-            options.append(
-                ItemOption(
-                    eligible=True,
-                    size=size,
-                    value=density * size * duration,
-                    interval=SlotInterval(start=start, duration=duration),
-                )
-            )
-        else:
-            options.append(
-                ItemOption(
-                    eligible=False,
-                    size=0.0,
-                    value=0.0,
-                    interval=SlotInterval(start=1, duration=1),
-                )
-            )
-    return Item(id=item_id, arrival=arrival, options=tuple(options))
+    getrandbits, random = rng.getrandbits, rng.random
+    new = tuple.__new__
+    eligibility = spec.eligibility
+    always = eligibility >= 1.0
+    room = spec.horizon + 2  # start in [arrival, horizon - duration + 1]
+    draws = [
+        (ks.duration_lo, ks.duration_hi - ks.duration_lo + 1, ks.size_cap, ks.theta - 1.0)
+        for ks in spec.knapsacks
+    ]
+    ineligible = ItemOption(False, 0.0, 0.0, SlotInterval(1, 1))
+    items = []
+    for item_id, arrival in enumerate(arrivals):
+        options = []
+        for duration_lo, durations, size_cap, spread in draws:
+            duration = duration_lo + _below(getrandbits, durations)
+            start = arrival + _below(getrandbits, room - duration - arrival)
+            size = size_cap * (1.0 - random())
+            density = 1.0 + spread * random()  # Random.uniform(1.0, theta)
+            if always or random() < eligibility:
+                interval = new(SlotInterval, (start, duration))
+                options.append(new(ItemOption, (True, size, density * size * duration, interval)))
+            else:
+                options.append(ineligible)
+        items.append(new(Item, (item_id, arrival, tuple(options))))
+    return Instance(spec.horizon, spec.knapsacks, tuple(items))
 
 
 def gen_uniform(spec: GenSpec) -> Instance:
     """Uniform workload: arrivals uniform over [1, horizon - max duration]."""
     max_hi = _check_durations_fit(spec)
     rng = Random(spec.seed)
-    arrivals = sorted(rng.randint(1, spec.horizon - max_hi) for _ in range(spec.n))
-    items = tuple(
-        _draw_item(rng, item_id, arrival, spec)
-        for item_id, arrival in enumerate(arrivals)
-    )
-    return Instance(horizon=spec.horizon, knapsacks=spec.knapsacks, items=items)
+    getrandbits, width = rng.getrandbits, spec.horizon - max_hi
+    arrivals = sorted(1 + _below(getrandbits, width) for _ in range(spec.n))
+    return _draw_instance(rng, arrivals, spec)
 
 
 def gen_burst(spec: GenSpec) -> Instance:
@@ -123,16 +134,12 @@ def gen_burst(spec: GenSpec) -> Instance:
     rng = Random(spec.seed)
     hi = spec.horizon - max_hi
     n_bursts = max(1, round(math.sqrt(spec.n)))
-    centers = [rng.randint(1, hi) for _ in range(n_bursts)]
+    centers = [1 + _below(rng.getrandbits, hi) for _ in range(n_bursts)]
     arrivals = sorted(
         min(hi, max(1, round(rng.gauss(rng.choice(centers), max(1.0, hi / 20.0)))))
         for _ in range(spec.n)
     )
-    items = tuple(
-        _draw_item(rng, item_id, arrival, spec)
-        for item_id, arrival in enumerate(arrivals)
-    )
-    return Instance(horizon=spec.horizon, knapsacks=spec.knapsacks, items=items)
+    return _draw_instance(rng, arrivals, spec)
 
 
 def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
@@ -166,32 +173,12 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
 
     items: list[Item] = []
     prefixes: list[Instance] = []
-    item_id = 0
     for level in range(1, levels + 1):
         density = ks.theta ** ((level - 1) / (levels - 1))
+        options = (ItemOption(True, size, density * size * duration, window),)
         for _ in range(per_batch):
-            items.append(
-                Item(
-                    id=item_id,
-                    arrival=1,
-                    options=(
-                        ItemOption(
-                            eligible=True,
-                            size=size,
-                            value=density * size * duration,
-                            interval=window,
-                        ),
-                    ),
-                )
-            )
-            item_id += 1
-        prefixes.append(
-            Instance(
-                horizon=spec.horizon,
-                knapsacks=spec.knapsacks,
-                items=tuple(items),
-            )
-        )
+            items.append(Item(len(items), 1, options))
+        prefixes.append(Instance(spec.horizon, spec.knapsacks, tuple(items)))
     return prefixes
 
 

@@ -825,12 +825,18 @@ UNIFORM = ("gen", "--n", "16", "--k", "2", "--t", "30", "--capacity", "4",
            "--theta", "8", "--eps", "2", "--seed", "5")
 BURST = ("gen", "--family", "burst", "--n", "30", "--k", "2", "--t", "40",
          "--capacity", "4", "--theta", "8", "--eps", "2", "--seed", "11")
+# Half the options ineligible, so the generator's placeholder record and
+# its eligibility draw are pinned too; the two above have none.
+UNIFORM_INELIGIBLE = ("gen", "--k", "3", "--eligibility", "0.5")
+BURST_INELIGIBLE = ("gen", "--family", "burst", "--eligibility", "0.4")
 GOLDEN = {
     "uniform": "4e463e285294543fd9589e563cb19056d2891de9fa7ce4e3f528efc4b58300fd",
     "burst": "36e0bc5defa2c8a69a70165c70b9120583dce93db19d1ebf696edf8d3f3ca9e5",
     "validate": "460cd860e5aad9bddf3aed3412e0c7dd0d671f2fc9ac4320bb14fc36aba840ae",
     "opt": "b40bc9c9d2225bd73d41b386eae2934a7282932c22ddead8f0e79cc186f42a73",
     "budget": "6c08e1a602cef56203b52a0ecc254c00507ea0117419d6141e852203e0bf7e33",
+    "uniform_ineligible": "5aad842b4c223b1e86b7070bf1adc55d3eb41ac7108a96838cde7f8b1c8b0915",
+    "burst_ineligible": "f13b7a54223cadf3b2df1a7bee7440cf7b722a440ced1a9bad1571ee0429bdd9",
 }
 
 
@@ -843,6 +849,8 @@ def test_golden_bytes(tmp_path, capsys):
     got = {
         "uniform": digest(*UNIFORM),
         "burst": digest(*BURST),
+        "uniform_ineligible": digest(*UNIFORM_INELIGIBLE),
+        "burst_ineligible": digest(*BURST_INELIGIBLE),
     }
     assert cli(*UNIFORM, "--out", str(uniform)) == 0
     assert cli(*BURST, "--out", str(burst)) == 0

@@ -1,4 +1,5 @@
 import gc
+from random import Random
 
 import pytest
 
@@ -6,6 +7,7 @@ from knapdep.core import KnapsackSpec, dumps_instance, validate_instance
 from knapdep.instances import (
     GenSpec,
     TraceMapping,
+    _below,
     gen_burst,
     gen_staircase,
     gen_uniform,
@@ -65,6 +67,66 @@ class TestGenUniform:
         )
         assert 120 <= eligible <= 280  # loose two-sided check on 400 draws
         assert validate_instance(inst, strict=True).ok
+
+
+# Widths from 1 to just past 2**64: every power of two and its neighbours
+# (at 2**k + 1 the rejection loop redraws about half the time, at 2**k
+# never) and a few others.
+WIDTHS = sorted({1, 3, 6, 7, 1000, 10**18} | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)})
+
+
+class TestBelow:
+    @pytest.mark.parametrize("seed", [Random(k).getrandbits(64) for k in range(8)])
+    def test_matches_randint_draw_for_draw(self, seed):
+        ours, theirs = Random(seed), Random(seed)
+        for width in WIDTHS:
+            for lo in (1, -7):
+                got = [lo + _below(ours.getrandbits, width) for _ in range(4)]
+                assert got == [theirs.randint(lo, lo + width - 1) for _ in range(4)]
+                # The same stream position, so every later draw stays aligned.
+                assert ours.getstate() == theirs.getstate(), width
+
+    @pytest.mark.parametrize("width", [0, -1, -(2**64)])
+    def test_empty_range_raises(self, width):
+        # getrandbits(0) is 0, which is never below 0: unguarded, the loop
+        # would never end.
+        with pytest.raises(ValueError, match="empty range"):
+            _below(Random(0).getrandbits, width)
+
+
+class TestGenSpecRefusal:
+    @pytest.mark.parametrize(
+        "n, horizon, message",
+        [
+            (2.0, 40, "n must be an integer >= 0, got 2.0"),
+            (True, 40, "n must be an integer >= 0, got True"),
+            (-1, 40, "n must be an integer >= 0, got -1"),
+            ("3", 40, "n must be an integer >= 0, got '3'"),
+            (3, 40.0, "horizon must be an integer >= 1, got 40.0"),
+            (3, False, "horizon must be an integer >= 1, got False"),
+            (3, 0, "horizon must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_counts(self, n, horizon, message):
+        with pytest.raises(ValueError) as exc:
+            GenSpec("uniform", n, horizon, (ksp(),), 0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "dlo, dhi, message",
+        [
+            (1.0, 4, "knapsack 1 duration_lo must be an integer >= 1, got 1.0"),
+            (1, 4.0, "knapsack 1 duration_hi must be an integer >= 1, got 4.0"),
+            (1, 4.5, "knapsack 1 duration_hi must be an integer >= 1, got 4.5"),
+        ],
+    )
+    def test_knapsack_durations(self, dlo, dhi, message):
+        # KnapsackSpec takes these (it only compares them); the generator
+        # draws integers in their range, so it refuses them.
+        knapsacks = (ksp(), KnapsackSpec(10.0, 4.0, dlo, dhi, 10.0))
+        with pytest.raises(ValueError) as exc:
+            GenSpec("uniform", 3, 40, knapsacks, 0)
+        assert str(exc.value) == message
 
 
 class TestGenBurst:

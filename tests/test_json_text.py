@@ -198,6 +198,47 @@ def test_int_valued_fields_and_subclasses():
     assert '"id": 7,' in text
 
 
+class OddFloat(float):
+    """Spelled "odd" by repr, str and format; json.dumps uses float.__repr__."""
+
+    def __format__(self, spec):
+        return "odd"
+
+    __repr__ = __str__ = lambda self: "odd"
+
+
+class OddInt(int):
+    """Spelled "odd" by repr, str and format; json.dumps uses int.__repr__."""
+
+    def __format__(self, spec):
+        return "odd"
+
+    __repr__ = __str__ = lambda self: "odd"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ItemOption(True, 2, 9.0, SlotInterval(1, 2)),
+        ItemOption(True, 2.0, 9, SlotInterval(1, 2)),
+        ItemOption(1, 2.0, 9.0, SlotInterval(1, 2)),
+        ItemOption(False, math.nan, math.inf, SlotInterval(1, 1)),
+        ItemOption(False, -math.inf, 0.0, SlotInterval(1, 1)),
+        ItemOption(True, OddFloat(1.5), 6.0, SlotInterval(2, 2)),
+        ItemOption(True, 1.5, 6.0, SlotInterval(2, OddInt(2))),
+    ],
+    ids=["int-size", "int-value", "eligible-1", "nan-inf-placeholder", "-inf-placeholder",
+         "float-subclass", "int-subclass"],
+)
+def test_option_not_of_exact_types(option):
+    # Each field is spelled as json.dumps spells it, next to an option of
+    # exact types in the same item.
+    exact = ItemOption(True, 0.1, 0.7, SlotInterval(3, 1))
+    items = (Item(0, 1, (option, exact)), Item(1, 2, (exact, option)))
+    inst = Instance(10, (FLAT, FLAT), items)
+    assert dumps_instance(inst) == json.dumps(reference_instance_dict(inst), indent=2)
+
+
 def test_infinite_phi():
     # exp overflows once z * gamma / capacity passes about 709.78, so the
     # second item is charged inf (1.0 * inf).  Sizes are > 0, so no charge

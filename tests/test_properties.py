@@ -35,11 +35,16 @@ same search, so its result, node count included, equals the reference's.
 scored the last item's leaves in place: one call per node, leaves
 included.  ``solve_bruteforce`` must visit the same nodes in the same
 order, so its result, node count included, equals the reference's.
+``reference_generate`` is the uniform and burst generator as it was
+before it drew integers straight from ``getrandbits``: ``generate`` must
+make the same draws in the same order, so its records and their text
+equal the reference's.
 """
 
 import json
 import math
 import random
+from random import Random
 from types import MappingProxyType
 from typing import Optional
 
@@ -62,7 +67,7 @@ from knapdep.core import (
     loads_instance,
 )
 from knapdep.engine import run, step
-from knapdep.instances import FAMILIES, GenSpec, generate
+from knapdep.instances import FAMILIES, GenSpec, _check_durations_fit, generate
 from knapdep.oracle import OfflineSolution, solve_bruteforce, solve_exact, upper_bound
 from knapdep.threshold import ExponentialThreshold, TableThreshold, ThresholdFn, for_instance
 
@@ -679,3 +684,115 @@ def test_run_evaluates_each_occupied_slot_once(inst):
         step(item, state, fns, inst.knapsacks)
     assert [fn.seen for fn in recorded] == expected
     assert result.to_json() == run(inst, fns).to_json()
+
+
+# ---------------------------------------------------------------------------
+# The generator against its former self
+# ---------------------------------------------------------------------------
+
+# The uniform and burst generators as they were when each integer came from
+# ``Random.randint``, each density from ``Random.uniform`` and each record
+# from its NamedTuple constructor.  ``generate`` draws the same numbers in
+# the same order, so its records and their text equal the reference's.
+
+def reference_draw_item(rng: Random, item_id: int, arrival: int, spec: GenSpec) -> Item:
+    """One item: per knapsack draw duration, start, size, density, eligibility.
+
+    Sizes land in (0, size_cap], densities in [1, theta], and
+    value = density * size * duration, so Assumption-style bounds hold by
+    construction.
+    """
+    options = []
+    for ks in spec.knapsacks:
+        duration = rng.randint(ks.duration_lo, ks.duration_hi)
+        start = rng.randint(arrival, spec.horizon - duration + 1)
+        size = ks.size_cap * (1.0 - rng.random())
+        density = rng.uniform(1.0, ks.theta)
+        eligible = spec.eligibility >= 1.0 or rng.random() < spec.eligibility
+        if eligible:
+            options.append(
+                ItemOption(
+                    eligible=True,
+                    size=size,
+                    value=density * size * duration,
+                    interval=SlotInterval(start=start, duration=duration),
+                )
+            )
+        else:
+            options.append(
+                ItemOption(
+                    eligible=False,
+                    size=0.0,
+                    value=0.0,
+                    interval=SlotInterval(start=1, duration=1),
+                )
+            )
+    return Item(id=item_id, arrival=arrival, options=tuple(options))
+
+
+def reference_gen_uniform(spec: GenSpec) -> Instance:
+    """Uniform workload: arrivals uniform over [1, horizon - max duration]."""
+    max_hi = _check_durations_fit(spec)
+    rng = Random(spec.seed)
+    arrivals = sorted(rng.randint(1, spec.horizon - max_hi) for _ in range(spec.n))
+    items = tuple(
+        reference_draw_item(rng, item_id, arrival, spec)
+        for item_id, arrival in enumerate(arrivals)
+    )
+    return Instance(horizon=spec.horizon, knapsacks=spec.knapsacks, items=items)
+
+
+def reference_gen_burst(spec: GenSpec) -> Instance:
+    """Bursty workload: arrivals cluster around a few burst slots.
+
+    Same per-item draws as the uniform family; only the arrival process
+    differs.  Burst count scales with sqrt(n).
+    """
+    max_hi = _check_durations_fit(spec)
+    rng = Random(spec.seed)
+    hi = spec.horizon - max_hi
+    n_bursts = max(1, round(math.sqrt(spec.n)))
+    centers = [rng.randint(1, hi) for _ in range(n_bursts)]
+    arrivals = sorted(
+        min(hi, max(1, round(rng.gauss(rng.choice(centers), max(1.0, hi / 20.0)))))
+        for _ in range(spec.n)
+    )
+    items = tuple(
+        reference_draw_item(rng, item_id, arrival, spec)
+        for item_id, arrival in enumerate(arrivals)
+    )
+    return Instance(horizon=spec.horizon, knapsacks=spec.knapsacks, items=items)
+
+
+def reference_generate(spec):
+    return (reference_gen_uniform if spec.family == "uniform" else reference_gen_burst)(spec)
+
+
+@st.composite
+def generator_specs(draw):
+    knapsacks = []
+    for _ in range(draw(st.integers(1, 3))):
+        duration_lo = draw(st.integers(1, 4))
+        capacity = draw(st.sampled_from([1.0, 4.0, 10.0]))
+        knapsacks.append(KnapsackSpec(
+            capacity, draw(st.sampled_from([1.0, 2.5, 8.0])), duration_lo,
+            duration_lo + draw(st.integers(0, 9)), capacity / draw(st.sampled_from([1, 2, 3])),
+        ))
+    max_hi = max(ks.duration_hi for ks in knapsacks)
+    return GenSpec(
+        draw(st.sampled_from(["uniform", "burst"])),
+        draw(st.integers(0, 60)),
+        max_hi + draw(st.integers(1, 200)),
+        tuple(knapsacks),
+        draw(st.integers(0, 2**64)),
+        eligibility=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+@SETTINGS
+@given(spec=generator_specs())
+def test_generate_matches_reference(spec):
+    inst = generate(spec)[0]
+    expected = reference_generate(spec)
+    assert inst == expected
+    assert dumps_instance(inst) == dumps_instance(expected)
