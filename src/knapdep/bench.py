@@ -75,8 +75,12 @@ class BenchRow:
     opt: float
     opt_tag: str      # "exact" | "bound"
     ratio: float      # may be math.inf; NaN on an error row
-    infinite: bool
     error: Optional[str] = None
+
+    @property
+    def infinite(self) -> bool:
+        """ALG = 0 < OPT, or OPT/ALG overflowed."""
+        return math.isinf(self.ratio)
 
     def to_dict(self) -> dict:
         ratio: object = self.ratio
@@ -102,9 +106,12 @@ class BenchReport:
 
     rows: list[BenchRow]
     cr: Optional[float]   # empirical competitive ratio over exact rows
-    cr_infinite: bool
     mean_ratio: Optional[float]  # mean over finite exact rows
     config: dict
+
+    @property
+    def cr_infinite(self) -> bool:
+        return self.cr is not None and math.isinf(self.cr)
 
     def to_dict(self) -> dict:
         return {
@@ -132,7 +139,7 @@ class BenchReport:
                     repr(r.alg),
                     repr(r.opt),
                     r.opt_tag,
-                    "inf" if r.infinite else repr(r.ratio),
+                    repr(r.ratio),
                     str(r.infinite).lower(),
                     r.error or "",
                 ]
@@ -168,13 +175,11 @@ def _shared_knapsack_echo(
     ]
 
 
-def _ratio(alg: float, opt: float) -> tuple[float, bool]:
-    """OPT/ALG with the 0/0 := 1 convention; ALG=0 < OPT flags infinity."""
-    if alg == 0.0 and opt == 0.0:
-        return 1.0, False
+def _ratio(alg: float, opt: float) -> float:
+    """OPT/ALG with the 0/0 := 1 convention; ALG=0 < OPT is infinite."""
     if alg == 0.0:
-        return math.inf, True
-    return opt / alg, False
+        return 1.0 if opt == 0.0 else math.inf
+    return opt / alg
 
 
 def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
@@ -196,15 +201,13 @@ def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
                 opt, tag = sol.bound, "bound"
         else:
             opt, tag = oracle.upper_bound(inst), "bound"
-        ratio, infinite = _ratio(result.profit, opt)
         return BenchRow(
             instance_id=instance_id,
             n_items=inst.num_items,
             alg=result.profit,
             opt=opt,
             opt_tag=tag,
-            ratio=ratio,
-            infinite=infinite,
+            ratio=_ratio(result.profit, opt),
         )
     except Exception as exc:  # isolate per-instance failures into error rows
         return BenchRow(
@@ -214,7 +217,6 @@ def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
             opt=0.0,
             opt_tag="error",
             ratio=math.nan,
-            infinite=False,
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -246,11 +248,7 @@ def bench_suite(
         rows = [_evaluate(iid, inst, cfg) for iid, inst in instances]
 
     exact_rows = [r for r in rows if r.opt_tag == "exact"]
-    cr: Optional[float] = None
-    cr_infinite = False
-    if exact_rows:
-        cr = max(r.ratio for r in exact_rows)
-        cr_infinite = math.isinf(cr)
+    cr = max((r.ratio for r in exact_rows), default=None)
     finite = [r.ratio for r in exact_rows if not r.infinite]
     mean_ratio = sum(finite) / len(finite) if finite else None
 
@@ -262,7 +260,6 @@ def bench_suite(
     return BenchReport(
         rows=rows,
         cr=cr,
-        cr_infinite=cr_infinite,
         mean_ratio=mean_ratio,
         config=echo,
     )

@@ -6,9 +6,11 @@ afterwards.  Everything here is plain data plus validation: the admission
 logic lives in :mod:`knapdep.engine`, the offline solver in
 :mod:`knapdep.oracle`.
 
-Each input rule is coded once: field types in the parser, structure in
-``Instance``, declared bounds in ``validate_instance``, and the gamma
-domain and size precondition in :mod:`knapdep.threshold`.
+Each input rule is coded once: field types in the parser, knapsack fields
+(integer durations among them) in ``KnapsackSpec``, structure (an integer
+horizon among it) in ``Instance``, declared bounds in ``validate_instance``
+(a trace row being ingested breaks them when clamping would change it),
+and the gamma domain and size precondition in :mod:`knapdep.threshold`.
 
 Records hold only scalars and tuples and cannot form cycles, so the bulk
 builders of them pause the cyclic collector (``_CollectorPaused``).
@@ -104,7 +106,8 @@ class KnapsackSpec:
     theta : float
         Upper bound on item value density (densities lie in [1, theta]).
     duration_lo, duration_hi : int
-        Declared bounds on item durations.
+        Declared bounds on item durations: integers with
+        1 <= duration_lo <= duration_hi.
     size_cap : float
         Upper bound on item size; at most ``capacity``.
     """
@@ -120,13 +123,8 @@ class KnapsackSpec:
             raise ValueError(f"capacity must be a finite number > 0, got {self.capacity}")
         if not 1 <= self.theta < math.inf:
             raise ValueError(f"theta must be a finite number >= 1, got {self.theta}")
-        if self.duration_lo < 1:
-            raise ValueError(f"duration_lo must be >= 1, got {self.duration_lo}")
-        if self.duration_hi < self.duration_lo:
-            raise ValueError(
-                f"duration_hi must be >= duration_lo, got "
-                f"{self.duration_hi} < {self.duration_lo}"
-            )
+        check_count("duration_lo", self.duration_lo, 1)
+        check_count("duration_hi", self.duration_hi, self.duration_lo, " (duration_lo)")
         if not 0 < self.size_cap <= self.capacity:  # finite, as capacity is
             raise ValueError(
                 f"size_cap must be in (0, capacity], got {self.size_cap} "
@@ -144,12 +142,12 @@ class Instance:
     """Ordered item sequence over a slotted horizon and K knapsacks.
 
     Well-formed by construction: the constructor raises ValueError on the
-    first break of the structural rules (horizon >= 1, unique ids, arrivals
-    >= 1 and nondecreasing, one option per knapsack, every option's window
-    with start >= 1 and duration >= 1, and for each eligible option a
-    finite size > 0, a finite value > 0 and a window ending by the
-    horizon), so everything downstream relies on them.  This is the one
-    place the records it holds are checked.
+    first break of the structural rules (an integer horizon >= 1, unique
+    ids, arrivals >= 1 and nondecreasing, one option per knapsack, every
+    option's window with start >= 1 and duration >= 1, and for each
+    eligible option a finite size > 0, a finite value > 0 and a window
+    ending by the horizon), so everything downstream relies on them.  This
+    is the one place the records it holds are checked.
     """
 
     horizon: int
@@ -158,8 +156,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         horizon = self.horizon
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        check_count("horizon", horizon, 1)
         K = len(self.knapsacks)
         inf = math.inf
         limit = horizon + 1

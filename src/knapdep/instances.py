@@ -53,9 +53,6 @@ class GenSpec:
         check_count("horizon", self.horizon, 1)
         if not self.knapsacks:
             raise ValueError("at least one knapsack is required")
-        for k, ks in enumerate(self.knapsacks):
-            check_count(f"knapsack {k} duration_lo", ks.duration_lo, 1)
-            check_count(f"knapsack {k} duration_hi", ks.duration_hi, 1)
         if not 0.0 <= self.eligibility <= 1.0:
             raise ValueError(f"eligibility must be in [0, 1], got {self.eligibility}")
 
@@ -167,7 +164,12 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
         raise ValueError(
             f"horizon {spec.horizon} too short for duration {duration}"
         )
-    per_batch = math.ceil(ks.capacity / ks.size_cap)
+    batches = ks.capacity / ks.size_cap
+    if batches == math.inf:
+        raise ValueError(
+            f"capacity / size_cap must be finite, got {ks.capacity} / {ks.size_cap}"
+        )
+    per_batch = math.ceil(batches)
     size = ks.capacity / per_batch
     window = SlotInterval(start=1, duration=duration)
 
@@ -255,7 +257,8 @@ def _clamp_row(
 
     Duration is clamped first (also against the remaining horizon room),
     then size, then value against the density band of the final size and
-    duration.  Returns None when no valid clamp exists (no room before the
+    duration.  Returns the row unchanged exactly when it is within the
+    bounds, and None when no valid clamp exists (no room before the
     horizon), which the caller treats as a drop.
     """
     hi = min(ks.duration_hi, max_duration)
@@ -266,24 +269,6 @@ def _clamp_row(
     if value is not None:
         value = min(max(value, size * duration), ks.theta * size * duration)
     return size, duration, value
-
-
-def _row_violates(
-    ks: KnapsackSpec,
-    size: float,
-    duration: int,
-    value: Optional[float],
-    max_duration: int,
-) -> bool:
-    if not ks.duration_lo <= duration <= min(ks.duration_hi, max_duration):
-        return True
-    if size > ks.size_cap:
-        return True
-    if value is not None:
-        density = value / (size * duration)
-        if not 1.0 <= density <= ks.theta:
-            return True
-    return False
 
 
 def ingest_trace(
@@ -300,6 +285,8 @@ def ingest_trace(
     ``error_tolerance`` as a fraction of data rows.  The horizon defaults to
     the latest requested slot; with an explicit horizon, overruns fall under
     the violation policy (clamp shortens the window, drop removes the row).
+    A row breaks a knapsack's declared bounds exactly when clamping would
+    change it, or finds no clamp.
     """
     path = Path(path)
     knapsacks = tuple(knapsacks)
@@ -366,17 +353,13 @@ def ingest_trace(
                     ItemOption(False, 0.0, 0.0, SlotInterval(start=1, duration=1))
                 )
                 continue
-            k_size, k_dur, k_val = size, duration, value
-            if _row_violates(ks, size, duration, value, room):
-                if mapping.violation_policy == "drop":
+            clamp = _clamp_row(ks, size, duration, value, room)
+            if clamp != (size, duration, value):
+                if clamp is None or mapping.violation_policy == "drop":
                     dropped = True
                     break
-                clamp = _clamp_row(ks, size, duration, value, room)
-                if clamp is None:
-                    dropped = True
-                    break
-                k_size, k_dur, k_val = clamp
                 clamped_any = True
+            k_size, k_dur, k_val = clamp
             if k_val is None:
                 density = (1.0 + ks.theta) / 2.0
                 k_val = density * k_size * k_dur

@@ -41,16 +41,37 @@ def uniform_suite(seeds, n=8, k=2):
     return suite
 
 
+def scored_row(alg, opt):
+    return BenchRow("x", 1, alg, opt, "exact", _ratio(alg, opt))
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in strict JSON")
+
+
 class TestRatioConvention:
     def test_zero_zero_is_one(self):
-        assert _ratio(0.0, 0.0) == (1.0, False)
+        row = scored_row(0.0, 0.0)
+        assert row.ratio == 1.0 and not row.infinite
 
     def test_zero_alg_flags_infinite(self):
-        ratio, infinite = _ratio(0.0, 5.0)
-        assert math.isinf(ratio) and infinite
+        row = scored_row(0.0, 5.0)
+        assert math.isinf(row.ratio) and row.infinite
 
     def test_plain_ratio(self):
-        assert _ratio(2.0, 3.0) == (1.5, False)
+        row = scored_row(2.0, 3.0)
+        assert row.ratio == 1.5 and not row.infinite
+
+    def test_overflow_flags_infinite(self):
+        # ALG > 0, yet OPT/ALG overflows: the row is infinite all the same.
+        row = scored_row(1e-320, 10.0)
+        assert math.isinf(row.ratio) and row.infinite
+        assert row.to_dict()["ratio"] == "inf" and row.to_dict()["infinite"] is True
+
+    def test_error_row_is_not_infinite(self):
+        row = BenchRow("x", 1, 0.0, 0.0, "error", math.nan, "ValueError: bad")
+        assert not row.infinite
+        assert row.to_dict()["ratio"] is None
 
 
 class TestBenchSuite:
@@ -203,14 +224,37 @@ class TestBenchSuite:
         assert bench_suite(suite, cfg).to_csv() == serial.to_csv()
 
     def test_infinite_row_rendering(self):
-        row = BenchRow("x", 1, 0.0, 5.0, "exact", math.inf, True)
-        report = BenchReport(
-            rows=[row], cr=math.inf, cr_infinite=True, mean_ratio=None, config={}
-        )
-        assert "inf" in report.to_csv()
-        data = json.loads(report.to_json())
-        assert data["empirical_cr"] == "inf"
+        row = scored_row(0.0, 5.0)
+        report = BenchReport(rows=[row], cr=row.ratio, mean_ratio=None, config={})
+        assert report.cr_infinite
+        assert report.to_csv().splitlines()[1] == "x,1,0.0,5.0,exact,inf,true,"
+        data = json.loads(report.to_json(), parse_constant=refuse_constant)
+        assert data["empirical_cr"] == "inf" and data["cr_infinite"] is True
         assert data["rows"][0]["ratio"] == "inf"
+
+    @pytest.mark.parametrize("cr", [None, 1.5])
+    def test_finite_cr_is_not_infinite(self, cr):
+        assert not BenchReport(rows=[], cr=cr, mean_ratio=None, config={}).cr_infinite
+
+    def test_overflowed_ratio_is_strict_json(self):
+        # ALG = 1e-320 blocks the only slot, OPT = 10 takes the other item:
+        # OPT/ALG overflows to inf, which the report writes as "inf" and
+        # leaves out of the mean.
+        ks = KnapsackSpec(10.0, 4.0, 1, 1, 10.0)
+        tiny, full = (
+            Item(i, 1, (ItemOption(True, 10.0, value, SlotInterval(1, 1)),))
+            for i, value in enumerate((1e-320, 10.0))
+        )
+        suite = [("overflow", Instance(1, (ks,), (tiny, full))),
+                 ("plain", Instance(1, (ks,), (full,)))]
+        report = bench_suite(suite)
+        data = json.loads(report.to_json(), parse_constant=refuse_constant)
+        assert data["empirical_cr"] == "inf" and data["cr_infinite"] is True
+        assert data["mean_ratio"] == 1.0
+        row = data["rows"][0]
+        assert (row["alg"], row["opt"], row["opt_tag"]) == (1e-320, 10.0, "exact")
+        assert row["ratio"] == "inf" and row["infinite"] is True
+        assert report.to_csv().splitlines()[1] == "overflow,2,1e-320,10.0,exact,inf,true,"
 
 
 class TestTuneGamma:

@@ -583,7 +583,7 @@ class TestBenchTune:
         "content, message",
         [
             (json.dumps({**one_item_instance(), "horizon": 0}).encode(),
-             "horizon must be >= 1, got 0"),
+             "horizon must be an integer >= 1, got 0"),
             (b"{", "invalid JSON: Expecting property name enclosed in double quotes"),
             (b"\xff", ""),  # the decoder's message depends on the locale
         ],
@@ -737,7 +737,7 @@ MALFORMED = {
     ),
     "horizon-zero": (
         lambda d: set_path(d, ("horizon",), 0),
-        "horizon must be >= 1, got 0",
+        "horizon must be an integer >= 1, got 0",
     ),
 }
 
@@ -794,6 +794,8 @@ class TestRefusal:
             (("--alpha", "inf"), "alpha must be a finite number >= 1, got inf"),
             (("--alpha", "nan"), "alpha must be a finite number >= 1, got nan"),
             (("--alpha", "0.5"), "alpha must be a finite number >= 1, got 0.5"),
+            (("--family", "staircase", "--level", "1", "--capacity", "1e308", "--eps", "1e-308"),
+             "capacity / size_cap must be finite, got 1e+308 / 1e-308"),
         ],
     )
     def test_gen_refuses_non_finite_knapsack(self, capsys, flags, message):

@@ -82,6 +82,25 @@ class TestTypes:
             KnapsackSpec(10.0, 1.0, 1, 1, 11.0)  # size cap above capacity
         assert KnapsackSpec(10.0, 2.0, 2, 6, 5.0).alpha == 3.0
 
+    @pytest.mark.parametrize(
+        "dlo, dhi, message",
+        [
+            (1.0, 4, "duration_lo must be an integer >= 1, got 1.0"),
+            (1.5, 2.5, "duration_lo must be an integer >= 1, got 1.5"),
+            (True, 4, "duration_lo must be an integer >= 1, got True"),
+            (0, 4, "duration_lo must be an integer >= 1, got 0"),
+            (1, 4.0, "duration_hi must be an integer >= 1 (duration_lo), got 4.0"),
+            (1, 4.5, "duration_hi must be an integer >= 1 (duration_lo), got 4.5"),
+            (3, 2, "duration_hi must be an integer >= 3 (duration_lo), got 2"),
+        ],
+    )
+    def test_knapsack_durations(self, dlo, dhi, message):
+        # Durations are slot counts: the parser, the generator and the
+        # engine take them as integers, so the spec refuses anything else.
+        with pytest.raises(ValueError) as exc:
+            KnapsackSpec(10.0, 4.0, dlo, dhi, 10.0)
+        assert str(exc.value) == message
+
     def test_density(self):
         assert opt(2.0, 12.0, 1, 3).density() == 2.0
 
@@ -220,7 +239,7 @@ OFF = opt(0.0, 0.0, 1, 1, eligible=False)
 
 # One case per structural rule: (horizon, knapsack count, items, message).
 STRUCTURAL = {
-    "horizon": (0, 1, [], "horizon must be >= 1, got 0"),
+    "horizon": (0, 1, [], "horizon must be an integer >= 1, got 0"),
     "duplicate-id": (
         20, 1, [single(1.0, 2.0, 1, 1, item_id=7), single(1.0, 2.0, 1, 1, item_id=7)],
         "duplicate item id 7",
@@ -286,6 +305,14 @@ class TestStructure:
         with pytest.raises(ValueError) as info:
             Instance(horizon, (KS,) * k, tuple(items))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("horizon", [2.5, 20.0, True])
+    def test_horizon_is_an_integer(self, horizon):
+        # The parser refuses these as field types; a record built in Python
+        # is refused by the constructor.
+        with pytest.raises(ValueError) as info:
+            Instance(horizon, (KS,), ())
+        assert str(info.value) == f"horizon must be an integer >= 1, got {horizon!r}"
 
     def test_first_violation_reported(self):
         # Item 1 breaks the order and has a bad option; the order comes first.

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from knapdep.core import KnapsackSpec, dumps_instance, validate_instance
+from knapdep.core import KnapsackSpec, dumps_instance, loads_instance, validate_instance
 from knapdep.instances import (
     GenSpec,
     TraceMapping,
@@ -112,21 +112,13 @@ class TestGenSpecRefusal:
             GenSpec("uniform", n, horizon, (ksp(),), 0)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize(
-        "dlo, dhi, message",
-        [
-            (1.0, 4, "knapsack 1 duration_lo must be an integer >= 1, got 1.0"),
-            (1, 4.0, "knapsack 1 duration_hi must be an integer >= 1, got 4.0"),
-            (1, 4.5, "knapsack 1 duration_hi must be an integer >= 1, got 4.5"),
-        ],
-    )
-    def test_knapsack_durations(self, dlo, dhi, message):
-        # KnapsackSpec takes these (it only compares them); the generator
-        # draws integers in their range, so it refuses them.
-        knapsacks = (ksp(), KnapsackSpec(10.0, 4.0, dlo, dhi, 10.0))
+    def test_knapsack_durations(self):
+        # The generator draws integers in each knapsack's duration range;
+        # KnapsackSpec refuses a non-integer bound before a spec can hold it
+        # (its cases are in test_core).
         with pytest.raises(ValueError) as exc:
-            GenSpec("uniform", 3, 40, knapsacks, 0)
-        assert str(exc.value) == message
+            GenSpec("uniform", 3, 40, (ksp(), KnapsackSpec(10.0, 4.0, 1, 4.5, 10.0)), 0)
+        assert str(exc.value) == "duration_hi must be an integer >= 1 (duration_lo), got 4.5"
 
 
 class TestGenBurst:
@@ -307,6 +299,36 @@ class TestIngestTrace:
         assert stats.rows_dropped == 1
         assert inst.num_items == 2
         assert validate_instance(inst).ok
+
+    @pytest.mark.parametrize("horizon", [None, 3, 3.0, 10.5])
+    @pytest.mark.parametrize("durations", [(1, 2), (1.0, 2.0)])
+    @pytest.mark.parametrize("assign", ["replicate", "partition"])
+    @pytest.mark.parametrize("violation", ["clamp", "drop"])
+    def test_ingested_instance_round_trips(self, tmp_path, violation, assign, durations, horizon):
+        # Rows kept, clamped and dropped on either knapsack.  What ingest
+        # builds, the parser reads back as it was; a horizon or duration
+        # bound that is not an integer is refused, never built.
+        def ingest():
+            knapsacks = [KnapsackSpec(10.0, 8.0, *durations, 10.0), ksp(theta=2.0, eps=2.5)]
+            mapping = self.mapping(violation_policy=violation, assign_policy=assign)
+            return ingest_trace(self.write(tmp_path), mapping, knapsacks, horizon=horizon)
+
+        if type(horizon) is float or type(durations[0]) is float:
+            with pytest.raises(ValueError, match="must be an integer >= 1, got"):
+                ingest()
+            return
+        inst, stats = ingest()
+        assert stats.rows_kept == inst.num_items > 0
+        assert loads_instance(dumps_instance(inst)) == inst
+
+    def test_row_at_density_cap_is_kept(self, tmp_path):
+        # value == theta * size * duration, though value / (size * duration)
+        # rounds one ulp above theta: clamping would not change the row, so
+        # it is within the bounds.
+        text = "when,need,runtime,worth\n1,0.6,3,2.16\n"
+        inst, stats = ingest_trace(self.write(tmp_path, text), self.mapping(), [ksp(theta=1.2)])
+        assert (stats.rows_kept, stats.rows_clamped) == (1, 0)
+        assert inst.items[0].options[0].value == 2.16
 
 
 class TestCollectorPause:
