@@ -22,7 +22,6 @@ _MODULE_OF = {
             "ItemOption",
             "KnapsackSpec",
             "SchemaError",
-            "SlotInterval",
             "UtilizationState",
             "ValidationReport",
             "assignment_violations",

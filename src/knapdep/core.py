@@ -8,9 +8,10 @@ logic lives in :mod:`knapdep.engine`, the offline solver in
 
 Each input rule is coded once: field types in the parser, knapsack fields
 (integer durations among them) in ``KnapsackSpec``, structure (an integer
-horizon among it) in ``Instance``, declared bounds in ``validate_instance``
-(a trace row being ingested breaks them when clamping would change it),
-and the gamma domain and size precondition in :mod:`knapdep.threshold`.
+horizon, and integer ids, arrivals and windows, among it) in ``Instance``,
+declared bounds in ``validate_instance`` (a trace row being ingested
+breaks them when clamping would change it), and the gamma domain and size
+precondition in :mod:`knapdep.threshold`.
 
 Records hold only scalars and tuples and cannot form cycles, so the bulk
 builders of them pause the cyclic collector (``_CollectorPaused``).
@@ -39,20 +40,30 @@ class SchemaError(ValueError):
     """Raised when instance JSON does not match the documented schema."""
 
 
+def _integer(value: object) -> bool:
+    """Whether ``value`` is an integer: an int or a subclass of it, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_count(name: str, value: object, low: int, alternative: str = "") -> None:
     """Refuse anything but an integer >= ``low`` (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    if not _integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}{alternative}, got {value!r}")
 
 
-class SlotInterval(NamedTuple):
-    """Contiguous window of integer slots {start, ..., start+duration-1}.
+class ItemOption(NamedTuple):
+    """Per-knapsack request of an item: size and value over the window of
+    integer slots {start, ..., start+duration-1}.
 
-    ``SlotInterval``, ``ItemOption`` and ``Item`` are plain records that
-    check nothing themselves: ``Instance`` checks every rule on them once,
-    when it is made.
+    Ineligible options are placeholders; apart from their window's bounds,
+    their fields are ignored by validation and by the engine.  ``ItemOption``
+    and ``Item`` are plain records that check nothing themselves:
+    ``Instance`` checks every rule on them once, when it is made.
     """
 
+    eligible: bool
+    size: float
+    value: float
     start: int
     duration: int
 
@@ -64,22 +75,14 @@ class SlotInterval(NamedTuple):
     def slots(self) -> range:
         return range(self.start, self.start + self.duration)
 
-
-class ItemOption(NamedTuple):
-    """Per-knapsack request of an item: size, value, and slot window.
-
-    Ineligible options are placeholders; apart from their window's
-    bounds, their fields are ignored by validation and by the engine.
-    """
-
-    eligible: bool
-    size: float
-    value: float
-    interval: SlotInterval
-
     def density(self) -> float:
         """Value per unit size per slot, value / (size * duration)."""
-        return self.value / (self.size * self.interval.duration)
+        return self.value / (self.size * self.duration)
+
+    @property
+    def interval(self) -> ItemOption:
+        """The option itself; kept only for a benchmark tracer that reads ``.interval.duration``."""
+        return self
 
 
 class Item(NamedTuple):
@@ -143,11 +146,11 @@ class Instance:
 
     Well-formed by construction: the constructor raises ValueError on the
     first break of the structural rules (an integer horizon >= 1, unique
-    ids, arrivals >= 1 and nondecreasing, one option per knapsack, every
-    option's window with start >= 1 and duration >= 1, and for each
-    eligible option a finite size > 0, a finite value > 0 and a window
-    ending by the horizon), so everything downstream relies on them.  This
-    is the one place the records it holds are checked.
+    integer ids, integer arrivals >= 1 and nondecreasing, one option per
+    knapsack, every option's window with integers start >= 1 and duration
+    >= 1, and for each eligible option a finite size > 0, a finite value
+    > 0 and a window ending by the horizon), so everything downstream
+    relies on them.  This is the one place the records it holds are checked.
     """
 
     horizon: int
@@ -163,9 +166,15 @@ class Instance:
         seen: set[int] = set()
         prev_arrival = 1
         for item_id, arrival, options in self.items:
+            if type(item_id) is not int and not _integer(item_id):  # seen: one id per item so far
+                raise ValueError(
+                    f"item at position {len(seen)}: id must be an integer, got {item_id!r}"
+                )
             if item_id in seen:
                 raise ValueError(f"duplicate item id {item_id}")
             seen.add(item_id)
+            if type(arrival) is not int and not _integer(arrival):
+                raise ValueError(f"item {item_id}: arrival must be an integer, got {arrival!r}")
             if arrival < prev_arrival:  # prev_arrival starts at 1
                 raise ValueError(
                     f"item {item_id}: arrival must be >= 1, got {arrival}"
@@ -175,10 +184,14 @@ class Instance:
             prev_arrival = arrival
             if len(options) != K:
                 raise ValueError(f"item {item_id}: expected {K} options, got {len(options)}")
-            for k, (eligible, size, value, (start, duration)) in enumerate(options):
+            for k, (eligible, size, value, start, duration) in enumerate(options):
                 # One test per rule, in this order; text only for the one broken.
-                if start < 1:
+                if type(start) is not int and not _integer(start):
+                    fault = f"interval start must be an integer, got {start!r}"
+                elif start < 1:
                     fault = f"interval start must be >= 1, got {start}"
+                elif type(duration) is not int and not _integer(duration):
+                    fault = f"interval duration must be an integer, got {duration!r}"
                 elif duration < 1:
                     fault = f"interval duration must be >= 1, got {duration}"
                 elif not eligible:
@@ -220,9 +233,8 @@ class UtilizationState:
     def num_knapsacks(self) -> int:
         return len(self._z)
 
-    def window(self, knapsack: int, interval: SlotInterval) -> list[float]:
-        """Utilization of the slots of ``interval``, in slot order; never empty."""
-        start, duration = interval
+    def window(self, knapsack: int, start: int, duration: int) -> list[float]:
+        """Utilization of slots ``start`` to ``start + duration - 1``, in order; never empty."""
         stop = start + duration
         row = self._z[knapsack]
         if duration < 1:
@@ -231,12 +243,12 @@ class UtilizationState:
             raise ValueError(f"window {start}..{stop - 1} is outside slots 1..{len(row) - 1}")
         return row[start:stop]
 
-    def add(self, knapsack: int, interval: SlotInterval, size: float) -> None:
+    def add(self, knapsack: int, start: int, duration: int, size: float) -> None:
+        """Add ``size`` to slots ``start`` to ``start + duration - 1``."""
         if not size >= 0:  # NaN too, which would poison every slot it touched
             raise ValueError(f"utilization updates must be nonnegative, got {size}")
-        start, duration = interval
         self._z[knapsack][start:start + duration] = [
-            z + size for z in self.window(knapsack, interval)
+            z + size for z in self.window(knapsack, start, duration)
         ]
 
     def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
@@ -351,7 +363,7 @@ def validate_instance(
     # One test per rule; the text of a finding is formed only when it fires.
     for item_id, arrival, options in inst.items:
         vacuous = True
-        for k, (eligible, size, value, (start, d)) in enumerate(options):
+        for k, (eligible, size, value, start, d) in enumerate(options):
             if not eligible:
                 continue
             vacuous = False
@@ -424,7 +436,7 @@ def assignment_violations(
         if not opt.eligible:
             violations.append(f"item {item.id}: assigned to ineligible knapsack {k}")
             continue
-        for t in opt.interval.slots():
+        for t in opt.slots():
             load[(k, t)] = load.get((k, t), 0.0) + opt.size
     for (k, t), z in sorted(load.items()):
         cap = inst.knapsacks[k].capacity
@@ -523,7 +535,7 @@ def dumps_instance(inst: Instance) -> str:
     items = []
     for item_id, arrival, item_options in inst.items:
         options = []
-        for eligible, size, value, (start, duration) in item_options:
+        for eligible, size, value, start, duration in item_options:
             # Exact types with finite floats (x - x is nan for inf and nan)
             # format as their repr, which is their JSON text; any other
             # option is spelled field by field.
@@ -666,15 +678,10 @@ def _build_instance(top: dict, item_objs: Iterable) -> Instance:
                 if (type(eligible) is bool and type(size) is type(value) is float
                         and type(start) is type(duration) is int
                         and size - size == value - value == 0.0):
-                    options.append(
-                        new(ItemOption, (eligible, size, value, new(SlotInterval, (start, duration))))
-                    )
+                    options.append(new(ItemOption, (eligible, size, value, start, duration)))
                     continue
             where = f"item at position {len(items)}, option {len(options)}"
-            eligible, size, value, start, duration = _option_values(
-                _checked(oobj, _OPTION_FIELDS, where)
-            )
-            options.append(ItemOption(eligible, size, value, SlotInterval(start, duration)))
+            options.append(ItemOption(*_option_values(_checked(oobj, _OPTION_FIELDS, where))))
         items.append(new(Item, (item_id, arrival, tuple(options))))
     try:
         return Instance(top["horizon"], tuple(knapsacks), tuple(items))

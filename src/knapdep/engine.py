@@ -69,10 +69,10 @@ def step(
     entries: list[KnapsackAudit] = []
     best: Optional[int] = None
     best_value = 0.0
-    for k, (eligible, size, value, interval) in enumerate(item.options):
+    for k, (eligible, size, value, start, duration) in enumerate(item.options):
         if not eligible:
             continue
-        window = state.window(k, interval)
+        window = state.window(k, start, duration)
         phi = thresholds[k].charge(size, window)
         # Tested on the fullest slot only, exact as z + size is monotone in z.
         fits = max(window) + size <= specs[k].capacity
@@ -83,7 +83,7 @@ def step(
             best_value = value
     if best is not None:
         chosen = item.options[best]
-        state.add(best, chosen.interval, chosen.size)
+        state.add(best, chosen.start, chosen.duration, chosen.size)
     return new(Decision, (item.id, best)), new(ItemAudit, (item.id, tuple(entries)))
 
 

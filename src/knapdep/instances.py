@@ -23,7 +23,6 @@ from .core import (
     Item,
     ItemOption,
     KnapsackSpec,
-    SlotInterval,
     _CollectorPaused,
     check_count,
 )
@@ -94,7 +93,7 @@ def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Insta
         (ks.duration_lo, ks.duration_hi - ks.duration_lo + 1, ks.size_cap, ks.theta - 1.0)
         for ks in spec.knapsacks
     ]
-    ineligible = ItemOption(False, 0.0, 0.0, SlotInterval(1, 1))
+    ineligible = ItemOption(False, 0.0, 0.0, 1, 1)
     items = []
     for item_id, arrival in enumerate(arrivals):
         options = []
@@ -104,8 +103,9 @@ def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Insta
             size = size_cap * (1.0 - random())
             density = 1.0 + spread * random()  # Random.uniform(1.0, theta)
             if always or random() < eligibility:
-                interval = new(SlotInterval, (start, duration))
-                options.append(new(ItemOption, (True, size, density * size * duration, interval)))
+                options.append(
+                    new(ItemOption, (True, size, density * size * duration, start, duration))
+                )
             else:
                 options.append(ineligible)
         items.append(new(Item, (item_id, arrival, tuple(options))))
@@ -171,13 +171,12 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
         )
     per_batch = math.ceil(batches)
     size = ks.capacity / per_batch
-    window = SlotInterval(start=1, duration=duration)
 
     items: list[Item] = []
     prefixes: list[Instance] = []
     for level in range(1, levels + 1):
         density = ks.theta ** ((level - 1) / (levels - 1))
-        options = (ItemOption(True, size, density * size * duration, window),)
+        options = (ItemOption(True, size, density * size * duration, 1, duration),)
         for _ in range(per_batch):
             items.append(Item(len(items), 1, options))
         prefixes.append(Instance(spec.horizon, spec.knapsacks, tuple(items)))
@@ -349,9 +348,7 @@ def ingest_trace(
         for k, ks in enumerate(knapsacks):
             eligible = mapping.assign_policy == "replicate" or idx % len(knapsacks) == k
             if not eligible:
-                options.append(
-                    ItemOption(False, 0.0, 0.0, SlotInterval(start=1, duration=1))
-                )
+                options.append(ItemOption(False, 0.0, 0.0, 1, 1))
                 continue
             clamp = _clamp_row(ks, size, duration, value, room)
             if clamp != (size, duration, value):
@@ -363,14 +360,7 @@ def ingest_trace(
             if k_val is None:
                 density = (1.0 + ks.theta) / 2.0
                 k_val = density * k_size * k_dur
-            options.append(
-                ItemOption(
-                    eligible=True,
-                    size=k_size,
-                    value=k_val,
-                    interval=SlotInterval(start=start, duration=k_dur),
-                )
-            )
+            options.append(ItemOption(True, k_size, k_val, start, k_dur))
         if dropped:
             stats.rows_dropped += 1
             continue

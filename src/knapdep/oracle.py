@@ -76,8 +76,8 @@ def _prepared(inst: Instance):
     for item in inst.items:
         opts = []
         for k, opt in item.eligible_options():
-            first = k * stride + opt.interval.start
-            keys = range(first, first + opt.interval.duration)
+            first = k * stride + opt.start
+            keys = range(first, first + opt.duration)
             opts.append((k, opt.size, opt.value, keys))
         options.append(opts)
     return options, inst.num_knapsacks * stride + 1
@@ -368,7 +368,7 @@ def upper_bound(inst: Instance) -> float:
         for item in inst.items:
             opt = item.options[k]
             if opt.eligible:
-                slots.update(opt.interval.slots())
+                slots.update(opt.slots())
                 density = max(density, opt.density())
         capacity_sum += density * spec.capacity * len(slots)
 

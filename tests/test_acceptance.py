@@ -16,7 +16,6 @@ from knapdep.core import (
     Item,
     ItemOption,
     KnapsackSpec,
-    SlotInterval,
     UtilizationState,
     assignment_violations,
 )
@@ -243,26 +242,26 @@ def test_criterion_5_admission_semantics():
         fn = ExponentialThreshold(gamma=gamma, capacity=capacity)
         duration = rng.randint(1, 6)
         start = rng.randint(1, 50)
-        interval = SlotInterval(start, duration)
-        snapshot = {t: rng.uniform(0.0, capacity) for t in interval.slots()}
+        slots = range(start, start + duration)
+        snapshot = {t: rng.uniform(0.0, capacity) for t in slots}
         size = rng.uniform(0.0, capacity) + 1e-12
         value = rng.uniform(0.0, 2.0 * gamma * size * duration * capacity)
         # Admission through the engine's one path, ``step``, over a state
         # seeded slot by slot; 0.0 + z is exact, so the state holds snapshot.
-        state = UtilizationState(1, interval.end)
-        for t in interval.slots():
-            state.add(0, SlotInterval(t, 1), snapshot[t])
-        item = Item(0, 1, (ItemOption(True, size, value, interval),))
+        state = UtilizationState(1, slots[-1])
+        for t in slots:
+            state.add(0, t, 1, snapshot[t])
+        item = Item(0, 1, (ItemOption(True, size, value, start, duration),))
         spec = KnapsackSpec(capacity, 1.0, 1, 1, capacity)
         decision, audit = step(item, state, [fn], [spec])
         (entry,) = audit.entries
         # Left to right in slot order, as the engine adds: builtin sum() of
         # floats is compensated from Python 3.12 on and would differ.
         expected_phi = 0.0
-        for t in interval.slots():
+        for t in slots:
             expected_phi += size * fn.eval(snapshot[t])
         expected = value >= expected_phi and all(
-            snapshot[t] + size <= capacity for t in interval.slots()
+            snapshot[t] + size <= capacity for t in slots
         )
         if (
             decision.admitted != expected
@@ -315,7 +314,7 @@ def test_criterion_7_tuner_safety():
     # Constant-profit landscape: single tiny item admitted under every
     # candidate, so the tie-break must return the default gamma.
     ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
-    item = Item(0, 1, (ItemOption(True, 1.0, 2.0, SlotInterval(1, 2)),))
+    item = Item(0, 1, (ItemOption(True, 1.0, 2.0, 1, 2),))
     flat_training = (Instance(10, (ks,), (item,)),)
     flat = tune_gamma(flat_training, TuneSpec(delta=0.5, grid_points=11))
     tie_ok = flat.multiplier == 1.0 and flat.gammas == flat.defaults

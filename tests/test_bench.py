@@ -13,7 +13,7 @@ from knapdep.bench import (
     bench_suite,
     tune_gamma,
 )
-from knapdep.core import Instance, Item, ItemOption, KnapsackSpec, SlotInterval
+from knapdep.core import Instance, Item, ItemOption, KnapsackSpec
 from knapdep.engine import run
 from knapdep.instances import GenSpec, gen_staircase, gen_uniform
 from knapdep.oracle import solve_bruteforce
@@ -29,7 +29,7 @@ def empty_instance():
 
 
 def single_item_instance(value=7.0):
-    item = Item(0, 1, (ItemOption(True, 1.0, value, SlotInterval(1, 2)),))
+    item = Item(0, 1, (ItemOption(True, 1.0, value, 1, 2),))
     return Instance(10, (ksp(),), (item,))
 
 
@@ -242,7 +242,7 @@ class TestBenchSuite:
         # leaves out of the mean.
         ks = KnapsackSpec(10.0, 4.0, 1, 1, 10.0)
         tiny, full = (
-            Item(i, 1, (ItemOption(True, 10.0, value, SlotInterval(1, 1)),))
+            Item(i, 1, (ItemOption(True, 10.0, value, 1, 1),))
             for i, value in enumerate((1e-320, 10.0))
         )
         suite = [("overflow", Instance(1, (ks,), (tiny, full))),

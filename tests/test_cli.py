@@ -818,11 +818,11 @@ class TestRefusal:
         assert (tmp_path / "rep.csv").exists()
 
 
-# Outputs whose arithmetic is IEEE-exact (+, *, / and comparisons), pinned
-# by sha256 so byte identity is checked across commits, not only within
-# one run.  run and bench are left out: their charges go through libm exp,
-# whose last bit is not pinned across platforms.  Burst arrivals draw from
-# random.gauss (libm log and cos) but are rounded to integer slots.
+# Outputs pinned by sha256, so byte identity is checked across commits,
+# not only within one run.  Most are IEEE-exact (+, *, / and comparisons);
+# burst arrivals draw from random.gauss (libm log and cos) but are rounded
+# to integer slots.  The run and bench charges go through libm exp, so
+# those digests also assume a platform exp that rounds as glibc's does.
 UNIFORM = ("gen", "--n", "16", "--k", "2", "--t", "30", "--capacity", "4",
            "--theta", "8", "--eps", "2", "--seed", "5")
 BURST = ("gen", "--family", "burst", "--n", "30", "--k", "2", "--t", "40",
@@ -831,6 +831,8 @@ BURST = ("gen", "--family", "burst", "--n", "30", "--k", "2", "--t", "40",
 # its eligibility draw are pinned too; the two above have none.
 UNIFORM_INELIGIBLE = ("gen", "--k", "3", "--eligibility", "0.5")
 BURST_INELIGIBLE = ("gen", "--family", "burst", "--eligibility", "0.4")
+STAIRCASE = ("gen", "--family", "staircase", "--theta", "4", "--alpha", "1",
+             "--eps", "2.5", "--level", "3")
 GOLDEN = {
     "uniform": "4e463e285294543fd9589e563cb19056d2891de9fa7ce4e3f528efc4b58300fd",
     "burst": "36e0bc5defa2c8a69a70165c70b9120583dce93db19d1ebf696edf8d3f3ca9e5",
@@ -839,6 +841,10 @@ GOLDEN = {
     "budget": "6c08e1a602cef56203b52a0ecc254c00507ea0117419d6141e852203e0bf7e33",
     "uniform_ineligible": "5aad842b4c223b1e86b7070bf1adc55d3eb41ac7108a96838cde7f8b1c8b0915",
     "burst_ineligible": "f13b7a54223cadf3b2df1a7bee7440cf7b722a440ced1a9bad1571ee0429bdd9",
+    "run": "fd183b08b9c0b9b4e4171eb33a7b3073a43ee057bb9b4985166d2ba2a338570d",
+    "run_ineligible": "65de122892efc2032281991670cab2a25e85f1bad60206f9706ec41856b64038",
+    "staircase": "f39001ae52f016b886e85470e254af0a65f4cd97ee65b2dd437cd0ed15aa6af7",
+    "bench": "89b43d9e6056730514c24e680cd183536dc38af82e86b46d581741428c98652c",
 }
 
 
@@ -848,18 +854,28 @@ def test_golden_bytes(tmp_path, capsys):
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
     uniform, burst = tmp_path / "uniform.json", tmp_path / "burst.json"
+    ineligible, suite = tmp_path / "ineligible.json", tmp_path / "suite"
     got = {
         "uniform": digest(*UNIFORM),
         "burst": digest(*BURST),
         "uniform_ineligible": digest(*UNIFORM_INELIGIBLE),
         "burst_ineligible": digest(*BURST_INELIGIBLE),
+        "staircase": digest(*STAIRCASE),
     }
     assert cli(*UNIFORM, "--out", str(uniform)) == 0
     assert cli(*BURST, "--out", str(burst)) == 0
+    assert cli(*BURST_INELIGIBLE, "--out", str(ineligible)) == 0
+    suite.mkdir()
+    for seed in (1, 2, 3):
+        out = str(suite / f"i{seed}.json")
+        assert cli("gen", "--n", "8", "--k", "2", "--seed", str(seed), "--out", out) == 0
     capsys.readouterr()
     got["validate"] = digest("validate", "--input", str(uniform), "--strict")
     got["opt"] = digest("opt", "--input", str(uniform))
     got["budget"] = digest("opt", "--input", str(burst), "--node-budget", "2000")
+    got["run"] = digest("run", "--input", str(uniform))
+    got["run_ineligible"] = digest("run", "--input", str(ineligible))
+    got["bench"] = digest("bench", "--input", str(suite))
     assert got == GOLDEN
 
 

@@ -16,7 +16,6 @@ from knapdep.core import (
     ItemOption,
     KnapsackSpec,
     SchemaError,
-    SlotInterval,
     UtilizationState,
     assignment_violations,
     dumps_instance,
@@ -33,7 +32,7 @@ from knapdep.threshold import for_instance
 
 
 def opt(size, value, start, duration, eligible=True):
-    return ItemOption(eligible, size, value, SlotInterval(start, duration))
+    return ItemOption(eligible, size, value, start, duration)
 
 
 def single(size, value, start, duration, item_id=0, arrival=1):
@@ -47,9 +46,9 @@ def make_instance(items, capacity=10.0, theta=4.0, dlo=1, dhi=4, eps=None, horiz
 
 class TestTypes:
     def test_interval_slots(self):
-        iv = SlotInterval(start=3, duration=4)
-        assert list(iv.slots()) == [3, 4, 5, 6]
-        assert iv.end == 6
+        option = opt(1.0, 2.0, start=3, duration=4)
+        assert list(option.slots()) == [3, 4, 5, 6]
+        assert option.end == 6
 
     def test_interval_rejects_bad_bounds(self):
         # The records check nothing; Instance checks every window's bounds,
@@ -295,6 +294,51 @@ STRUCTURAL = {
     ),
 }
 
+# Ids, arrivals and windows are integers, never bools, as the parser
+# requires of the document; ids may be any integer.  Same layout as above.
+NON_INTEGER = {
+    "id-half": (
+        20, 1, [single(1.0, 2.0, 1, 1, item_id=0.5)],
+        "item at position 0: id must be an integer, got 0.5",
+    ),
+    "id-bool": (
+        20, 1, [single(1.0, 2.0, 1, 1, item_id=1), single(1.0, 2.0, 1, 1, item_id=True)],
+        "item at position 1: id must be an integer, got True",
+    ),
+    "id-string": (
+        20, 1, [single(1.0, 2.0, 1, 1, item_id="a")],
+        "item at position 0: id must be an integer, got 'a'",
+    ),
+    "arrival-half": (
+        20, 1, [single(1.0, 2.0, 2, 1, arrival=1.5)],
+        "item 0: arrival must be an integer, got 1.5",
+    ),
+    "start-float": (
+        20, 1, [single(1.0, 2.0, 1.0, 2)],
+        "item 0, knapsack 0: interval start must be an integer, got 1.0",
+    ),
+    "start-half": (
+        20, 1, [single(1.0, 2.0, 2.5, 2)],
+        "item 0, knapsack 0: interval start must be an integer, got 2.5",
+    ),
+    "start-bool": (
+        20, 1, [single(1.0, 2.0, True, 2)],
+        "item 0, knapsack 0: interval start must be an integer, got True",
+    ),
+    "duration-float": (
+        20, 1, [single(1.0, 2.0, 1, 2.0)],
+        "item 0, knapsack 0: interval duration must be an integer, got 2.0",
+    ),
+    "duration-half": (
+        20, 1, [single(1.0, 2.0, 1, 2.5)],
+        "item 0, knapsack 0: interval duration must be an integer, got 2.5",
+    ),
+    "ineligible-start-float": (
+        20, 2, [Item(3, 1, (opt(1.0, 2.0, 1, 1), opt(0.0, 0.0, 1.0, 1, eligible=False)))],
+        "item 3, knapsack 1: interval start must be an integer, got 1.0",
+    ),
+}
+
 
 class TestStructure:
     """Every ``Instance`` is well-formed: the constructor refuses the rest."""
@@ -314,6 +358,26 @@ class TestStructure:
             Instance(horizon, (KS,), ())
         assert str(info.value) == f"horizon must be an integer >= 1, got {horizon!r}"
 
+    @pytest.mark.parametrize("case", list(NON_INTEGER))
+    def test_non_integer_refused(self, case):
+        horizon, k, items, message = NON_INTEGER[case]
+        with pytest.raises(ValueError) as info:
+            Instance(horizon, (KS,) * k, tuple(items))
+        assert str(info.value) == message
+
+    def test_integer_subclasses_accepted(self):
+        # An int subclass is an integer; negative ids are integers too.
+        class Slot(int):
+            pass
+
+        items = (
+            single(1.0, 2.0, 1, 1, item_id=-3),
+            Item(Slot(4), Slot(2), (opt(1.0, 2.0, Slot(2), Slot(3)),)),
+        )
+        inst = Instance(20, (KS,), items)
+        assert loads_instance(dumps_instance(inst)) == inst
+        assert run(inst, for_instance(inst)).assignment() == [0, 0]
+
     def test_first_violation_reported(self):
         # Item 1 breaks the order and has a bad option; the order comes first.
         items = (single(1.0, 2.0, 5, 1, item_id=0, arrival=5),
@@ -325,7 +389,7 @@ class TestStructure:
         # Placeholder numbers and windows are ignored, as everywhere else.
         item = Item(0, 1, (opt(0.0, -1.0, 40, 5, eligible=False), opt(1.0, 2.0, 16, 5)))
         inst = Instance(20, (KS, KS), (item,))
-        assert inst.items[0].options[1].interval.end == inst.horizon
+        assert inst.items[0].options[1].end == inst.horizon
 
     @pytest.mark.parametrize("case", list(STRUCTURAL))
     def test_parser_passes_message_on(self, case):
@@ -338,7 +402,7 @@ class TestStructure:
                 "arrival": it.arrival,
                 "options": [
                     {"eligible": o.eligible, "size": o.size, "value": o.value,
-                     "start": o.interval.start, "duration": o.interval.duration}
+                     "start": o.start, "duration": o.duration}
                     for o in it.options
                 ],
             }
@@ -399,28 +463,28 @@ class TestObservedParameters:
 class TestUtilizationState:
     def test_sparse_default_zero(self):
         state = UtilizationState(2, horizon=10)
-        assert state.window(0, SlotInterval(5, 1)) == [0.0]
-        state.add(0, SlotInterval(5, 2), 1.5)
-        assert state.window(0, SlotInterval(4, 4)) == [0.0, 1.5, 1.5, 0.0]
-        assert state.window(1, SlotInterval(5, 1)) == [0.0]
+        assert state.window(0, 5, 1) == [0.0]
+        state.add(0, 5, 2, 1.5)
+        assert state.window(0, 4, 4) == [0.0, 1.5, 1.5, 0.0]
+        assert state.window(1, 5, 1) == [0.0]
 
     def test_window_covers_interval(self):
         state = UtilizationState(1, horizon=3)
-        state.add(0, SlotInterval(2, 1), 3.0)
-        assert state.window(0, SlotInterval(1, 3)) == [0.0, 3.0, 0.0]
+        state.add(0, 2, 1, 3.0)
+        assert state.window(0, 1, 3) == [0.0, 3.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            UtilizationState(1, horizon=1).add(0, SlotInterval(1, 1), -1.0)
+            UtilizationState(1, horizon=1).add(0, 1, 1, -1.0)
 
     def test_rejects_nan_size(self):
         # NaN passes a plain `size < 0` test and would poison the slots.
         state = UtilizationState(1, horizon=4)
-        state.add(0, SlotInterval(2, 1), 1.0)
+        state.add(0, 2, 1, 1.0)
         with pytest.raises(ValueError) as info:
-            state.add(0, SlotInterval(2, 2), math.nan)
+            state.add(0, 2, 2, math.nan)
         assert str(info.value) == "utilization updates must be nonnegative, got nan"
-        assert state.window(0, SlotInterval(1, 4)) == [0.0, 1.0, 0.0, 0.0]
+        assert state.window(0, 1, 4) == [0.0, 1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("duration", [0, -2])
     def test_window_refuses_duration_below_one(self, duration):
@@ -428,24 +492,24 @@ class TestUtilizationState:
         state = UtilizationState(1, horizon=4)
         message = f"window duration must be >= 1, got {duration}"
         with pytest.raises(ValueError) as info:
-            state.window(0, SlotInterval(2, duration))
+            state.window(0, 2, duration)
         assert str(info.value) == message
         with pytest.raises(ValueError, match=message):
-            state.add(0, SlotInterval(2, duration), 1.0)
+            state.add(0, 2, duration, 1.0)
         assert list(state.covered(0)) == []
 
     def test_window_may_end_on_the_horizon(self):
         state = UtilizationState(1, horizon=4)
-        state.add(0, SlotInterval(3, 2), 1.0)
-        assert state.window(0, SlotInterval(1, 4)) == [0.0, 0.0, 1.0, 1.0]
-        assert state.window(0, SlotInterval(4, 1)) == [1.0]
+        state.add(0, 3, 2, 1.0)
+        assert state.window(0, 1, 4) == [0.0, 0.0, 1.0, 1.0]
+        assert state.window(0, 4, 1) == [1.0]
         assert list(state.covered(0)) == [(3, 1.0), (4, 1.0)]
 
     def test_adds_accumulate_per_slot(self):
         state = UtilizationState(2, horizon=8)
-        state.add(1, SlotInterval(2, 5), 0.5)
-        state.add(1, SlotInterval(6, 2), 0.25)
-        assert state.window(1, SlotInterval(1, 8)) == [
+        state.add(1, 2, 5, 0.5)
+        state.add(1, 6, 2, 0.25)
+        assert state.window(1, 1, 8) == [
             0.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25, 0.0,
         ]
         assert list(state.covered(0)) == []
@@ -455,9 +519,9 @@ class TestUtilizationState:
 
     def test_covered_lists_slots_in_order(self):
         state = UtilizationState(1, horizon=20)
-        state.add(0, SlotInterval(12, 2), 1.0)
-        state.add(0, SlotInterval(3, 2), 5e-324)  # smallest positive size
-        state.add(0, SlotInterval(9, 1), 2.0)
+        state.add(0, 12, 2, 1.0)
+        state.add(0, 3, 2, 5e-324)  # smallest positive size
+        state.add(0, 9, 1, 2.0)
         assert list(state.covered(0)) == [
             (3, 5e-324), (4, 5e-324), (9, 2.0), (12, 1.0), (13, 1.0),
         ]

@@ -8,7 +8,6 @@ from knapdep.core import (
     Item,
     ItemOption,
     KnapsackSpec,
-    SlotInterval,
     UtilizationState,
     assignment_violations,
 )
@@ -23,16 +22,17 @@ def flat(gamma=LN9, capacity=10.0):
     return ExponentialThreshold(gamma=gamma, capacity=capacity)
 
 
-def check(value, size, interval, fn, utilization, capacity):
+def check(value, size, start, duration, fn, utilization, capacity):
     """One admission check through ``step``: (admissible, phi).
 
     A single-knapsack item over a state seeded with ``utilization[i]`` in
-    slot ``interval.start + i``; each seed is added to 0.0, which is exact.
+    slot ``start + i``; each seed is added to 0.0, which is exact.
     """
-    state = UtilizationState(1, interval.end)
-    for t, z in zip(interval.slots(), utilization):
-        state.add(0, SlotInterval(t, 1), z)
-    item = Item(0, 1, (ItemOption(True, size, value, interval),))
+    option = ItemOption(True, size, value, start, duration)
+    state = UtilizationState(1, option.end)
+    for t, z in zip(option.slots(), utilization):
+        state.add(0, t, 1, z)
+    item = Item(0, 1, (option,))
     spec = KnapsackSpec(capacity, 1.0, 1, 1, capacity)
     decision, audit = step(item, state, [fn], [spec])
     (entry,) = audit.entries
@@ -42,24 +42,24 @@ def check(value, size, interval, fn, utilization, capacity):
 
 class TestAdmit:
     def test_empty_knapsack_admits(self):
-        ok, phi = check(5.0, 1.0, SlotInterval(1, 3), flat(), [0.0, 0.0, 0.0], 10.0)
+        ok, phi = check(5.0, 1.0, 1, 3, flat(), [0.0, 0.0, 0.0], 10.0)
         assert ok and phi == 0.0
 
     def test_half_full_rejects_on_value(self):
         # phi(C/2) = 2 at gamma = ln9, so the charge is 3 slots * 1 * 2 = 6 > 5.
-        ok, phi = check(5.0, 1.0, SlotInterval(1, 3), flat(), [5.0, 5.0, 5.0], 10.0)
+        ok, phi = check(5.0, 1.0, 1, 3, flat(), [5.0, 5.0, 5.0], 10.0)
         assert not ok
         assert phi == pytest.approx(6.0, rel=1e-12)
 
     def test_capacity_clause_dominates(self):
-        ok, _ = check(100.0, 2.0, SlotInterval(4, 1), flat(), [9.0], 10.0)
+        ok, _ = check(100.0, 2.0, 4, 1, flat(), [9.0], 10.0)
         assert not ok
 
     def test_tie_admits(self):
         fn = flat(gamma=math.log(2.0), capacity=1.0)
         z = 0.5
         # value == charge exactly and z + size == capacity exactly: both admit.
-        ok, _ = check((1.0 - z) * fn.eval(z), 1.0 - z, SlotInterval(1, 1), fn, [z], 1.0)
+        ok, _ = check((1.0 - z) * fn.eval(z), 1.0 - z, 1, 1, fn, [z], 1.0)
         assert ok
 
 
@@ -68,8 +68,8 @@ def two_knapsack_item(v1, v2, size=1.0, start=1, duration=1):
         0,
         1,
         (
-            ItemOption(True, size, v1, SlotInterval(start, duration)),
-            ItemOption(True, size, v2, SlotInterval(start, duration)),
+            ItemOption(True, size, v1, start, duration),
+            ItemOption(True, size, v2, start, duration),
         ),
     )
 
@@ -96,13 +96,13 @@ class TestStep:
     def test_neither_admissible_leaves_state(self):
         specs, thresholds = two_knapsack_setup()
         state = UtilizationState(2, 1)
-        state.add(0, SlotInterval(1, 1), 9.5)
-        state.add(1, SlotInterval(1, 1), 9.5)
+        state.add(0, 1, 1, 9.5)
+        state.add(1, 1, 1, 9.5)
         decision, audit = step(
             two_knapsack_item(4.0, 4.0), state, thresholds, specs
         )
         assert decision.knapsack is None
-        assert state.window(0, SlotInterval(1, 1)) == state.window(1, SlotInterval(1, 1)) == [9.5]
+        assert state.window(0, 1, 1) == state.window(1, 1, 1) == [9.5]
         assert all(not e.fits for e in audit.entries)
 
     def test_ineligible_never_queried(self):
@@ -111,8 +111,8 @@ class TestStep:
             0,
             1,
             (
-                ItemOption(False, 0.0, 0.0, SlotInterval(1, 1)),
-                ItemOption(True, 1.0, 2.0, SlotInterval(1, 1)),
+                ItemOption(False, 0.0, 0.0, 1, 1),
+                ItemOption(True, 1.0, 2.0, 1, 1),
             ),
         )
         state = UtilizationState(2, 1)
@@ -121,26 +121,26 @@ class TestStep:
         assert [e.knapsack for e in audit.entries] == [1]
 
     @pytest.mark.parametrize(
-        "interval, message",
+        "start, duration, message",
         [
-            (SlotInterval(2, 4), "window 2..5 is outside slots 1..3"),
-            (SlotInterval(0, 2), "window 0..1 is outside slots 1..3"),
-            (SlotInterval(2, 0), "window duration must be >= 1, got 0"),
+            (2, 4, "window 2..5 is outside slots 1..3"),
+            (0, 2, "window 0..1 is outside slots 1..3"),
+            (2, 0, "window duration must be >= 1, got 0"),
         ],
     )
-    def test_window_outside_the_slots_refused(self, interval, message):
+    def test_window_outside_the_slots_refused(self, start, duration, message):
         # An Instance never holds such a window; a bare step is refused too,
         # before it charges or commits anything.
         state = UtilizationState(1, 3)
-        state.add(0, SlotInterval(1, 3), 1.0)
-        item = Item(0, 1, (ItemOption(True, 1.0, 100.0, interval),))
+        state.add(0, 1, 3, 1.0)
+        item = Item(0, 1, (ItemOption(True, 1.0, 100.0, start, duration),))
         spec = KnapsackSpec(10.0, 100.0, 1, 4, 10.0)
         with pytest.raises(ValueError) as info:
             step(item, state, [flat()], [spec])
         assert str(info.value) == message
         with pytest.raises(ValueError):
-            state.add(0, interval, 1.0)
-        assert state.window(0, SlotInterval(1, 3)) == [1.0, 1.0, 1.0]
+            state.add(0, start, duration, 1.0)
+        assert state.window(0, 1, 3) == [1.0, 1.0, 1.0]
         assert list(state.covered(0)) == [(1, 1.0), (2, 1.0), (3, 1.0)]
 
 
@@ -169,11 +169,11 @@ def replay_decisions(inst, thresholds):
                 continue
             fn = thresholds[k]
             phi = 0.0
-            for t in opt.interval.slots():
+            for t in opt.slots():
                 phi += opt.size * fn.eval(z[k].get(t, 0.0))
             fits = all(
                 z[k].get(t, 0.0) + opt.size <= inst.knapsacks[k].capacity
-                for t in opt.interval.slots()
+                for t in opt.slots()
             )
             entries.append((k, phi, fits, opt.value >= phi and fits))
             if opt.value >= phi and fits:
@@ -183,7 +183,7 @@ def replay_decisions(inst, thresholds):
             best_value = max(v for _, v in candidates)
             chosen = min(k for k, v in candidates if v == best_value)
             opt = item.options[chosen]
-            for t in opt.interval.slots():
+            for t in opt.slots():
                 z[chosen][t] = z[chosen].get(t, 0.0) + opt.size
             profit += opt.value
             decisions.append(chosen)
@@ -202,7 +202,7 @@ class TestRun:
 
     def test_single_fitting_item(self):
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
-        item = Item(0, 1, (ItemOption(True, 1.0, 7.0, SlotInterval(1, 2)),))
+        item = Item(0, 1, (ItemOption(True, 1.0, 7.0, 1, 2),))
         inst = Instance(10, (ks,), (item,))
         result = run(inst, [flat()])
         assert result.profit == 7.0
@@ -239,9 +239,9 @@ class TestRun:
         # instance cannot be built.
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
         items = (
-            Item(0, 1, (ItemOption(True, 4.0, 50.0, SlotInterval(3, 4)),)),
-            Item(1, 2, (ItemOption(True, 7.0, 90.0, SlotInterval(6, 3)),)),
-            Item(2, 2, (ItemOption(True, 5.0, 90.0, SlotInterval(8, 2)),)),
+            Item(0, 1, (ItemOption(True, 4.0, 50.0, 3, 4),)),
+            Item(1, 2, (ItemOption(True, 7.0, 90.0, 6, 3),)),
+            Item(2, 2, (ItemOption(True, 5.0, 90.0, 8, 2),)),
         )
         result = run(Instance(9, (ks,), items), [flat()])
         assert result.assignment() == [0, None, 0]
@@ -255,12 +255,12 @@ class TestRun:
 
     def test_zero_size_option_refused(self):
         ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
-        later = Item(1, 1, (ItemOption(True, 1.0, 5.0, SlotInterval(5, 1)),))
-        zero = Item(0, 1, (ItemOption(True, 0.0, 1.0, SlotInterval(2, 2)),))
+        later = Item(1, 1, (ItemOption(True, 1.0, 5.0, 5, 1),))
+        zero = Item(0, 1, (ItemOption(True, 0.0, 1.0, 2, 2),))
         with pytest.raises(ValueError, match="item 0, knapsack 0: nonpositive size 0.0"):
             Instance(10, (ks,), (zero, later))
         # The smallest positive size is admitted, and its slots are listed.
-        tiny = Item(0, 1, (ItemOption(True, 5e-324, 1.0, SlotInterval(2, 2)),))
+        tiny = Item(0, 1, (ItemOption(True, 5e-324, 1.0, 2, 2),))
         result = run(Instance(10, (ks,), (tiny, later)), [flat()])
         assert result.assignment() == [0, 0]
         utilization = result.to_dict()["utilization"]["0"]
@@ -326,11 +326,10 @@ class TestRunInvariants:
         inst = uniform_instance(seed=8, n=30)
         thresholds = for_instance(inst)
         state = UtilizationState(1, inst.horizon)
-        horizon = SlotInterval(1, inst.horizon)
-        previous = state.window(0, horizon)
+        previous = state.window(0, 1, inst.horizon)
         for item in inst.items:
             step(item, state, thresholds, inst.knapsacks)
-            current = state.window(0, horizon)
+            current = state.window(0, 1, inst.horizon)
             assert all(now >= before for now, before in zip(current, previous))
             previous = current
 
@@ -359,7 +358,8 @@ class TestRunInvariants:
                 True,
                 old.options[entry.knapsack].size,
                 entry.phi,  # ties admit
-                old.options[entry.knapsack].interval,
+                old.options[entry.knapsack].start,
+                old.options[entry.knapsack].duration,
             )
             items = list(inst.items)
             items[i] = Item(old.id, old.arrival, tuple(boosted_options))

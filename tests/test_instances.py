@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from random import Random
 
 import pytest
@@ -215,7 +216,7 @@ class TestIngestTrace:
         ks = ksp(theta=8.0, dhi=2)  # row b's duration 3 violates
         inst, stats = ingest_trace(self.write(tmp_path), self.mapping(), [ks])
         assert stats.rows_clamped == 1
-        assert inst.items[1].options[0].interval.duration == 2
+        assert inst.items[1].options[0].duration == 2
 
     def test_drop_policy_counts(self, tmp_path):
         ks = ksp(theta=8.0, dhi=2)
@@ -320,6 +321,25 @@ class TestIngestTrace:
         inst, stats = ingest()
         assert stats.rows_kept == inst.num_items > 0
         assert loads_instance(dumps_instance(inst)) == inst
+
+    # sha256 of the ingested document, pinned across commits.  With horizon
+    # 3 and these bounds, row b overruns the horizon and the duration cap of
+    # knapsack 0, and row c breaks knapsack 1's density and size caps; each
+    # partitioned item carries the ineligible placeholder.
+    INGESTED = {
+        ("clamp", "replicate"): "068a2ec5f2dbcaaf2cf01bae1c33c586c05eb38c293ba2c42b70c9e9c16cdb36",
+        ("clamp", "partition"): "9a171fed297b668a5e6a1bc8401b7321ed2f7de3a1cc5d5d7d4f4c0ed70b48cf",
+        ("drop", "replicate"): "e4a5c029450afccbc740e0596ee9d2491c6e173ad739676c61863fb11d852bed",
+        ("drop", "partition"): "b7049b947f7f1f96e89f3b887400a6ea16589aa6bbb24b515fc15e555c532843",
+    }
+
+    @pytest.mark.parametrize("violation, assign", sorted(INGESTED))
+    def test_ingested_text_pinned(self, tmp_path, violation, assign):
+        knapsacks = [ksp(theta=8.0, dhi=2), ksp(theta=2.0, eps=2.5)]
+        mapping = self.mapping(violation_policy=violation, assign_policy=assign)
+        inst, _ = ingest_trace(self.write(tmp_path), mapping, knapsacks, horizon=3)
+        digest = hashlib.sha256(dumps_instance(inst).encode()).hexdigest()
+        assert digest == self.INGESTED[violation, assign]
 
     def test_row_at_density_cap_is_kept(self, tmp_path):
         # value == theta * size * duration, though value / (size * duration)

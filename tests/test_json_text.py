@@ -16,7 +16,6 @@ from knapdep.core import (
     Item,
     ItemOption,
     KnapsackSpec,
-    SlotInterval,
     dumps_instance,
     json_scalar,
 )
@@ -47,8 +46,8 @@ def reference_instance_dict(inst):
                         "eligible": opt.eligible,
                         "size": opt.size,
                         "value": opt.value,
-                        "start": opt.interval.start,
-                        "duration": opt.interval.duration,
+                        "start": opt.start,
+                        "duration": opt.duration,
                     }
                     for opt in it.options
                 ],
@@ -69,7 +68,7 @@ def reference_utilization(inst, result):
         if decision.admitted:
             opt = item.options[decision.knapsack]
             row = load[decision.knapsack]
-            for t in opt.interval.slots():
+            for t in opt.slots():
                 row[t] = row.get(t, 0.0) + opt.size
     return {
         str(k): {str(t): row[t] for t in sorted(row)} for k, row in enumerate(load)
@@ -122,7 +121,7 @@ FLAT = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
 
 
 def one_option(size, value, start, duration, eligible=True):
-    return ItemOption(eligible, size, value, SlotInterval(start, duration))
+    return ItemOption(eligible, size, value, start, duration)
 
 
 # The staircase family is defined for one knapsack only.
@@ -189,8 +188,8 @@ def test_int_valued_fields_and_subclasses():
 
     ks = KnapsackSpec(10, 4, 1, 4, 10)
     items = (
-        Item(Id(7), 1, (ItemOption(True, 2, 9, SlotInterval(1, 2)),)),
-        Item(8, 2, (ItemOption(True, Size(1.5), 6.0, SlotInterval(2, 2)),)),
+        Item(Id(7), 1, (ItemOption(True, 2, 9, 1, 2),)),
+        Item(8, 2, (ItemOption(True, Size(1.5), 6.0, 2, 2),)),
     )
     inst = Instance(10, (ks,), items)
     _, text = check(inst)
@@ -219,13 +218,13 @@ class OddInt(int):
 @pytest.mark.parametrize(
     "option",
     [
-        ItemOption(True, 2, 9.0, SlotInterval(1, 2)),
-        ItemOption(True, 2.0, 9, SlotInterval(1, 2)),
-        ItemOption(1, 2.0, 9.0, SlotInterval(1, 2)),
-        ItemOption(False, math.nan, math.inf, SlotInterval(1, 1)),
-        ItemOption(False, -math.inf, 0.0, SlotInterval(1, 1)),
-        ItemOption(True, OddFloat(1.5), 6.0, SlotInterval(2, 2)),
-        ItemOption(True, 1.5, 6.0, SlotInterval(2, OddInt(2))),
+        ItemOption(True, 2, 9.0, 1, 2),
+        ItemOption(True, 2.0, 9, 1, 2),
+        ItemOption(1, 2.0, 9.0, 1, 2),
+        ItemOption(False, math.nan, math.inf, 1, 1),
+        ItemOption(False, -math.inf, 0.0, 1, 1),
+        ItemOption(True, OddFloat(1.5), 6.0, 2, 2),
+        ItemOption(True, 1.5, 6.0, 2, OddInt(2)),
     ],
     ids=["int-size", "int-value", "eligible-1", "nan-inf-placeholder", "-inf-placeholder",
          "float-subclass", "int-subclass"],
@@ -233,7 +232,7 @@ class OddInt(int):
 def test_option_not_of_exact_types(option):
     # Each field is spelled as json.dumps spells it, next to an option of
     # exact types in the same item.
-    exact = ItemOption(True, 0.1, 0.7, SlotInterval(3, 1))
+    exact = ItemOption(True, 0.1, 0.7, 3, 1)
     items = (Item(0, 1, (option, exact)), Item(1, 2, (exact, option)))
     inst = Instance(10, (FLAT, FLAT), items)
     assert dumps_instance(inst) == json.dumps(reference_instance_dict(inst), indent=2)

@@ -9,7 +9,6 @@ from knapdep.core import (
     Item,
     ItemOption,
     KnapsackSpec,
-    SlotInterval,
     assignment_violations,
 )
 from knapdep.engine import run
@@ -19,7 +18,7 @@ from knapdep.threshold import for_instance
 
 
 def opt(size, value, start, duration, eligible=True):
-    return ItemOption(eligible, size, value, SlotInterval(start, duration))
+    return ItemOption(eligible, size, value, start, duration)
 
 
 def single_knapsack(items, capacity=1.0, theta=8.0, horizon=10):
@@ -47,7 +46,7 @@ def enumerate_reference(inst):
             if not o.eligible:
                 feasible = False
                 break
-            for t in o.interval.slots():
+            for t in o.slots():
                 load[(k, t)] = load.get((k, t), 0.0) + o.size
                 if load[(k, t)] > inst.knapsacks[k].capacity:
                     feasible = False

@@ -58,7 +58,6 @@ from knapdep.core import (
     ItemOption,
     KnapsackSpec,
     SchemaError,
-    SlotInterval,
     UtilizationState,
     assignment_violations,
     dumps_instance,
@@ -261,13 +260,13 @@ def small_instances(draw):
         options = []
         for _ in knapsacks:
             if draw(st.integers(0, 3)) == 0:
-                options.append(ItemOption(False, 0.0, 0.0, SlotInterval(1, 1)))
+                options.append(ItemOption(False, 0.0, 0.0, 1, 1))
                 continue
             duration = draw(st.integers(1, horizon))
             start = draw(st.integers(1, horizon - duration + 1))
             options.append(ItemOption(
                 True, draw(st.sampled_from(QUARTERS)), draw(st.sampled_from(QUARTERS)),
-                SlotInterval(start, duration),
+                start, duration,
             ))
         items.append(Item(item_id, arrival, tuple(options)))
     return Instance(horizon, knapsacks, tuple(items))
@@ -341,7 +340,7 @@ def reference_solve_exact(inst, node_budget=None):
     stride = inst.horizon + 1
     options = [
         [
-            (k, opt.size, opt.value, tuple(k * stride + t for t in opt.interval.slots()))
+            (k, opt.size, opt.value, tuple(k * stride + t for t in opt.slots()))
             for k, opt in item.eligible_options()
         ]
         for item in inst.items
@@ -458,8 +457,8 @@ def reference_solve_bruteforce(inst):
     stride = inst.horizon + 1
     options = [
         [
-            (k, opt.size, opt.value, k * stride + opt.interval.start,
-             k * stride + opt.interval.end + 1)
+            (k, opt.size, opt.value, k * stride + opt.start,
+             k * stride + opt.end + 1)
             for k, opt in item.eligible_options()
         ]
         for item in inst.items
@@ -549,13 +548,13 @@ def seeded_step(capacity, fn, window, size, value):
 
     Each filled slot is seeded by one ``add`` to 0.0, which is exact.
     """
-    interval = SlotInterval(2, len(window))
-    state = UtilizationState(1, interval.end + 1)
-    for t, z in zip(interval.slots(), window):
+    option = ItemOption(True, size, value, 2, len(window))
+    state = UtilizationState(1, option.end + 1)
+    for t, z in zip(option.slots(), window):
         if z:
-            state.add(0, SlotInterval(t, 1), z)
-    assert state.window(0, interval) == window
-    item = Item(0, 1, (ItemOption(True, size, value, interval),))
+            state.add(0, t, 1, z)
+    assert state.window(0, option.start, option.duration) == window
+    item = Item(0, 1, (option,))
     decision, audit = step(item, state, [fn], [KnapsackSpec(capacity, 1.0, 1, 1, capacity)])
     (entry,) = audit.entries
     return decision, entry
@@ -680,7 +679,7 @@ def test_run_evaluates_each_occupied_slot_once(inst):
     expected = [[0.0] for _ in fns]
     for item in inst.items:
         for k, opt in item.eligible_options():
-            expected[k].extend(z for z in state.window(k, opt.interval) if z)
+            expected[k].extend(z for z in state.window(k, opt.start, opt.duration) if z)
         step(item, state, fns, inst.knapsacks)
     assert [fn.seen for fn in recorded] == expected
     assert result.to_json() == run(inst, fns).to_json()
@@ -715,7 +714,8 @@ def reference_draw_item(rng: Random, item_id: int, arrival: int, spec: GenSpec) 
                     eligible=True,
                     size=size,
                     value=density * size * duration,
-                    interval=SlotInterval(start=start, duration=duration),
+                    start=start,
+                    duration=duration,
                 )
             )
         else:
@@ -724,7 +724,8 @@ def reference_draw_item(rng: Random, item_id: int, arrival: int, spec: GenSpec) 
                     eligible=False,
                     size=0.0,
                     value=0.0,
-                    interval=SlotInterval(start=1, duration=1),
+                    start=1,
+                    duration=1,
                 )
             )
     return Item(id=item_id, arrival=arrival, options=tuple(options))
