@@ -29,6 +29,12 @@ from .core import (
 
 FAMILIES = ("uniform", "staircase", "burst")
 
+# Most items a staircase's prefix instances may hold in all.  Each prefix
+# holds its own tuple, so that is per_batch * levels * (levels + 1) / 2:
+# a huge capacity / size_cap or level count is refused before any record
+# is built.
+_STAIRCASE_ITEMS = 10**6
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -149,7 +155,9 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
     simply never arrive, the generator emits one instance per prefix:
     instance ``l`` contains batches 1..l and is an exact item-sequence
     prefix of instance ``l+1``.  The item count is
-    ``levels * ceil(capacity / size_cap)``, independent of ``spec.n``.
+    ``levels * ceil(capacity / size_cap)``, independent of ``spec.n``; a
+    staircase whose prefixes would hold more than ``_STAIRCASE_ITEMS``
+    items in all is refused (ValueError).
 
     This is a lower-bound probe of how the achievable ratio grows with
     theta; it is a house construction, not a proven worst case.
@@ -170,6 +178,11 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
             f"capacity / size_cap must be finite, got {ks.capacity} / {ks.size_cap}"
         )
     per_batch = math.ceil(batches)
+    if per_batch * levels * (levels + 1) // 2 > _STAIRCASE_ITEMS:
+        raise ValueError(
+            f"staircase prefixes must hold at most {_STAIRCASE_ITEMS} items in all, got "
+            f"{levels} levels of ceil({ks.capacity} / {ks.size_cap}) items"
+        )
     size = ks.capacity / per_batch
 
     items: list[Item] = []

@@ -21,8 +21,10 @@ Both searches undo a placement by writing back the slot loads saved
 before it, never by subtracting its size: ``(x + s) - s`` need not be
 ``x`` in floating point.  So every feasibility test sees exactly the
 loads ``assignment_violations`` would sum, for any float sizes.  The
-enumerator scores the last item's leaves in place, without a call, and
-still counts each as a node.
+enumerator scores the last item's leaves in place.  It keys a subtree on
+the placements whose windows meet a slot a later item requests, and
+counts a repeat that cannot beat the incumbent without walking it; its
+result, full node count included, is the plain walk's.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .core import Instance, check_count
 _PRUNE_SLACK = 1e-9
 
 _BRUTEFORCE_LIMIT = 10**8
+# Most subtrees the enumerator remembers, which bounds its memory.
+_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -68,19 +72,21 @@ class OfflineSolution:
 
 def _prepared(inst: Instance):
     """Per-item eligible options as (knapsack, size, value, slot keys), and
-    the key count; slot t of knapsack k is key k*(horizon+1) + t, so an
-    option's keys are one ``range``.
+    per slot key the last item requesting it (-1 if none).  Slot t of
+    knapsack k is key k*(horizon+1) + t, so an option's keys are one ``range``.
     """
     stride = inst.horizon + 1
     options = []
-    for item in inst.items:
+    last = [-1] * (inst.num_knapsacks * stride + 1)
+    for i, item in enumerate(inst.items):
         opts = []
         for k, opt in item.eligible_options():
             first = k * stride + opt.start
             keys = range(first, first + opt.duration)
             opts.append((k, opt.size, opt.value, keys))
+            last[first:keys.stop] = [i] * opt.duration
         options.append(opts)
-    return options, inst.num_knapsacks * stride + 1
+    return options, last
 
 
 def bruteforce_accepts(inst: Instance) -> bool:
@@ -97,73 +103,82 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     visited decline first, then knapsacks in index order, and a vector
     replaces the incumbent only when strictly better.
 
-    A placement's slots are restored on backtrack to the exact values
-    saved before it, so every feasibility test sees the loads that
-    ``assignment_violations`` would sum, for any float sizes.  The last
-    item's leaves are scored in place, without a call and without
-    touching the loads; each still counts as a node.
+    A subtree above the last item is keyed on its depth i and the earlier
+    placements whose window meets a slot some item >= i requests: only
+    they load the slots items i.. test, in item order, so one key means
+    one subtree.  Its node count and gain (the most its completions add)
+    are kept for at most ``_MEMO_LIMIT`` keys.  A repeat is counted
+    without a walk when value + gain + slack cannot beat the incumbent:
+    rounding is monotone, and the slack, 1e-9 of one plus the best-value
+    sum, exceeds any gap between the suffix-order gain and an item-order
+    leaf sum.  So ``nodes`` (the full tree), the objective and the first
+    optimal leaf in visit order are the plain walk's.
     """
     N = inst.num_items
     K = inst.num_knapsacks
     if not bruteforce_accepts(inst):
-        raise ValueError(
-            f"instance too large for brute force: (K+1)^N = {(K + 1) ** N}"
-        )
-    options, num_keys = _prepared(inst)
+        raise ValueError(f"instance too large for brute force: (K+1)^N = {(K + 1) ** N}")
+    options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
-    # Per item: (k, size, value, cap, first key, end key) per option.
-    flat = [
-        [(k, size, value, caps[k], keys.start, keys.stop) for k, size, value, keys in opts]
-        for opts in options
-    ]
-    load = [0.0] * num_keys
+    # Per item: (k, size, value, cap, first key, end key, bit i*K + k) per
+    # option; live[j] holds the bits of the placements live at depth j.
+    flat = [[(k, size, value, caps[k], keys.start, keys.stop, 1 << (i * K + k))
+             for k, size, value, keys in opts] for i, opts in enumerate(options)]
+    live = [0] * N
+    for i, opts in enumerate(flat):
+        for *_, lo, hi, bit in opts:
+            for j in range(i + 1, max(last[lo:hi]) + 1):
+                live[j] |= bit
+    slack = _PRUNE_SLACK * (1.0 + sum(max((o[2] for o in opts), default=0.0) for opts in options))
+    load = [0.0] * len(last)
+    memo: dict[int, tuple[int, float]] = {}  # depth i, live set mask: key mask * N + i
 
     best_value = 0.0
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
-    nodes = 0
-    last = N - 1
 
-    def visit(i: int, value: float) -> None:
-        nonlocal best_value, best_assignment, nodes
-        if i == last:
+    def visit(i: int, value: float, mask: int) -> tuple[int, float]:
+        """Node count and gain of item i's subtree; ``mask``: prefix placements in live[i]."""
+        nonlocal best_value, best_assignment
+        if i == N - 1:
             # This node and its leaves: decline, then each feasible option.
-            nodes += 2
+            nodes, gain = 2, 0.0
             if value > best_value:
                 best_value = value
                 best_assignment = current.copy()
-            for k, size, item_value, cap, lo, hi in flat[i]:
+            for k, size, item_value, cap, lo, hi, _ in flat[i]:
                 # One max suffices: x + size is monotone in x.
                 if max(load[lo:hi]) + size <= cap:
                     nodes += 1
+                    gain = max(gain, item_value)
                     if value + item_value > best_value:
                         best_value = value + item_value
                         best_assignment = current.copy()
                         best_assignment[i] = k
-            return
+            return nodes, gain
+        seen = memo.get(mask * N + i)
+        if seen is not None and value + seen[1] + slack <= best_value:
+            return seen
+        nodes, gain = visit(i + 1, value, mask & live[i + 1])
         nodes += 1
-        visit(i + 1, value)
-        for k, size, item_value, cap, lo, hi in flat[i]:
+        for k, size, item_value, cap, lo, hi, bit in flat[i]:
             saved = load[lo:hi]
             if max(saved) + size <= cap:
                 for t in range(lo, hi):
                     load[t] += size
                 current[i] = k
-                visit(i + 1, value + item_value)
+                count, child_gain = visit(i + 1, value + item_value, (mask | bit) & live[i + 1])
+                nodes += count
+                gain = max(gain, item_value + child_gain)
                 load[lo:hi] = saved
         current[i] = None
+        if seen is None and len(memo) < _MEMO_LIMIT:
+            memo[mask * N + i] = nodes, gain
+        return nodes, gain
 
-    if N:
-        visit(0, 0.0)
-    else:
-        nodes = 1  # the root is the one leaf
-    return OfflineSolution(
-        assignment=tuple(best_assignment),
-        objective=best_value,
-        proof="exact",
-        nodes=nodes,
-        bound=best_value,
-    )
+    nodes = visit(0, 0.0, 0)[0] if N else 1  # with no items the root is the one leaf
+    memo.clear()  # visit is a reference cycle: free the table now, not at collection
+    return OfflineSolution(tuple(best_assignment), best_value, "exact", nodes, best_value)
 
 
 def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSolution:
@@ -200,9 +215,9 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
         check_count("node_budget", node_budget, 0)
     N = inst.num_items
     K = inst.num_knapsacks
-    options, num_keys = _prepared(inst)
+    options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
-    load = [0.0] * num_keys
+    load = [0.0] * len(last)
 
     # Residual max-value sums: suffix_value[i] bounds the total value of
     # items i.. regardless of capacity.
@@ -215,11 +230,6 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     # F(i, k) exactly when last[t] >= i, so it leaves the footprint after
     # item last[t]: expiring[i] lists those keys as runs (k, first, end).
     # Slot 0 is never requested, so no run crosses into the next knapsack.
-    last = [-1] * num_keys
-    for i, opts in enumerate(options):
-        for _, _, _, keys in opts:
-            for t in keys:
-                last[t] = i
     stride = inst.horizon + 1
     expiring: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
     for t, i in enumerate(last):

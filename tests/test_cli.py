@@ -796,6 +796,15 @@ class TestRefusal:
             (("--alpha", "0.5"), "alpha must be a finite number >= 1, got 0.5"),
             (("--family", "staircase", "--level", "1", "--capacity", "1e308", "--eps", "1e-308"),
              "capacity / size_cap must be finite, got 1e+308 / 1e-308"),
+            (("--family", "staircase", "--eps", "1e-300"),
+             "staircase prefixes must hold at most 1000000 items in all, "
+             "got 4 levels of ceil(10.0 / 1e-300) items"),
+            (("--family", "staircase", "--levels", "2000000000"),
+             "staircase prefixes must hold at most 1000000 items in all, "
+             "got 2000000000 levels of ceil(10.0 / 10.0) items"),
+            (("--family", "staircase", "--levels", "1414"),
+             "staircase prefixes must hold at most 1000000 items in all, "
+             "got 1414 levels of ceil(10.0 / 10.0) items"),
         ],
     )
     def test_gen_refuses_non_finite_knapsack(self, capsys, flags, message):

@@ -16,6 +16,8 @@ from knapdep.instances import GenSpec, gen_uniform, generate
 from knapdep.oracle import solve_bruteforce, solve_exact, upper_bound
 from knapdep.threshold import for_instance
 
+from test_properties import reference_solve_bruteforce
+
 
 def opt(size, value, start, duration, eligible=True):
     return ItemOption(eligible, size, value, start, duration)
@@ -110,6 +112,61 @@ class TestBruteforce:
         inst = Instance(10, (ks, ks, ks), tuple(items))
         with pytest.raises(ValueError, match="too large"):
             solve_bruteforce(inst)
+
+    def test_float_tie_keeps_first_leaf(self):
+        # 0.1 + 0.2 differs from 0.3, but both plus 1.0 give the same double:
+        # the first leaf in visit order that attains it must stay the
+        # answer, as in the plain enumeration, and no later equal leaf may
+        # replace it.
+        ks = KnapsackSpec(1.0, 8.0, 1, 4, 1.0)
+        items = [
+            Item(0, 1, (opt(0.5, 0.1, 1, 1),)),
+            Item(1, 1, (opt(0.5, 0.2, 1, 1),)),
+            Item(2, 1, (opt(1.0, 0.3, 1, 1),)),
+            Item(3, 2, (opt(1.0, 1.0, 2, 1),)),
+        ]
+        inst = Instance(4, (ks,), tuple(items))
+        assert 0.1 + 0.2 != 0.3 and (0.1 + 0.2) + 1.0 == 0.3 + 1.0
+        sol = solve_bruteforce(inst)
+        assert sol.assignment == (None, None, 0, 0)
+        assert sol.objective == 0.3 + 1.0
+        assert sol.nodes == 22
+        assert sol.to_dict() == reference_solve_bruteforce(inst).to_dict()
+
+    def test_rounding_gap_covered_by_slack(self):
+        # Leaf (None, 0, 0, 0, 0, 0), found first, sums to 3.8 in item order.
+        # Leaf (0, 0, 0, 0, 0, None) sums to 3.8000000000000003, but its
+        # prefix value plus the remembered suffix-order gain rounds to 3.8.
+        # Skipping on that sum alone, with no slack, would miss it.
+        ks = KnapsackSpec(1.0, 8.0, 1, 4, 1.0)
+        rows = [(0.25, 0.7, 1, 2), (0.5, 0.9, 1, 1), (0.25, 0.9, 1, 2),
+                (1.0, 0.2, 3, 1), (0.5, 1.1, 2, 1), (0.25, 0.7, 2, 1)]
+        inst = Instance(4, (ks,), tuple(Item(i, 1, (opt(*row),)) for i, row in enumerate(rows)))
+        sol = solve_bruteforce(inst)
+        assert sol.assignment == (0, 0, 0, 0, 0, None)
+        assert sol.objective == 3.8000000000000003
+        assert sol.to_dict() == reference_solve_bruteforce(inst).to_dict()
+
+    def test_table_bounded_where_nothing_is_shared(self):
+        # Every subset of 16 items fits on one slot that all of them read, so
+        # no two prefixes share a subtree and the whole tree is walked; an
+        # unbounded table would hold about 2**15 entries, several MB.
+        ks = KnapsackSpec(10.0, 8.0, 1, 1, 10.0)
+        items = [Item(i, 1, (opt(0.1, 0.5 + 0.01 * i, 1, 1),)) for i in range(16)]
+        inst = Instance(2, (ks,), tuple(items))
+        tracemalloc.start()
+        try:
+            sol = solve_bruteforce(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        total = 0.0
+        for item in items:
+            total += item.options[0].value
+        assert sol.nodes == 2**17 - 1
+        assert sol.objective == total
+        assert sol.assignment == (0,) * 16
+        assert peak < 2e6
 
 
 class TestExact:
