@@ -283,6 +283,22 @@ def _clamp_row(
     return size, duration, value
 
 
+def _whole(cell: str) -> int:
+    """Read a time cell: a whole number >= 1, written ``3``, ``3.0`` or ``1e3``."""
+    number = float(cell)
+    if not number.is_integer() or number < 1:  # is_integer is False for inf and nan
+        raise ValueError(f"not a whole number >= 1: {cell!r}")
+    return int(number)
+
+
+def _positive(cell: str) -> float:
+    """Read a size or value cell: a finite number > 0."""
+    number = float(cell)
+    if not 0 < number < math.inf:
+        raise ValueError(f"not a finite number > 0: {cell!r}")
+    return number
+
+
 def ingest_trace(
     path: str | Path,
     mapping: TraceMapping,
@@ -291,9 +307,10 @@ def ingest_trace(
 ) -> tuple[Instance, IngestStats]:
     """Build an instance from a CSV trace of job-scheduling-style rows.
 
-    Rows must parse to arrival >= 1, a finite size > 0, duration >= 1 (and
-    a finite value > 0 when mapped); rows that do not are skipped, and the
-    whole ingest fails with their row numbers if they exceed
+    Time cells (arrival, start, duration) must be whole numbers >= 1
+    (``3`` or ``3.0``, never ``2.5``), and size and value cells finite
+    numbers > 0.  Any other row is a bad row: it is skipped, and the whole
+    ingest fails with the bad rows' numbers if they exceed
     ``error_tolerance`` as a fraction of data rows.  The horizon defaults to
     the latest requested slot; with an explicit horizon, overruns fall under
     the violation policy (clamp shortens the window, drop removes the row).
@@ -309,41 +326,27 @@ def ingest_trace(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty trace, no header row")
-        needed = [mapping.arrival, mapping.size, mapping.duration]
-        if mapping.value is not None:
-            needed.append(mapping.value)
-        if mapping.start is not None:
-            needed.append(mapping.start)
-        missing = [c for c in needed if c not in reader.fieldnames]
+        columns = (mapping.arrival, mapping.size, mapping.duration, mapping.value, mapping.start)
+        missing = [c for c in columns if c is not None and c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
 
         for row_no, row in enumerate(reader, start=1):
             stats.rows_read += 1
-            try:
-                arrival = int(float(row[mapping.arrival]))
-                size = float(row[mapping.size])
-                duration = int(float(row[mapping.duration]))
-                start = (
-                    int(float(row[mapping.start]))
-                    if mapping.start is not None
-                    else arrival
-                )
-                value = (
-                    float(row[mapping.value]) if mapping.value is not None else None
-                )
-                if arrival < 1 or start < 1 or duration < 1 or not 0 < size < math.inf:
-                    raise ValueError("out of domain")
-                if value is not None and not 0 < value < math.inf:
-                    raise ValueError("out of domain")
-            except (ValueError, TypeError, OverflowError):
+            try:  # a short row reads None for its missing cells: a TypeError
+                arrival = _whole(row[mapping.arrival])
+                start = arrival if mapping.start is None else _whole(row[mapping.start])
+                size = _positive(row[mapping.size])
+                duration = _whole(row[mapping.duration])
+                value = None if mapping.value is None else _positive(row[mapping.value])
+            except (ValueError, TypeError):
                 stats.bad_rows.append(row_no)
                 continue
             rows.append((arrival, start, size, duration, value))
 
     if stats.rows_read and len(stats.bad_rows) / stats.rows_read > mapping.error_tolerance:
         raise ValueError(
-            f"{path}: {len(stats.bad_rows)} unparseable rows "
+            f"{path}: {len(stats.bad_rows)} bad rows "
             f"(rows {stats.bad_rows}) exceed tolerance {mapping.error_tolerance}"
         )
 
@@ -351,36 +354,28 @@ def ingest_trace(
         horizon = max((start + duration - 1 for _, start, _, duration, _ in rows), default=1)
 
     items: list[Item] = []
-    for idx, (arrival, start, size, duration, value) in enumerate(
-        sorted(rows, key=lambda r: r[0])
-    ):
+    rows.sort(key=lambda r: r[0])
+    for idx, (arrival, start, size, duration, value) in enumerate(rows):
         options: list[ItemOption] = []
-        dropped = False
-        clamped_any = False
-        room = horizon - start + 1
+        clamped = False
         for k, ks in enumerate(knapsacks):
-            eligible = mapping.assign_policy == "replicate" or idx % len(knapsacks) == k
-            if not eligible:
+            if mapping.assign_policy == "partition" and idx % len(knapsacks) != k:
                 options.append(ItemOption(False, 0.0, 0.0, 1, 1))
                 continue
-            clamp = _clamp_row(ks, size, duration, value, room)
+            clamp = _clamp_row(ks, size, duration, value, horizon - start + 1)
             if clamp != (size, duration, value):
                 if clamp is None or mapping.violation_policy == "drop":
-                    dropped = True
+                    stats.rows_dropped += 1
                     break
-                clamped_any = True
+                clamped = True
             k_size, k_dur, k_val = clamp
-            if k_val is None:
-                density = (1.0 + ks.theta) / 2.0
-                k_val = density * k_size * k_dur
+            if k_val is None:  # midpoint density of [1, theta]
+                k_val = (1.0 + ks.theta) / 2.0 * k_size * k_dur
             options.append(ItemOption(True, k_size, k_val, start, k_dur))
-        if dropped:
-            stats.rows_dropped += 1
-            continue
-        if clamped_any:
-            stats.rows_clamped += 1
-        stats.rows_kept += 1
-        items.append(Item(id=len(items), arrival=arrival, options=tuple(options)))
+        else:
+            stats.rows_kept += 1
+            stats.rows_clamped += clamped
+            items.append(Item(id=len(items), arrival=arrival, options=tuple(options)))
 
     inst = Instance(horizon=horizon, knapsacks=knapsacks, items=tuple(items))
     return inst, stats

@@ -90,14 +90,15 @@ def _prepared(inst: Instance):
 
 
 def bruteforce_accepts(inst: Instance) -> bool:
-    """Whether ``solve_bruteforce`` takes ``inst``: (K+1)^N at most 1e8."""
-    return (inst.num_knapsacks + 1) ** inst.num_items <= _BRUTEFORCE_LIMIT
+    """Whether ``solve_bruteforce`` takes ``inst``: (max(K, 1) + 1)^N at most
+    1e8, which caps N, the walk's recursion depth, at 26 even when K = 0."""
+    return (max(inst.num_knapsacks, 1) + 1) ** inst.num_items <= _BRUTEFORCE_LIMIT
 
 
 def solve_bruteforce(inst: Instance) -> OfflineSolution:
     """Enumerate every feasible assignment vector; exists as a cross-check.
 
-    Refuses instances with more than 1e8 raw vectors.  Prefixes that
+    Refuses instances past ``bruteforce_accepts``.  Prefixes that
     already violate capacity are cut, which loses no feasible vector
     because loads only grow with further assignments.  Children are
     visited decline first, then knapsacks in index order, and a vector
@@ -117,7 +118,7 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     N = inst.num_items
     K = inst.num_knapsacks
     if not bruteforce_accepts(inst):
-        raise ValueError(f"instance too large for brute force: (K+1)^N = {(K + 1) ** N}")
+        raise ValueError(f"instance too large for brute force: N = {N}, (max(K, 1) + 1)^N > 1e8")
     options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
     # Per item: (k, size, value, cap, first key, end key, bit i*K + k) per
@@ -367,19 +368,18 @@ def upper_bound(inst: Instance) -> float:
     valid even when declared bounds are violated.  A bound, never an
     optimum.
     """
+    options, last = _prepared(inst)
     value_sum = 0.0
-    for item in inst.items:
-        value_sum += max((opt.value for _, opt in item.eligible_options()), default=0.0)
+    density = [spec.theta for spec in inst.knapsacks]
+    for opts in options:
+        value_sum += max((value for _, _, value, _ in opts), default=0.0)
+        for k, size, value, keys in opts:
+            density[k] = max(density[k], value / (size * len(keys)))
 
+    stride = inst.horizon + 1
     capacity_sum = 0.0
     for k, spec in enumerate(inst.knapsacks):
-        slots: set[int] = set()
-        density = spec.theta
-        for item in inst.items:
-            opt = item.options[k]
-            if opt.eligible:
-                slots.update(opt.slots())
-                density = max(density, opt.density())
-        capacity_sum += density * spec.capacity * len(slots)
+        count = sum(1 for i in last[k * stride:(k + 1) * stride] if i >= 0)
+        capacity_sum += density[k] * spec.capacity * count
 
     return min(value_sum, capacity_sum)

@@ -16,7 +16,7 @@ from knapdep.bench import (
 from knapdep.core import Instance, Item, ItemOption, KnapsackSpec
 from knapdep.engine import run
 from knapdep.instances import GenSpec, gen_staircase, gen_uniform
-from knapdep.oracle import solve_bruteforce
+from knapdep.oracle import solve_bruteforce, solve_exact
 from knapdep.threshold import default_gamma, scaled_defaults
 
 
@@ -135,6 +135,29 @@ class TestBenchSuite:
         row = report.rows[0]
         assert row.opt_tag == "bound"
         assert report.cr is None  # no exact rows to take the max over
+
+    def test_budget_bound_row_left_out_of_ratios(self):
+        # Branch-and-bound stops at the node budget: the row carries the
+        # solver's bound, tagged "bound", and neither cr nor mean_ratio
+        # reads it, though its ratio is above the exact row's.
+        [(iid, inst)] = uniform_suite([3], n=12)
+        budget = 5
+        sol = solve_exact(inst, node_budget=budget)
+        assert sol.proof == "upper-bound-only"
+        report = bench_suite([(iid, inst), ("one", single_item_instance())],
+                             BenchConfig(node_budget=budget))
+        rows = {row.instance_id: row for row in report.rows}
+        assert (rows[iid].opt_tag, rows[iid].opt) == ("bound", sol.bound)
+        assert rows[iid].ratio > 1.0
+        assert rows["one"].opt_tag == "exact"
+        assert report.cr == report.mean_ratio == rows["one"].ratio == 1.0
+
+    def test_mixed_knapsack_specs_echo_null(self):
+        one = ("one", single_item_instance())
+        other = ("other", Instance(10, (ksp(capacity=5.0),), ()))
+        assert bench_suite([one, other]).config["knapsacks"] is None
+        [echo] = bench_suite([one]).config["knapsacks"]
+        assert (echo["theta"], echo["size_cap"]) == (4.0, 10.0)
 
     @pytest.mark.parametrize(
         "threshold",

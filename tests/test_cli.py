@@ -228,6 +228,19 @@ class TestRunOpt:
             assert solution["proof"] == "exact"
             assert solution["objective"] == 9.5
 
+    def test_bruteforce_refuses_many_items_without_knapsacks(self, tmp_path, capsys):
+        # With no knapsacks (K+1)^N is 1, yet the enumerator recurses once
+        # per item: 1200 items are refused by count, not walked.
+        items = [{"id": i, "arrival": 1, "options": []} for i in range(1200)]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"horizon": 1, "knapsacks": [], "items": items}))
+        assert cli("opt", "--input", str(path), "--method", "bruteforce") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: instance too large for brute force: N = 1200, (max(K, 1) + 1)^N > 1e8"
+        ]
+        assert cli("opt", "--input", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["objective"] == 0.0
+
     def test_pipe_gen_run_and_opt(self):
         gen = run_pipe(["gen", "--n", "5", "--seed", "2"])
         assert gen.returncode == 0

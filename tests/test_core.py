@@ -539,6 +539,17 @@ class TestAssignmentAudit:
         inst = make_instance([item])
         assert assignment_violations(inst, [0])
 
+    @pytest.mark.parametrize("assignment", [[], [0, None]])
+    def test_wrong_length_refused(self, assignment):
+        inst = make_instance([single(1.0, 2.0, 1, 1)])
+        with pytest.raises(ValueError, match=f"assignment has {len(assignment)} entries for 1 items"):
+            assignment_violations(inst, assignment)
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_unknown_knapsack_reported(self, k):
+        inst = make_instance([single(1.0, 2.0, 1, 1, item_id=7)])
+        assert assignment_violations(inst, [k]) == [f"item 7: assigned to unknown knapsack {k}"]
+
 
 class TestJsonSchema:
     def roundtrip_instance(self):

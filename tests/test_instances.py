@@ -273,6 +273,47 @@ class TestIngestTrace:
         assert (stats.rows_kept, stats.rows_clamped) == (99, 0)
         assert inst.num_items == 99
 
+    # Time cells as (arrival, start, duration); the second row is clean.
+    STARTED = "when,begin,need,runtime,worth\n{},{},1.0,{},3.0\n3.0,3e0,1.0,2.0,3.0\n"
+
+    @pytest.mark.parametrize(
+        "cells",
+        [("1.7", "2", "2"), ("2.5", "3", "2"), ("1", "1.7", "2"), ("1", "2.5", "2"),
+         ("1", "1", "1.7"), ("1", "1", "2.5"), ("0", "1", "2"), ("1", "-1", "2"),
+         ("1", "1", "0.0")],
+    )
+    def test_time_cell_not_whole_is_bad(self, tmp_path, cells):
+        # A fractional time cell is refused, never truncated: the row is bad,
+        # builds no item and counts against the tolerance.
+        path = self.write(tmp_path, self.STARTED.format(*cells))
+        inst, stats = ingest_trace(
+            path, self.mapping(start="begin", error_tolerance=0.5), [ksp(theta=8.0)]
+        )
+        assert stats.to_dict() == {
+            "rows_read": 2, "rows_kept": 1, "rows_dropped": 0, "rows_clamped": 0, "bad_rows": [1],
+        }
+        [item] = inst.items
+        option = item.options[0]
+        assert (item.arrival, option.start, option.duration) == (3, 3, 2)
+        assert all(type(x) is int for x in (item.arrival, option.start, option.duration))
+        with pytest.raises(ValueError, match=r"1 bad rows \(rows \[1\]\) exceed tolerance 0.49"):
+            ingest_trace(path, self.mapping(start="begin", error_tolerance=0.49), [ksp(theta=8.0)])
+
+    @pytest.mark.parametrize("cells", [("1", "1", "1e0"), ("1.0", "1", "1")])
+    def test_whole_time_cells_kept(self, tmp_path, cells):
+        path = self.write(tmp_path, self.STARTED.format(*cells))
+        inst, stats = ingest_trace(path, self.mapping(start="begin"), [ksp(theta=8.0)])
+        assert stats.to_dict()["bad_rows"] == []
+        assert [(it.arrival, it.options[0].duration) for it in inst.items] == [(1, 1), (3, 2)]
+
+    @pytest.mark.parametrize("row", ["1,0,2,6.0", "1,-2.0,2,6.0", "1,2.0,2,0", "1,2.0,2,-6.0"])
+    def test_nonpositive_size_or_value_is_bad(self, tmp_path, row):
+        text = "when,need,runtime,worth\n" + row + "\n"
+        _, stats = ingest_trace(
+            self.write(tmp_path, text), self.mapping(error_tolerance=1.0), [ksp(theta=8.0)]
+        )
+        assert (stats.rows_read, stats.rows_kept, stats.bad_rows) == (1, 0, [1])
+
     def test_partition_policy(self, tmp_path):
         inst, _ = ingest_trace(
             self.write(tmp_path),

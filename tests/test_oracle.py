@@ -13,7 +13,7 @@ from knapdep.core import (
 )
 from knapdep.engine import run
 from knapdep.instances import GenSpec, gen_uniform, generate
-from knapdep.oracle import solve_bruteforce, solve_exact, upper_bound
+from knapdep.oracle import bruteforce_accepts, solve_bruteforce, solve_exact, upper_bound
 from knapdep.threshold import for_instance
 
 from test_properties import reference_solve_bruteforce
@@ -112,6 +112,21 @@ class TestBruteforce:
         inst = Instance(10, (ks, ks, ks), tuple(items))
         with pytest.raises(ValueError, match="too large"):
             solve_bruteforce(inst)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_accepts_at_most_26_items_for_k_up_to_one(self, k):
+        # (0 + 1)^N is 1 for any N: counting (max(K, 1) + 1)^N caps the
+        # walk's depth with no knapsacks as with one.
+        ks = KnapsackSpec(1.0, 8.0, 1, 4, 1.0)
+        off = opt(0.0, 0.0, 1, 1, eligible=False)
+
+        def inst(n):
+            return Instance(1, (ks,) * k, tuple(Item(i, 1, (off,) * k) for i in range(n)))
+
+        assert bruteforce_accepts(inst(26)) and not bruteforce_accepts(inst(27))
+        assert solve_bruteforce(inst(26)).objective == 0.0
+        with pytest.raises(ValueError, match=r"too large for brute force: N = 27,"):
+            solve_bruteforce(inst(27))
 
     def test_float_tie_keeps_first_leaf(self):
         # 0.1 + 0.2 differs from 0.3, but both plus 1.0 give the same double:
