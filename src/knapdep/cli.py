@@ -105,6 +105,8 @@ def _load_suite(sources: Sequence[str]) -> list[tuple[str, Instance]]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.family != "staircase" and (args.level is not None or args.levels is not None):
+        raise _usage_error("--level and --levels apply only to --family staircase")
     spec = instances.GenSpec(
         family=args.family,
         n=args.n,
@@ -113,8 +115,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
         eligibility=args.eligibility,
     )
-    generated = instances.generate(spec, levels=args.levels)
-    if args.family == "staircase" and args.level is not None:
+    generated = instances.generate(spec, levels=4 if args.levels is None else args.levels)
+    if args.level is not None:
         if not 1 <= args.level <= len(generated):
             raise _usage_error(f"--level must be in [1, {len(generated)}]")
         generated = [generated[args.level - 1]]
@@ -160,11 +162,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_opt(args: argparse.Namespace) -> int:
     from . import oracle
 
+    if args.method != "exact" and args.node_budget is not None:
+        raise _usage_error("--node-budget applies only to --method exact")
     inst = _read_instance(args.input)
     if args.method == "bruteforce":
         sol = oracle.solve_bruteforce(inst)
     else:
-        sol = oracle.solve_exact(inst, node_budget=args.node_budget)
+        budget = 5_000_000 if args.node_budget is None else args.node_budget
+        sol = oracle.solve_exact(inst, node_budget=budget)
     _emit([json.dumps(sol.to_dict(), indent=2)], args.out)
     print(
         f"objective {sol.objective!r} ({sol.proof}, {sol.nodes} nodes)",
@@ -306,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--eps", type=float, default=None, help="size cap (default: capacity)")
     gen.add_argument("--eligibility", type=float, default=1.0)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--levels", type=int, default=4, help="staircase level count")
+    gen.add_argument("--levels", type=int, default=None, help="staircase level count (default 4)")
     gen.add_argument("--level", type=int, default=None, help="emit one staircase prefix")
     gen.add_argument("--out", default=None)
 
@@ -324,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("opt", help="solve the offline optimum")
     opt.add_argument("--input", default="-")
     opt.add_argument("--method", choices=("exact", "bruteforce"), default="exact")
-    opt.add_argument("--node-budget", type=int, default=5_000_000)
+    opt.add_argument("--node-budget", type=int, default=None,
+                     help="branch-and-bound node budget (default 5000000)")
     opt.add_argument("--out", default=None)
 
     ben = sub.add_parser("bench", help="engine vs oracle over an instance suite")

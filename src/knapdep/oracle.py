@@ -7,24 +7,15 @@ instances too large to solve (`upper_bound`).  All solvers are in-house;
 desk-scale instances do not justify an external MILP dependency and a
 hermetic build keeps CI deterministic.
 
-The branch-and-bound prunes with two bounds on what items i.. can still
-add: the sum of their best values, and a fractional-density capacity
-bound (Martello & Toth, *Knapsack Problems*, 1990), which per knapsack
-is their largest value density times the capacity left on the slots they
-request.  The load on those slots is carried down the search as one sum
-per knapsack, so the capacity bound costs O(K + keys expiring at that
-depth) per node and the set-up is linear in options and slots.  The
-search keeps its own stack, so its depth is not limited by Python's
-recursion limit.
-
-Both searches undo a placement by writing back the slot loads saved
-before it, never by subtracting its size: ``(x + s) - s`` need not be
-``x`` in floating point.  So every feasibility test sees exactly the
-loads ``assignment_violations`` would sum, for any float sizes.  The
-enumerator scores the last item's leaves in place.  It keys a subtree on
-the placements whose windows meet a slot a later item requests, and
-counts a repeat that cannot beat the incumbent without walking it; its
-result, full node count included, is the plain walk's.
+The branch-and-bound tests each child before it places anything for it,
+scores a leaf in place, and keeps its own stack, so its depth is not
+limited by Python's recursion limit.  Both searches undo a placement by
+writing back the slot loads saved before it, never by subtracting its
+size: ``(x + s) - s`` need not be ``x`` in floating point.  So every
+feasibility test sees exactly the loads ``assignment_violations`` would
+sum, for any float sizes.  The enumerator scores the last item's leaves in
+place and counts a repeated subtree that cannot beat the incumbent without
+walking it; its result, full node count included, is the plain walk's.
 """
 
 from __future__ import annotations
@@ -107,13 +98,14 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     A subtree above the last item is keyed on its depth i and the earlier
     placements whose window meets a slot some item >= i requests: only
     they load the slots items i.. test, in item order, so one key means
-    one subtree.  Its node count and gain (the most its completions add)
-    are kept for at most ``_MEMO_LIMIT`` keys.  A repeat is counted
-    without a walk when value + gain + slack cannot beat the incumbent:
-    rounding is monotone, and the slack, 1e-9 of one plus the best-value
-    sum, exceeds any gap between the suffix-order gain and an item-order
-    leaf sum.  So ``nodes`` (the full tree), the objective and the first
-    optimal leaf in visit order are the plain walk's.
+    one subtree.  Nodes are counted in one counter; a subtree's node count
+    and gain (the most its completions add) are kept for at most
+    ``_MEMO_LIMIT`` keys, and a repeat adds its count without a walk when
+    value + gain + slack cannot beat the incumbent: rounding is monotone,
+    and the slack, 1e-9 of one plus the best-value sum, exceeds any gap
+    between the suffix-order gain and an item-order leaf sum.  So ``nodes``
+    (the full tree), the objective and the first optimal leaf in visit
+    order are the plain walk's.
     """
     N = inst.num_items
     K = inst.num_knapsacks
@@ -137,48 +129,54 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     best_value = 0.0
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
+    nodes = 0 if N else 1  # with no items the root is the one leaf
 
-    def visit(i: int, value: float, mask: int) -> tuple[int, float]:
-        """Node count and gain of item i's subtree; ``mask``: prefix placements in live[i]."""
-        nonlocal best_value, best_assignment
+    def visit(i: int, value: float, mask: int) -> float:
+        """Gain of item i's subtree, its nodes counted; ``mask``: prefix placements in live[i]."""
+        nonlocal best_value, best_assignment, nodes
         if i == N - 1:
             # This node and its leaves: decline, then each feasible option.
-            nodes, gain = 2, 0.0
+            count, gain = 2, 0.0
             if value > best_value:
                 best_value = value
                 best_assignment = current.copy()
             for k, size, item_value, cap, lo, hi, _ in flat[i]:
                 # One max suffices: x + size is monotone in x.
                 if max(load[lo:hi]) + size <= cap:
-                    nodes += 1
-                    gain = max(gain, item_value)
+                    count += 1
+                    if item_value > gain:
+                        gain = item_value
                     if value + item_value > best_value:
                         best_value = value + item_value
                         best_assignment = current.copy()
                         best_assignment[i] = k
-            return nodes, gain
+            nodes += count
+            return gain
         seen = memo.get(mask * N + i)
         if seen is not None and value + seen[1] + slack <= best_value:
-            return seen
-        nodes, gain = visit(i + 1, value, mask & live[i + 1])
+            nodes += seen[0]
+            return seen[1]
+        before = nodes
         nodes += 1
+        gain = visit(i + 1, value, mask & live[i + 1])
         for k, size, item_value, cap, lo, hi, bit in flat[i]:
             saved = load[lo:hi]
             if max(saved) + size <= cap:
                 for t in range(lo, hi):
                     load[t] += size
                 current[i] = k
-                count, child_gain = visit(i + 1, value + item_value, (mask | bit) & live[i + 1])
-                nodes += count
-                gain = max(gain, item_value + child_gain)
+                child_gain = visit(i + 1, value + item_value, (mask | bit) & live[i + 1])
+                if item_value + child_gain > gain:
+                    gain = item_value + child_gain
                 load[lo:hi] = saved
         current[i] = None
         if seen is None and len(memo) < _MEMO_LIMIT:
-            memo[mask * N + i] = nodes, gain
-        return nodes, gain
+            memo[mask * N + i] = nodes - before, gain
+        return gain
 
-    nodes = visit(0, 0.0, 0)[0] if N else 1  # with no items the root is the one leaf
-    memo.clear()  # visit is a reference cycle: free the table now, not at collection
+    if N:
+        visit(0, 0.0, 0)
+    del visit  # it calls itself: break that cycle, so its tables are freed now, not at collection
     return OfflineSolution(tuple(best_assignment), best_value, "exact", nodes, best_value)
 
 
@@ -186,31 +184,30 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     """Depth-first branch-and-bound over items in input order.
 
     Children of a node are the feasible assignments (highest value first)
-    with decline last, so dense incumbents appear early.  A subtree is cut
-    when its residual-value bound cannot beat the incumbent; a tighter
-    capacity-aware bound is tried before giving up on a cut.  If
-    ``node_budget`` nodes are expanded without finishing, the incumbent is
-    returned tagged "upper-bound-only" together with a still-valid bound:
-    the smaller of the subtrees the budget refused and ``upper_bound``,
-    and at least the incumbent.  A ``node_budget`` must be None or an
-    integer >= 0 (ValueError otherwise).
+    with decline last, so dense incumbents appear early.  A child is cut
+    when the best values of items i.. cannot beat the incumbent, or else
+    when a capacity bound cannot.  If ``node_budget`` nodes are expanded
+    without finishing, the incumbent is returned tagged "upper-bound-only"
+    with a still-valid bound: the smaller of the subtrees the budget
+    refused and ``upper_bound``, and at least the incumbent.  A
+    ``node_budget`` must be None or an integer >= 0 (ValueError otherwise).
 
     The capacity bound at depth i is the fractional-density relaxation
     (Martello & Toth, *Knapsack Problems*, 1990): per knapsack k, the
     largest value per unit of size and slot among the options of items
-    i.. times the room left in F(i, k), the slots any of those options
-    requests.  That room is ``cap_k * |F(i, k)|`` less the load already
-    on F(i, k).  The load sum is carried down the search: a child gets its
-    parent's, less the load on the slots whose last requester is item i,
-    plus the placed option's size on each of its slots that a later item
-    also requests.  So a node costs O(K + keys expiring at its depth), and
-    the footprints themselves are never built.  Every placement is checked
-    against capacity, so no slot is over full and the room needs no
-    per-slot clamp.
+    i.. times the room left in F(i, k), the slots those options request,
+    which is ``cap_k * |F(i, k)|`` less the load on them.  That load sum is
+    carried down the search: a child gets its parent's, less the load on
+    the slots item i requests last, plus the placed size on each slot a
+    later item requests.  So a node costs O(K + keys expiring at its
+    depth).  Every placement is checked against capacity, so no slot is
+    over full and the room needs no per-slot clamp.
 
-    The search runs on an explicit stack of child generators, in the order
-    a recursive visit would take, so its depth is not limited by Python's
-    recursion limit.
+    A child is tested before anything is placed for it: fit, the value
+    bound, the capacity bound from its own load sums, then the budget; a
+    leaf is scored in place.  A generator searches a node's assignment
+    children, yielding one generator per child it enters, then carries on
+    as the node's decline child, on an explicit stack free of the recursion limit.
     """
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)
@@ -219,13 +216,6 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
     load = [0.0] * len(last)
-
-    # Residual max-value sums: suffix_value[i] bounds the total value of
-    # items i.. regardless of capacity.
-    suffix_value = [0.0] * (N + 1)
-    for i in range(N - 1, -1, -1):
-        best_v = max((v for _, _, v, _ in options[i]), default=0.0)
-        suffix_value[i] = suffix_value[i + 1] + best_v
 
     # last[t]: the last item with an option on slot key t.  Key t is in
     # F(i, k) exactly when last[t] >= i, so it leaves the footprint after
@@ -241,23 +231,23 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
             else:
                 runs.append((t // stride, t, t + 1))
 
+    # suffix_value[i] bounds the value of items i.. regardless of capacity.
     # terms[i]: (k, dens, room) for each knapsack with an option among
     # items i..: the max value density there and cap_k * |F(i, k)|.
-    terms: list[tuple[tuple[int, float, float], ...]] = [()] * N
+    suffix_value = [0.0] * (N + 1)
+    terms: list[tuple[tuple[int, float, float], ...]] = [()] * (N + 1)
     dens = [0.0] * K
     footprint_size = [0] * K
     for i in range(N - 1, -1, -1):
+        suffix_value[i] = suffix_value[i + 1] + max((v for _, _, v, _ in options[i]), default=0.0)
         for k, lo, hi in expiring[i]:
             footprint_size[k] += hi - lo
         for k, size, value, keys in options[i]:
             dens[k] = max(dens[k], value / (size * len(keys)))
-        terms[i] = tuple(
-            (k, dens[k], caps[k] * footprint_size[k]) for k in range(K) if dens[k] != 0.0
-        )
+        terms[i] = tuple((k, dens[k], caps[k] * footprint_size[k]) for k in range(K) if dens[k])
 
-    # Assignment children explored best value first (ties to lower index),
-    # decline last, so dense incumbents appear early and tighten pruning.
-    # Each is (k, size, value, cap, first key, end key, keys kept after i).
+    # Assignment children, best value first (ties to lower index), the decline
+    # after them: (k, size, value, cap, first key, end key, keys kept after i).
     children_of = [
         [
             (k, size, value, caps[k], keys.start, keys.stop,
@@ -272,90 +262,100 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     floor = best_value - _PRUNE_SLACK * (1.0 + abs(best_value))
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
-    nodes = 0
-    exhausted = False
-    refused_bound = 0.0  # max bound among subtrees skipped by the budget
+    budget = float("inf") if node_budget is None else node_budget
+    nodes = 1  # the root, which no bound cuts: both are >= 0 > floor
+    refused_bound = suffix_value[0] if nodes > budget else 0.0  # max over refused subtrees
 
     def branches(i: int, value: float, held: list[float]):
-        """Yield node i's children as (depth, value, held load sums).
-
-        A placement's size sits on ``load`` only while its subtree is
-        searched, i.e. until the next value is drawn from this generator.
-        """
-        if expiring[i]:
-            held = held.copy()
-            for k, lo, hi in expiring[i]:
-                held[k] -= sum(load[lo:hi])
-        nxt = i + 1
-        for k, size, item_value, cap, lo, hi, kept in children_of[i]:
-            saved = load[lo:hi]
-            # One max suffices: x + size is monotone in x.
-            if max(saved) + size <= cap:
-                for t in range(lo, hi):
-                    load[t] += size
-                current[i] = k
+        """Search node i (its tests passed), then its decline child, and so on.
+        A placement's size sits on ``load`` while its yielded generator runs.
+        Past the budget, ``nodes`` stays at budget + 1 and counts no child."""
+        nonlocal best_value, best_assignment, floor, nodes, refused_bound
+        while True:
+            if expiring[i]:
+                held = held.copy()
+                for k, lo, hi in expiring[i]:
+                    held[k] -= sum(load[lo:hi])
+            nxt = i + 1
+            rest = suffix_value[nxt]
+            bounds = terms[nxt]  # empty at a leaf
+            for k, size, item_value, cap, lo, hi, kept in children_of[i]:
+                saved = load[lo:hi]
+                # One max suffices: x + size is monotone in x.
+                if max(saved) + size > cap:
+                    continue
+                child_value = value + item_value
+                cheap = child_value + rest
+                if nodes > budget:
+                    refused_bound = max(refused_bound, cheap)
+                    continue
+                if cheap <= floor:
+                    continue
+                child = held
                 if kept:
                     child = held.copy()
                     child[k] += size * kept
-                else:
-                    child = held
-                yield nxt, value + item_value, child
-                current[i] = None
+                bound = 0.0
+                for kk, d, room in bounds:
+                    # Clamped: an infinite density must not meet a rounding residue < 0.
+                    left = room - child[kk]
+                    bound += d * (left if left > 0.0 else 0.0)
+                if child_value + bound <= floor:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    refused_bound = max(refused_bound, cheap)
+                    continue
+                if nxt == N:
+                    if child_value > best_value:
+                        best_value = child_value
+                        floor = best_value - _PRUNE_SLACK * (1.0 + abs(best_value))
+                        best_assignment = current.copy()
+                        best_assignment[i] = k
+                    continue
+                current[i] = k
+                for t in range(lo, hi):
+                    load[t] += size
+                yield branches(nxt, child_value, child)
                 load[lo:hi] = saved
-        yield nxt, value, held  # decline last
-
-    stack = [iter(((0, 0.0, [0.0] * K),))]  # the root, as a one-child parent
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        i, value, held = node
-        cheap = value + suffix_value[i]
-        if exhausted:
-            refused_bound = max(refused_bound, cheap)
-            continue
-        if cheap <= floor:
-            continue
-        if i < N:
+            # The decline, searched here as node nxt; current[i] is set before each descent.
+            current[i] = None
+            cheap = value + rest
+            if nodes > budget:
+                refused_bound = max(refused_bound, cheap)
+                return
+            if cheap <= floor:
+                return
             bound = 0.0
-            for k, d, room in terms[i]:
-                # Clamped so that an infinite density never meets a
-                # negative rounding residue.
-                left = room - held[k]
+            for kk, d, room in bounds:
+                left = room - held[kk]
                 bound += d * (left if left > 0.0 else 0.0)
             if value + bound <= floor:
-                continue
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            refused_bound = max(refused_bound, cheap)
-            continue
-        if i == N:
-            if value > best_value:
-                best_value = value
-                floor = best_value - _PRUNE_SLACK * (1.0 + abs(best_value))
-                best_assignment = current.copy()
-            continue
-        stack.append(branches(i, value, held))
+                return
+            nodes += 1
+            if nodes > budget:
+                refused_bound = max(refused_bound, cheap)
+                return
+            if nxt == N:
+                if value > best_value:
+                    best_value = value
+                    floor = best_value - _PRUNE_SLACK * (1.0 + abs(best_value))
+                    best_assignment = current.copy()
+                return
+            i = nxt
 
-    if exhausted:
-        # Both the refused subtrees' bound and the root relaxation are
-        # valid; report the tighter, never below the incumbent.
-        return OfflineSolution(
-            assignment=tuple(best_assignment),
-            objective=best_value,
-            proof="upper-bound-only",
-            nodes=nodes,
-            bound=max(best_value, min(refused_bound, upper_bound(inst))),
-        )
-    return OfflineSolution(
-        assignment=tuple(best_assignment),
-        objective=best_value,
-        proof="exact",
-        nodes=nodes,
-        bound=best_value,
-    )
+    stack = [branches(0, 0.0, [0.0] * K)] if N else []
+    while stack:
+        for child in stack[-1]:
+            stack.append(child)
+            break
+        else:
+            stack.pop()
+    del branches  # it refers to itself too: break that cycle
+    exhausted = nodes > budget
+    bound = max(best_value, min(refused_bound, upper_bound(inst))) if exhausted else best_value
+    proof = "upper-bound-only" if exhausted else "exact"
+    return OfflineSolution(tuple(best_assignment), best_value, proof, nodes, bound)
 
 
 def upper_bound(inst: Instance) -> float:

@@ -115,6 +115,20 @@ class TestGen:
         assert result.returncode == 2
         assert "usage" in result.stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--level", "2"), ("--levels", "4"), ("--family", "burst", "--level", "1"),
+         ("--family", "burst", "--levels", "3", "--level", "1")],
+    )
+    def test_staircase_flags_refused_for_other_families(self, capsys, flags):
+        # Uniform and burst draw one instance; a level flag would be ignored.
+        with pytest.raises(SystemExit) as info:
+            cli("gen", "--n", "3", *flags)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --level and --levels apply only to --family staircase\n"
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_valid_instance(self, instance_file, capsys):
@@ -694,6 +708,31 @@ class TestBenchTune:
         for name in ("s0.json", "s1.json"):
             assert (f"error: {name}: ValueError: exponential threshold: "
                     f"unknown keys ['gama']\n") in captured.err
+
+    @pytest.mark.parametrize("budget", ["1", "5000000", "-5"])
+    def test_opt_node_budget_refused_for_bruteforce(self, instance_file, capsys, budget):
+        # The enumerator has no budget: the flag would be ignored.
+        with pytest.raises(SystemExit) as info:
+            cli("opt", "--input", str(instance_file), "--method", "bruteforce",
+                "--node-budget", budget)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --node-budget applies only to --method exact\n"
+        assert captured.out == ""
+
+    def test_opt_default_node_budget(self, tmp_path, capsys, monkeypatch):
+        # Without the flag, opt still gives the search its budget of 5 000 000.
+        from knapdep import oracle
+
+        seen = []
+        real = oracle.solve_exact
+        monkeypatch.setattr(oracle, "solve_exact",
+                            lambda inst, node_budget: seen.append(node_budget) or real(inst))
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(one_item_instance()))
+        assert cli("opt", "--input", str(path)) == 0
+        assert cli("opt", "--input", str(path), "--node-budget", "7") == 0
+        assert seen == [5_000_000, 7]
 
     def test_opt_negative_node_budget_exits_1(self, tmp_path, capsys):
         path = tmp_path / "one.json"

@@ -457,6 +457,79 @@ def test_branch_and_bound_matches_reference_on_larger_instances():
         ), spec
 
 
+def seeded_small_instance(rng):
+    """A draw shaped like ``small_instances``, of 4 to 8 items, from ``rng``."""
+    k = rng.randint(1, 3)
+    horizon = rng.randint(1, 6)
+    knapsacks = tuple(KnapsackSpec(c, 8.0, 1, horizon, c)
+                      for c in rng.choices([1.0, 2.0, 4.0], k=k))
+    items = []
+    arrival = 1
+    for item_id in range(rng.randint(4, min(8, MAX_ITEMS[k]))):
+        arrival = rng.randint(arrival, horizon)
+        options = []
+        for _ in knapsacks:
+            duration = rng.randint(1, horizon)
+            options.append(ItemOption(
+                True, rng.choice(QUARTERS), rng.choice(QUARTERS),
+                rng.randint(1, horizon - duration + 1), duration,
+            ) if rng.randrange(4) else ItemOption(False, 0.0, 0.0, 1, 1))
+        items.append(Item(item_id, arrival, tuple(options)))
+    return Instance(horizon, knapsacks, tuple(items))
+
+
+def budget_cases():
+    """Instances of at most 8 items on which to stop the search at every node.
+
+    In ``crowded`` each item fills one knapsack's only slot and all values
+    tie, so the bounds cut little and the search scores many leaves.  In
+    ``declines`` the first item fills the window the others ask for, and
+    every other item has no eligible option, so declines come in chains.
+    """
+    ks = KnapsackSpec(4.0, 8.0, 1, 2, 4.0)
+    crowded = Instance(1, (ks, ks), tuple(
+        Item(i, 1, (ItemOption(True, 3.0, 1.0, 1, 1),) * 2) for i in range(7)))
+    none = ItemOption(False, 0.0, 0.0, 1, 1)
+    blocked = Item(0, 1, (ItemOption(True, 4.0, 5.0, 1, 2), none))
+    declines = Instance(2, (ks, ks), (blocked,) + tuple(
+        Item(i, 1, (ItemOption(True, 3.0, 2.0, 1, 2), none) if i % 2 else (none, none))
+        for i in range(1, 8)))
+    rng = random.Random(21)
+    return [crowded, declines] + [seeded_small_instance(rng) for _ in range(6)]
+
+
+def test_budget_stops_at_every_node():
+    # The budget is checked where each child is counted, so every count
+    # from none to one past the full search must stop it as the reference does.
+    for inst in budget_cases():
+        full = reference_solve_exact(inst).nodes
+        for budget in range(full + 2):
+            assert (
+                solve_exact(inst, node_budget=budget).to_dict()
+                == reference_solve_exact(inst, node_budget=budget).to_dict()
+            ), (inst, budget)
+
+
+def test_searches_match_references_without_eligible_options():
+    # K = 0, and K = 2 with every option ineligible: each node's only child
+    # is the decline.  The strategies draw K >= 1 and seldom no option at all.
+    ks = KnapsackSpec(2.0, 8.0, 1, 2, 2.0)
+    ineligible = ItemOption(False, 0.0, 0.0, 1, 1)
+    rng = random.Random(8)
+    for n in range(9):
+        horizon = rng.randint(1, 5)
+        arrivals = sorted(rng.randint(1, horizon) for _ in range(n))
+        for knapsacks, options in (((), ()), ((ks, ks), (ineligible,) * 2)):
+            inst = Instance(horizon, knapsacks, tuple(
+                Item(i, a, options) for i, a in enumerate(arrivals)))
+            for budget in (None, *range(n + 3)):
+                assert (
+                    solve_exact(inst, node_budget=budget).to_dict()
+                    == reference_solve_exact(inst, node_budget=budget).to_dict()
+                ), (inst, budget)
+            assert solve_bruteforce(inst).to_dict() == reference_solve_bruteforce(inst).to_dict()
+
+
 def reference_solve_bruteforce(inst):
     """Enumeration with one recursive call per node, leaves included."""
     N = inst.num_items
