@@ -250,7 +250,12 @@ def bench_suite(
     exact_rows = [r for r in rows if r.opt_tag == "exact"]
     cr = max((r.ratio for r in exact_rows), default=None)
     finite = [r.ratio for r in exact_rows if not r.infinite]
-    mean_ratio = sum(finite) / len(finite) if finite else None
+    # Left to right, as ``ThresholdFn.charge`` sums: builtin ``sum`` of
+    # floats compensates from Python 3.12 on, so its bytes vary by version.
+    total = 0.0
+    for ratio in finite:
+        total += ratio
+    mean_ratio = total / len(finite) if finite else None
 
     def sort_key(r: BenchRow):
         primary = -r.ratio if not math.isnan(r.ratio) else math.inf

@@ -35,6 +35,9 @@ FAMILIES = ("uniform", "staircase", "burst")
 # is built.
 _STAIRCASE_ITEMS = 10**6
 
+# The one record every ineligible option shares.
+_INELIGIBLE = ItemOption(False, 0.0, 0.0, 1, 1)
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -88,7 +91,7 @@ def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Insta
 
     Sizes land in (0, size_cap], densities in [1, theta], and
     value = density * size * duration, so Assumption-style bounds hold by
-    construction.  Ineligible options share one placeholder record.
+    construction.  Ineligible options are the shared ``_INELIGIBLE`` record.
     """
     getrandbits, random = rng.getrandbits, rng.random
     new = tuple.__new__
@@ -99,7 +102,6 @@ def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Insta
         (ks.duration_lo, ks.duration_hi - ks.duration_lo + 1, ks.size_cap, ks.theta - 1.0)
         for ks in spec.knapsacks
     ]
-    ineligible = ItemOption(False, 0.0, 0.0, 1, 1)
     items = []
     for item_id, arrival in enumerate(arrivals):
         options = []
@@ -113,7 +115,7 @@ def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Insta
                     new(ItemOption, (True, size, density * size * duration, start, duration))
                 )
             else:
-                options.append(ineligible)
+                options.append(_INELIGIBLE)
         items.append(new(Item, (item_id, arrival, tuple(options))))
     return Instance(spec.horizon, spec.knapsacks, tuple(items))
 
@@ -360,7 +362,7 @@ def ingest_trace(
         clamped = False
         for k, ks in enumerate(knapsacks):
             if mapping.assign_policy == "partition" and idx % len(knapsacks) != k:
-                options.append(ItemOption(False, 0.0, 0.0, 1, 1))
+                options.append(_INELIGIBLE)
                 continue
             clamp = _clamp_row(ks, size, duration, value, horizon - start + 1)
             if clamp != (size, duration, value):

@@ -7,15 +7,17 @@ instances too large to solve (`upper_bound`).  All solvers are in-house;
 desk-scale instances do not justify an external MILP dependency and a
 hermetic build keeps CI deterministic.
 
-The branch-and-bound tests each child before it places anything for it,
-scores a leaf in place, and keeps its own stack, so its depth is not
-limited by Python's recursion limit.  Both searches undo a placement by
-writing back the slot loads saved before it, never by subtracting its
-size: ``(x + s) - s`` need not be ``x`` in floating point.  So every
-feasibility test sees exactly the loads ``assignment_violations`` would
-sum, for any float sizes.  The enumerator scores the last item's leaves in
-place and counts a repeated subtree that cannot beat the incumbent without
-walking it; its result, full node count included, is the plain walk's.
+The branch-and-bound cuts on one bound, a child's value plus the best
+values of the items after it.  It tests each child before it places
+anything for it, scores a leaf in place, and keeps its own stack, so its
+depth is not limited by Python's recursion limit.  Both searches undo a
+placement by writing back the slot loads saved before it, never by
+subtracting its size: ``(x + s) - s`` need not be ``x`` in floating
+point.  So every feasibility test sees exactly the loads
+``assignment_violations`` would sum, for any float sizes.  The enumerator
+scores the last item's leaves in place and counts a repeated subtree that
+cannot beat the incumbent without walking it; its result, full node count
+included, is the plain walk's.
 """
 
 from __future__ import annotations
@@ -184,77 +186,40 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     """Depth-first branch-and-bound over items in input order.
 
     Children of a node are the feasible assignments (highest value first)
-    with decline last, so dense incumbents appear early.  A child is cut
-    when the best values of items i.. cannot beat the incumbent, or else
-    when a capacity bound cannot.  If ``node_budget`` nodes are expanded
+    with decline last, so dense incumbents appear early.  One bound cuts:
+    a child is cut when its value plus the best values of the items after
+    it cannot beat the incumbent.  If ``node_budget`` nodes are expanded
     without finishing, the incumbent is returned tagged "upper-bound-only"
     with a still-valid bound: the smaller of the subtrees the budget
     refused and ``upper_bound``, and at least the incumbent.  A
     ``node_budget`` must be None or an integer >= 0 (ValueError otherwise).
 
-    The capacity bound at depth i is the fractional-density relaxation
-    (Martello & Toth, *Knapsack Problems*, 1990): per knapsack k, the
-    largest value per unit of size and slot among the options of items
-    i.. times the room left in F(i, k), the slots those options request,
-    which is ``cap_k * |F(i, k)|`` less the load on them.  That load sum is
-    carried down the search: a child gets its parent's, less the load on
-    the slots item i requests last, plus the placed size on each slot a
-    later item requests.  So a node costs O(K + keys expiring at its
-    depth).  Every placement is checked against capacity, so no slot is
-    over full and the room needs no per-slot clamp.
-
     A child is tested before anything is placed for it: fit, the value
-    bound, the capacity bound from its own load sums, then the budget; a
-    leaf is scored in place.  A generator searches a node's assignment
-    children, yielding one generator per child it enters, then carries on
-    as the node's decline child, on an explicit stack free of the recursion limit.
+    bound, then the budget; a leaf is scored in place.  A generator
+    searches a node's assignment children, yielding one generator per
+    child it enters, then carries on as the node's decline child, on an
+    explicit stack free of the recursion limit.
     """
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)
     N = inst.num_items
-    K = inst.num_knapsacks
     options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
     load = [0.0] * len(last)
 
-    # last[t]: the last item with an option on slot key t.  Key t is in
-    # F(i, k) exactly when last[t] >= i, so it leaves the footprint after
-    # item last[t]: expiring[i] lists those keys as runs (k, first, end).
-    # Slot 0 is never requested, so no run crosses into the next knapsack.
-    stride = inst.horizon + 1
-    expiring: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
-    for t, i in enumerate(last):
-        if i >= 0:
-            runs = expiring[i]
-            if runs and runs[-1][2] == t:
-                runs[-1] = (runs[-1][0], runs[-1][1], t + 1)
-            else:
-                runs.append((t // stride, t, t + 1))
-
     # suffix_value[i] bounds the value of items i.. regardless of capacity.
-    # terms[i]: (k, dens, room) for each knapsack with an option among
-    # items i..: the max value density there and cap_k * |F(i, k)|.
     suffix_value = [0.0] * (N + 1)
-    terms: list[tuple[tuple[int, float, float], ...]] = [()] * (N + 1)
-    dens = [0.0] * K
-    footprint_size = [0] * K
     for i in range(N - 1, -1, -1):
         suffix_value[i] = suffix_value[i + 1] + max((v for _, _, v, _ in options[i]), default=0.0)
-        for k, lo, hi in expiring[i]:
-            footprint_size[k] += hi - lo
-        for k, size, value, keys in options[i]:
-            dens[k] = max(dens[k], value / (size * len(keys)))
-        terms[i] = tuple((k, dens[k], caps[k] * footprint_size[k]) for k in range(K) if dens[k])
 
     # Assignment children, best value first (ties to lower index), the decline
-    # after them: (k, size, value, cap, first key, end key, keys kept after i).
+    # after them: (k, size, value, cap, first key, end key).
     children_of = [
         [
-            (k, size, value, caps[k], keys.start, keys.stop,
-             sum(1 for t in keys if last[t] > i))
+            (k, size, value, caps[k], keys.start, keys.stop)
             for k, size, value, keys in sorted(opts, key=lambda o: (-o[2], o[0]))
         ]
-        for i, opts in enumerate(options)
+        for opts in options
     ]
 
     best_value = 0.0
@@ -263,23 +228,18 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
     budget = float("inf") if node_budget is None else node_budget
-    nodes = 1  # the root, which no bound cuts: both are >= 0 > floor
+    nodes = 1  # the root, which the bound never cuts: it is >= 0 > floor
     refused_bound = suffix_value[0] if nodes > budget else 0.0  # max over refused subtrees
 
-    def branches(i: int, value: float, held: list[float]):
+    def branches(i: int, value: float):
         """Search node i (its tests passed), then its decline child, and so on.
         A placement's size sits on ``load`` while its yielded generator runs.
         Past the budget, ``nodes`` stays at budget + 1 and counts no child."""
         nonlocal best_value, best_assignment, floor, nodes, refused_bound
         while True:
-            if expiring[i]:
-                held = held.copy()
-                for k, lo, hi in expiring[i]:
-                    held[k] -= sum(load[lo:hi])
             nxt = i + 1
             rest = suffix_value[nxt]
-            bounds = terms[nxt]  # empty at a leaf
-            for k, size, item_value, cap, lo, hi, kept in children_of[i]:
+            for k, size, item_value, cap, lo, hi in children_of[i]:
                 saved = load[lo:hi]
                 # One max suffices: x + size is monotone in x.
                 if max(saved) + size > cap:
@@ -290,17 +250,6 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                     refused_bound = max(refused_bound, cheap)
                     continue
                 if cheap <= floor:
-                    continue
-                child = held
-                if kept:
-                    child = held.copy()
-                    child[k] += size * kept
-                bound = 0.0
-                for kk, d, room in bounds:
-                    # Clamped: an infinite density must not meet a rounding residue < 0.
-                    left = room - child[kk]
-                    bound += d * (left if left > 0.0 else 0.0)
-                if child_value + bound <= floor:
                     continue
                 nodes += 1
                 if nodes > budget:
@@ -316,7 +265,7 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                 current[i] = k
                 for t in range(lo, hi):
                     load[t] += size
-                yield branches(nxt, child_value, child)
+                yield branches(nxt, child_value)
                 load[lo:hi] = saved
             # The decline, searched here as node nxt; current[i] is set before each descent.
             current[i] = None
@@ -325,12 +274,6 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                 refused_bound = max(refused_bound, cheap)
                 return
             if cheap <= floor:
-                return
-            bound = 0.0
-            for kk, d, room in bounds:
-                left = room - held[kk]
-                bound += d * (left if left > 0.0 else 0.0)
-            if value + bound <= floor:
                 return
             nodes += 1
             if nodes > budget:
@@ -344,7 +287,7 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                 return
             i = nxt
 
-    stack = [branches(0, 0.0, [0.0] * K)] if N else []
+    stack = [branches(0, 0.0)] if N else []
     while stack:
         for child in stack[-1]:
             stack.append(child)

@@ -41,6 +41,16 @@ def uniform_suite(seeds, n=8, k=2):
     return suite
 
 
+def compensated_sum(values):
+    """Neumaier's compensated float sum, as builtin ``sum`` forms it from Python 3.12."""
+    total = carry = 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry
+
+
 def scored_row(alg, opt):
     return BenchRow("x", 1, alg, opt, "exact", _ratio(alg, opt))
 
@@ -119,6 +129,20 @@ class TestBenchSuite:
         for row in report.rows:
             assert row.opt_tag == "exact"
             assert row.ratio >= 1.0 - 1e-9
+
+    def test_mean_ratio_summed_left_to_right(self):
+        # On this suite a compensated sum of the ratios differs from the
+        # left-to-right one, so the mean tells the two apart on every Python.
+        suite = uniform_suite(range(9))
+        report = bench_suite(suite)
+        by_id = {row.instance_id: row for row in report.rows}
+        assert all(by_id[iid].opt_tag == "exact" and not by_id[iid].infinite for iid, _ in suite)
+        ratios = [by_id[iid].ratio for iid, _ in suite]
+        total = 0.0
+        for ratio in ratios:
+            total += ratio
+        assert compensated_sum(ratios) != total
+        assert report.mean_ratio == total / len(ratios)
 
     def test_cr_union_monotone(self):
         s1 = uniform_suite(range(4))

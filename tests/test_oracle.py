@@ -274,6 +274,15 @@ class TestExact:
         inst = random_instance(3, n=6, k=1)
         assert solve_exact(inst).nodes > 0
 
+    def test_proves_at_bench_exact_cutoff(self):
+        # n = 18 is bench's default exact_cutoff, on the benchmark's oracle
+        # shape (K = 2, capacity 4, T = 20), under bench's default budget.
+        ks = KnapsackSpec(4.0, 8.0, 2, 6, 4.0)
+        inst = generate(GenSpec("burst", 18, 20, (ks, ks), 3))[0]
+        sol = solve_exact(inst, node_budget=5_000_000)
+        assert sol.proof == "exact"
+        assert assignment_violations(inst, list(sol.assignment)) == []
+
     def test_search_deeper_than_recursion_limit(self):
         # `gen --n 1500 --k 1 --t 3000 --capacity 10 --theta 8 --eps 2
         # --seed 1`: the first 1200 nodes run down one path 1200 items deep.

@@ -30,10 +30,10 @@ the contract that makes the skip exact.  The exponential curve's own
 charge kernel equals the generic ``ThresholdFn.charge`` bit for bit, +inf
 included, and a curve that overrides only ``eval`` is charged through it.
 
-``reference_solve_exact`` is the branch-and-bound as it was before its
-capacity bound was carried down the search: recursive, re-summing each
-knapsack's slot footprint at every node.  ``solve_exact`` must make the
-same search, so its result, node count included, equals the reference's.
+``reference_solve_exact`` is the branch-and-bound written as plain
+recursion, one call per node, with the same value bound and child order.
+``solve_exact`` must make the same search, so its result, node count
+included, equals the reference's.
 ``reference_solve_bruteforce`` is the enumerator as it was before it
 scored the last item's leaves in place: one call per node, leaves
 included.  ``solve_bruteforce`` must visit the same nodes in the same
@@ -340,7 +340,7 @@ def test_integer_sizes_and_values_parse_as_floats(inst):
 
 
 def reference_solve_exact(inst, node_budget=None):
-    """Branch-and-bound with the capacity bound summed over footprints."""
+    """Recursive branch-and-bound that cuts on the value bound alone."""
     N = inst.num_items
     K = inst.num_knapsacks
     stride = inst.horizon + 1
@@ -360,26 +360,6 @@ def reference_solve_exact(inst, node_budget=None):
         best_v = max((v for _, _, v, _ in options[i]), default=0.0)
         suffix_value[i] = suffix_value[i + 1] + best_v
 
-    density_suffix = [[0.0] * K for _ in range(N + 1)]
-    footprint = [[frozenset() for _ in range(K)] for _ in range(N + 1)]
-    for i in range(N - 1, -1, -1):
-        for k in range(K):
-            density_suffix[i][k] = density_suffix[i + 1][k]
-            footprint[i][k] = footprint[i + 1][k]
-        for k, size, value, keys in options[i]:
-            density_suffix[i][k] = max(density_suffix[i][k], value / (size * len(keys)))
-            footprint[i][k] = footprint[i][k] | frozenset(keys)
-
-    def capacity_bound(i):
-        total = 0.0
-        for k in range(K):
-            dens = density_suffix[i][k]
-            if dens == 0.0:
-                continue
-            residual = sum(max(caps[k] - load[t], 0.0) for t in footprint[i][k])
-            total += dens * residual
-        return total
-
     best_value = 0.0
     best_assignment: list[Optional[int]] = [None] * N
     current: list[Optional[int]] = [None] * N
@@ -395,8 +375,6 @@ def reference_solve_exact(inst, node_budget=None):
             return
         margin = 1e-9 * (1.0 + abs(best_value))
         if cheap <= best_value - margin:
-            return
-        if i < N and value + capacity_bound(i) <= best_value - margin:
             return
         nodes += 1
         if node_budget is not None and nodes > node_budget:
