@@ -35,6 +35,10 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+class _FlagError(ValueError):
+    """A flag value that cannot be read; ``main`` reports it as a usage error."""
+
+
 def _read_instance(path: str) -> Instance:
     if path == "-":
         return loads_instance(sys.stdin.read())
@@ -47,7 +51,9 @@ def _emit(parts: Iterable[str], out: Optional[str]) -> None:
     ``run`` passes its document as a generator of batches
     (``RunResult.json_parts``), so the document is written as it is formed
     and never held whole; every other command passes its one text.  The
-    file is opened here, after the command has its result.
+    file is opened here, after the command has its result (for ``run``
+    and ``validate``, after the input's last item), so a refused input
+    writes nothing.
     """
     with nullcontext(sys.stdout) if out is None or out == "-" else open(out, "w") as f:
         f.writelines(parts)
@@ -65,7 +71,7 @@ def _gamma_config(raw: str) -> dict:
     try:
         return {"kind": "exponential", "gamma": float(raw)}
     except ValueError:
-        raise _usage_error(f"--gamma must be a number or 'auto', got {raw!r}")
+        raise _FlagError(f"--gamma must be a number or 'auto', got {raw!r}") from None
 
 
 def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
@@ -136,12 +142,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.input)
-    gamma = None
-    if args.gamma is not None:
-        fns = threshold.for_instance(inst, _gamma_config(args.gamma))
-        gamma = [fn.gamma for fn in fns]
-    report = validate_instance(inst, strict=args.strict, gamma=gamma)
+    from .stream import through_items  # only run and validate stream their input
+
+    def validate(inst: Instance):
+        gamma = None
+        if args.gamma is not None:
+            fns = threshold.for_instance(inst, _gamma_config(args.gamma))
+            gamma = [fn.gamma for fn in fns]
+        return validate_instance(inst, strict=args.strict, gamma=gamma)
+
+    report = through_items(args.input, validate, loads_instance)
     _emit([json.dumps(report.to_dict(), indent=2)], args.out)
     for msg in report.errors:
         print(f"error: {msg}", file=sys.stderr)
@@ -151,11 +161,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.input)
-    fns = threshold.for_instance(inst, _gamma_config(args.gamma))
-    result = engine_run(inst, fns)
+    from .stream import through_items
+
+    def run(inst: Instance):
+        return engine_run(inst, threshold.for_instance(inst, _gamma_config(args.gamma)))
+
+    result = through_items(args.input, run, loads_instance)
     _emit(result.json_parts(), args.out)
-    print(f"profit {result.profit!r} over {inst.num_items} items", file=sys.stderr)
+    print(f"profit {result.profit!r} over {len(result.decisions)} items", file=sys.stderr)
     return EXIT_OK
 
 
@@ -368,6 +381,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except SystemExit:
         raise
+    except _FlagError as exc:
+        raise _usage_error(str(exc)) from exc
     except (OSError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

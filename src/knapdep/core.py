@@ -150,7 +150,7 @@ class Instance:
     knapsack, every option's window with integers start >= 1 and duration
     >= 1, and for each eligible option a finite size > 0, a finite value
     > 0 and a window ending by the horizon), so everything downstream
-    relies on them.  This is the one place the records it holds are checked.
+    relies on them.  ``checked_items`` holds the rules, for streamed items too.
     """
 
     horizon: int
@@ -158,54 +158,8 @@ class Instance:
     items: tuple[Item, ...]
 
     def __post_init__(self) -> None:
-        horizon = self.horizon
-        check_count("horizon", horizon, 1)
-        K = len(self.knapsacks)
-        inf = math.inf
-        limit = horizon + 1
-        seen: set[int] = set()
-        prev_arrival = 1
-        for item_id, arrival, options in self.items:
-            if type(item_id) is not int and not _integer(item_id):  # seen: one id per item so far
-                raise ValueError(
-                    f"item at position {len(seen)}: id must be an integer, got {item_id!r}"
-                )
-            if item_id in seen:
-                raise ValueError(f"duplicate item id {item_id}")
-            seen.add(item_id)
-            if type(arrival) is not int and not _integer(arrival):
-                raise ValueError(f"item {item_id}: arrival must be an integer, got {arrival!r}")
-            if arrival < prev_arrival:  # prev_arrival starts at 1
-                raise ValueError(
-                    f"item {item_id}: arrival must be >= 1, got {arrival}"
-                    if arrival < 1
-                    else f"item {item_id}: arrival {arrival} breaks nondecreasing order"
-                )
-            prev_arrival = arrival
-            if len(options) != K:
-                raise ValueError(f"item {item_id}: expected {K} options, got {len(options)}")
-            for k, (eligible, size, value, start, duration) in enumerate(options):
-                # One test per rule, in this order; text only for the one broken.
-                if type(start) is not int and not _integer(start):
-                    fault = f"interval start must be an integer, got {start!r}"
-                elif start < 1:
-                    fault = f"interval start must be >= 1, got {start}"
-                elif type(duration) is not int and not _integer(duration):
-                    fault = f"interval duration must be an integer, got {duration!r}"
-                elif duration < 1:
-                    fault = f"interval duration must be >= 1, got {duration}"
-                elif not eligible:
-                    continue
-                elif not 0 < size < inf:
-                    fault = f"nonpositive size {size}" if size <= 0 else f"size {size} is not finite"
-                elif not 0 < value < inf:
-                    fault = (f"nonpositive value {value}" if value <= 0
-                             else f"value {value} is not finite")
-                elif start + duration > limit:
-                    fault = f"window ends at {start + duration - 1}, beyond horizon {horizon}"
-                else:
-                    continue
-                raise ValueError(f"item {item_id}, knapsack {k}: {fault}")
+        for _ in checked_items(self.horizon, len(self.knapsacks), self.items):
+            pass
 
     @property
     def num_knapsacks(self) -> int:
@@ -214,6 +168,61 @@ class Instance:
     @property
     def num_items(self) -> int:
         return len(self.items)
+
+
+def checked_items(horizon: int, K: int, items: Iterable[Item]) -> Iterator[Item]:
+    """``items`` in order, each once it keeps ``Instance``'s rules.
+
+    ValueError at the first break; the horizon's on the first draw.
+    """
+    check_count("horizon", horizon, 1)
+    inf = math.inf
+    limit = horizon + 1
+    seen: set[int] = set()
+    prev_arrival = 1
+    for item in items:
+        item_id, arrival, options = item
+        if type(item_id) is not int and not _integer(item_id):  # seen: one id per item so far
+            raise ValueError(
+                f"item at position {len(seen)}: id must be an integer, got {item_id!r}"
+            )
+        if item_id in seen:
+            raise ValueError(f"duplicate item id {item_id}")
+        seen.add(item_id)
+        if type(arrival) is not int and not _integer(arrival):
+            raise ValueError(f"item {item_id}: arrival must be an integer, got {arrival!r}")
+        if arrival < prev_arrival:  # prev_arrival starts at 1
+            raise ValueError(
+                f"item {item_id}: arrival must be >= 1, got {arrival}"
+                if arrival < 1
+                else f"item {item_id}: arrival {arrival} breaks nondecreasing order"
+            )
+        prev_arrival = arrival
+        if len(options) != K:
+            raise ValueError(f"item {item_id}: expected {K} options, got {len(options)}")
+        for k, (eligible, size, value, start, duration) in enumerate(options):
+            # One test per rule, in this order; text only for the one broken.
+            if type(start) is not int and not _integer(start):
+                fault = f"interval start must be an integer, got {start!r}"
+            elif start < 1:
+                fault = f"interval start must be >= 1, got {start}"
+            elif type(duration) is not int and not _integer(duration):
+                fault = f"interval duration must be an integer, got {duration!r}"
+            elif duration < 1:
+                fault = f"interval duration must be >= 1, got {duration}"
+            elif not eligible:
+                continue
+            elif not 0 < size < inf:
+                fault = f"nonpositive size {size}" if size <= 0 else f"size {size} is not finite"
+            elif not 0 < value < inf:
+                fault = (f"nonpositive value {value}" if value <= 0
+                         else f"value {value} is not finite")
+            elif start + duration > limit:
+                fault = f"window ends at {start + duration - 1}, beyond horizon {horizon}"
+            else:
+                continue
+            raise ValueError(f"item {item_id}, knapsack {k}: {fault}")
+        yield item
 
 
 class UtilizationState:
@@ -320,7 +329,8 @@ def validate_instance(
     """Check an instance against its declared fluctuation bounds.
 
     Structure needs no check here: every ``Instance`` is well-formed by
-    construction.  Fluctuation-bound violations (density outside
+    construction, and so is a streamed one, whose items are drawn once.
+    Fluctuation-bound violations (density outside
     [1, theta], duration outside its bounds, size above the cap) are
     warnings, promoted to errors when ``strict``.  A window starting before
     the item's arrival, and an item with no eligible option, are reported
@@ -348,11 +358,11 @@ def validate_instance(
 
     warnings = report.warnings
     violations = report.errors if strict else warnings
-    # Per knapsack: the density, duration and size of each eligible option,
-    # and the bounds an option within every declared bound stays inside.
-    densities: list[list[float]] = [[] for _ in range(K)]
-    durations: list[list[int]] = [[] for _ in range(K)]
-    sizes: list[list[float]] = [[] for _ in range(K)]
+    # Per knapsack: [min, max] density and duration and max size of its
+    # eligible options (None before the first; ties keep the first, as
+    # min() and max() do), and the bounds options within the declared ones
+    # stay inside.
+    ranges: list[Optional[list]] = [None] * K
     limits = [
         (s.theta + BOUND_TOL * s.theta, s.duration_lo, s.duration_hi,
          s.size_cap + BOUND_TOL * s.size_cap)
@@ -388,22 +398,33 @@ def validate_instance(
                 violations.append(
                     f"item {item_id}, knapsack {k}: size {size} above cap {specs[k].size_cap}"
                 )
-            densities[k].append(rho)
-            durations[k].append(d)
-            sizes[k].append(size)
+            r = ranges[k]
+            if r is None:
+                ranges[k] = [rho, rho, d, d, size]
+                continue
+            if rho < r[0]:
+                r[0] = rho
+            elif rho > r[1]:
+                r[1] = rho
+            if d < r[2]:
+                r[2] = d
+            elif d > r[3]:
+                r[3] = d
+            if size > r[4]:
+                r[4] = size
         if vacuous:
             warnings.append(f"item {item_id}: no eligible option (vacuous item)")
 
-    for k, bound in enumerate(bounds):
-        max_size = max(sizes[k], default=0.0)
+    for k, (r, bound) in enumerate(zip(ranges, bounds)):
+        max_size = 0.0 if r is None else r[4]
         if bound is not None and max_size > bound + BOUND_TOL * bound:
             violations.append(
                 f"knapsack {k}: max size {max_size} exceeds capacity*ln2/gamma = {bound}"
             )
         report.knapsacks.append(
             KnapsackObservation(
-                density_range=(min(densities[k]), max(densities[k])) if densities[k] else None,
-                duration_range=(min(durations[k]), max(durations[k])) if durations[k] else None,
+                density_range=None if r is None else (r[0], r[1]),
+                duration_range=None if r is None else (r[2], r[3]),
                 max_size=max_size,
                 size_bound=bound,
             )
@@ -488,9 +509,10 @@ def json_block(elements: list[str], indent: str, brackets: str = "[]") -> str:
 
 
 # Elements joined into one part by ``json_block_parts``: a streamed block
-# then holds one batch of text at a time, and each write still moves
-# thousands of elements.
-JSON_BATCH = 2048
+# then holds one batch of text at a time (about 0.35 MB of a K = 4 run's
+# decisions), and a part of slot texts still exceeds the 8 KiB a text
+# file gathers before it writes.
+JSON_BATCH = 512
 
 
 def json_block_parts(
@@ -639,17 +661,18 @@ def instance_from_dict(data: Mapping) -> Instance:
 
 
 def _build_instance(top: dict, item_objs: Iterable) -> Instance:
-    """The instance of the checked top-level fields ``top``.
+    """The instance of the checked top-level fields ``top``, its items from ``item_objs``."""
+    knapsacks = knapsack_specs(top["knapsacks"])
+    items = tuple(item_records(item_objs))
+    try:
+        return Instance(top["horizon"], knapsacks, items)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
-    One walk over the document, whose items are taken from ``item_objs``
-    in order.  An item or option holding exactly the types ``json.loads``
-    gives (with finite floats) is built as it stands; any other record goes
-    through ``_checked``, which names its first fault or converts its
-    values.  ``Instance`` then checks the structural rules once, for
-    records built either way.
-    """
+
+def knapsack_specs(kobjs: Iterable) -> tuple[KnapsackSpec, ...]:
     knapsacks = []
-    for kobj in top["knapsacks"]:
+    for kobj in kobjs:
         where = f"knapsack {len(knapsacks)}"
         fields = _knapsack_values(_checked(kobj, _KNAPSACK_FIELDS, where))
         # Only the constructor's own ValueError gets the location prefix;
@@ -658,17 +681,25 @@ def _build_instance(top: dict, item_objs: Iterable) -> Instance:
             knapsacks.append(KnapsackSpec(*fields))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
+    return tuple(knapsacks)
 
+
+def item_records(item_objs: Iterable) -> Iterator[Item]:
+    """The record of each parsed item object, in order, built as it is drawn.
+
+    An item or option holding exactly the types ``json.loads`` gives (with
+    finite floats) is built as it stands; any other record goes through
+    ``_checked``, which names its first fault or converts its values.
+    """
     new = tuple.__new__
-    items = []
-    for iobj in item_objs:
+    for position, iobj in enumerate(item_objs):
         if type(iobj) is dict and iobj.keys() == _ITEM_KEYS:
             item_id, arrival, odata = _item_values(iobj)
             exact = type(item_id) is int and type(arrival) is int and type(odata) is list
         else:
             exact = False
         if not exact:
-            where = f"item at position {len(items)}"
+            where = f"item at position {position}"
             item_id, arrival, odata = _item_values(_checked(iobj, _ITEM_FIELDS, where))
         options = []
         for oobj in odata:
@@ -680,13 +711,9 @@ def _build_instance(top: dict, item_objs: Iterable) -> Instance:
                         and size - size == value - value == 0.0):
                     options.append(new(ItemOption, (eligible, size, value, start, duration)))
                     continue
-            where = f"item at position {len(items)}, option {len(options)}"
+            where = f"item at position {position}, option {len(options)}"
             options.append(ItemOption(*_option_values(_checked(oobj, _OPTION_FIELDS, where))))
-        items.append(new(Item, (item_id, arrival, tuple(options))))
-    try:
-        return Instance(top["horizon"], tuple(knapsacks), tuple(items))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        yield new(Item, (item_id, arrival, tuple(options)))
 
 
 class _CollectorPaused:
@@ -715,7 +742,9 @@ def loads_instance(text: str) -> Instance:
 
     The parsed document is this function's own, so its items are drained
     as they are built: each item's objects are freed once its record
-    exists, and the two are never alive whole at once.
+    exists, and the two are never alive whole at once.  ``run`` and
+    ``validate`` stream the input instead (:mod:`knapdep.stream`) and
+    fall back to this, whose messages are the reference.
     """
     with _CollectorPaused():
         try:

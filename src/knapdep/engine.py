@@ -185,12 +185,13 @@ class RunResult:
 def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
     """Run the online algorithm over all items from all-zero utilization.
 
-    Deterministic: identical inputs produce identical outputs.
+    ``inst`` may be a ``stream.StreamedInstance``, whose items are
+    stepped as they are drawn.  Deterministic: identical inputs produce
+    identical outputs.
     """
-    if len(thresholds) != inst.num_knapsacks:
-        raise ValueError(
-            f"expected {inst.num_knapsacks} thresholds, got {len(thresholds)}"
-        )
+    K = len(inst.knapsacks)
+    if len(thresholds) != K:
+        raise ValueError(f"expected {K} thresholds, got {len(thresholds)}")
     for k, (fn, spec) in enumerate(zip(thresholds, inst.knapsacks)):
         if fn.capacity != spec.capacity:
             raise ValueError(
@@ -200,7 +201,7 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
         zero = fn.eval(0.0)
         if zero != 0.0:  # charge skips empty slots, which relies on it
             raise ValueError(f"knapsack {k}: threshold phi(0) must be 0.0, got {zero}")
-    state = UtilizationState(inst.num_knapsacks, inst.horizon)
+    state = UtilizationState(K, inst.horizon)
     decisions: list[Decision] = []
     audits: list[ItemAudit] = []
     profit = 0.0

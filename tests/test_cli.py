@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -354,6 +356,54 @@ class TestRunStreamed:
             tracemalloc.stop()
         assert sink.length > 8_000_000
         assert peak < sink.length / 4
+
+
+@pytest.fixture(scope="module")
+def dense_document(tmp_path_factory):
+    """A document shaped as the benchmark's stream-dense, with 3000 items."""
+    knapsack = KnapsackSpec(capacity=10.0, theta=8.0, duration_lo=4,
+                            duration_hi=16, size_cap=2.0)
+    inst = generate(GenSpec("uniform", 3000, 2000, (knapsack,) * 4, seed=1))[0]
+    path = tmp_path_factory.mktemp("dense") / "inst.json"
+    path.write_text(dumps_instance(inst))
+    return path
+
+
+class TestStreamedInput:
+    """``run`` and ``validate`` hold a batch of their input at a time, not all of it."""
+
+    # Whole-document reading peaks at about 2.8 times the document's length
+    # for either command; streamed, validate keeps almost nothing, and run
+    # keeps its result.
+    @pytest.mark.parametrize("command, bound", [(("validate", "--strict"), 0.5), (("run",), 2.0)])
+    def test_peak_memory_below_document(self, dense_document, tmp_path, capsys, command, bound):
+        import knapdep.stream  # noqa: F401  (its import is not what is measured)
+
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            assert cli(*command, "--input", str(dense_document), "--out", str(out)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        length = len(dense_document.read_text())
+        assert length > 2_000_000
+        assert peak < bound * length
+
+    def test_stdin_is_held_once(self, dense_document, capsys, monkeypatch):
+        # Standard input is read whole, then streamed from that string in
+        # batches: its text is held once, and its parse never whole.
+        import knapdep.stream  # noqa: F401
+
+        text = dense_document.read_text()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        tracemalloc.start()
+        try:
+            assert cli("validate", "--strict") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(text)
 
 
 class TestBenchTune:
@@ -794,6 +844,83 @@ MALFORMED = {
 }
 
 
+def three_item_doc():
+    doc = one_item_instance()
+    doc["items"] = [dict(one_item_instance()["items"][0], id=i) for i in range(3)]
+    return doc
+
+
+def three_item_text():
+    """The canonical layout (``dumps_instance``'s), 833 characters on 53 lines."""
+    return json.dumps(three_item_doc(), indent=2)
+
+
+def reversed_keys():
+    return json.dumps(dict(reversed(three_item_doc().items())))
+
+
+def repeated_items(good_last):
+    # json.loads keeps the last of a repeated key, so only the last array counts.
+    doc = three_item_doc()
+    head = f'{{"horizon": 10, "knapsacks": {json.dumps(doc["knapsacks"])}'
+    arrays = [json.dumps([{"id": 0}]), json.dumps(doc["items"])]
+    if not good_last:
+        arrays.reverse()
+    return f'{head}, "items": {arrays[0]}, "items": {arrays[1]}}}'
+
+
+def huge_horizon_late_fault():
+    # Refused for its last item, before any slot row is made for the horizon.
+    doc = three_item_doc()
+    doc["horizon"] = 10**12
+    doc["items"][2]["options"].clear()
+    return json.dumps(doc, indent=2)
+
+
+def late_fault_and_syntax_error():
+    doc = three_item_doc()
+    doc["items"][2]["options"][0]["size"] = -1.0
+    return json.dumps(doc, indent=2)[:-1]  # the closing brace dropped
+
+
+# Documents in other forms than the canonical one, for run and validate:
+# (text, refusal message), or None as the message where the document is
+# accepted with the canonical document's output.
+INPUT_FORMS = {
+    "not-utf-8": lambda: (
+        b'{"horizon": 1\xff}',
+        "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte",
+    ),
+    "open-brace": lambda: (
+        "{\n",
+        "invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 2 column 1 (char 2)",
+    ),
+    "empty": lambda: ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "text-after-brace": lambda: (
+        three_item_text() + "\n{}",
+        "invalid JSON: Extra data: line 54 column 1 (char 834)",
+    ),
+    "reversed-keys": lambda: (reversed_keys(), None),
+    "repeated-items-good-last": lambda: (repeated_items(good_last=True), None),
+    "repeated-items-bad-last": lambda: (
+        repeated_items(good_last=False),
+        "item at position 0: missing fields ['arrival', 'options']",
+    ),
+    "no-closing-brace": lambda: (
+        three_item_text()[:-1],
+        "invalid JSON: Expecting ',' delimiter: line 53 column 1 (char 832)",
+    ),
+    "huge-horizon-late-fault": lambda: (
+        huge_horizon_late_fault(), "item 2: expected 1 options, got 0",
+    ),
+    "late-field-fault-then-syntax-error": lambda: (
+        late_fault_and_syntax_error(),
+        "invalid JSON: Expecting ',' delimiter: line 53 column 1 (char 833)",
+    ),
+}
+
+
 class TestRefusal:
     """A structurally malformed instance: every command exits 1 with a message."""
 
@@ -863,6 +990,51 @@ class TestRefusal:
         assert cli("gen", "--n", "3", *flags) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("command", [("run",), ("validate", "--strict")])
+    @pytest.mark.parametrize("case", sorted(INPUT_FORMS))
+    def test_input_forms_by_file_and_stdin(self, tmp_path, capsys, case, command):
+        text, expected = INPUT_FORMS[case]()
+        data = text if isinstance(text, bytes) else text.encode()
+        if expected is None:  # accepted: the canonical document's output
+            path = tmp_path / "canonical.json"
+            path.write_text(three_item_text())
+            assert cli(*command, "--input", str(path)) == 0
+            captured = capsys.readouterr()
+            expected = (0, captured.out, captured.err)
+        else:
+            expected = (1, "", f"error: {expected}\n")
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        rc = cli(*command, "--input", str(path))
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == expected
+        # Strict decoding, so a non-UTF-8 byte is refused by stdin as by the
+        # file whatever the locale's error handler for stdin.
+        piped = subprocess.run(
+            [sys.executable, "-m", "knapdep.cli", *command], input=data,
+            capture_output=True, env=dict(os.environ, PYTHONIOENCODING="utf-8:strict"),
+        )
+        assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == expected
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_malformed_document_reported_before_malformed_gamma(self, tmp_path, capsys, command):
+        path = tmp_path / "doc.json"
+        path.write_text(late_fault_and_syntax_error())
+        assert cli(command, "--input", str(path), "--gamma", "abc") == 1
+        assert capsys.readouterr() == (
+            "", "error: invalid JSON: Expecting ',' delimiter: line 53 column 1 (char 833)\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_input_file_is_read_once(self):
+        # A pipe cannot be read twice, so it is never streamed.
+        for text, expected in (INPUT_FORMS["late-field-fault-then-syntax-error"](),
+                               INPUT_FORMS["no-closing-brace"]()):
+            piped = run_pipe(["run", "--input", "/dev/stdin"], stdin_text=text)
+            assert (piped.returncode, piped.stdout, piped.stderr) == (1, "", f"error: {expected}\n")
+        piped = run_pipe(["validate", "--input", "/dev/stdin"], stdin_text=three_item_text())
+        assert piped.returncode == 0 and json.loads(piped.stdout)["ok"] is True
 
     def test_bench_error_rows_exit_1_with_report(self, tmp_path, capsys):
         inst = tmp_path / "one.json"

@@ -7,7 +7,11 @@ duplicate id).  ``loads_instance`` may refuse a document only with a
 ``SchemaError``; whatever it accepts is well-formed, so the engine and
 the branch-and-bound run on it without raising and return feasible
 assignments.  The parser's fast branch and its general branch agree on
-every such document.
+every such document.  ``run`` and ``validate --strict``, which read a
+document in one streamed pass where its layout allows and otherwise
+whole, answer every such document, in every JSON layout and at every
+read size from 1 to 16 characters, with the exit code and bytes that
+parsing it whole gives.
 
 On instances small enough for brute force, the online profit never
 exceeds the offline optimum, branch-and-bound proves the brute-force
@@ -44,9 +48,13 @@ make the same draws in the same order, so its records and their text
 equal the reference's.
 """
 
+import contextlib
+import io
 import json
 import math
 import random
+import sys
+import tempfile
 from random import Random
 from types import MappingProxyType
 from typing import Optional
@@ -55,6 +63,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knapdep import cli, stream
 from knapdep.core import (
     Instance,
     Item,
@@ -67,6 +76,7 @@ from knapdep.core import (
     instance_from_dict,
     instance_to_dict,
     loads_instance,
+    validate_instance,
 )
 from knapdep.engine import run, step
 from knapdep.instances import FAMILIES, GenSpec, _check_durations_fit, generate
@@ -232,6 +242,85 @@ def test_fast_and_general_branch_agree(inst, data):
         doc = json.loads(text)
         mutation(doc, data.draw)
         assert parsed(doc) == parsed(proxied(doc)), mutation.__name__
+
+
+@st.composite
+def layouts(draw):
+    """A drawn JSON layout: a function from a document to its text.
+
+    Indent None, 0, 2 or 4, compact or default separators, and optionally
+    the top-level keys shuffled (any order but the canonical one is read
+    whole) or every item's keys reversed (no batch cut is then found).
+    """
+    order = draw(st.permutations(["horizon", "knapsacks", "items"]))
+    shuffled, reversed_items = draw(st.booleans()), draw(st.booleans())
+    indent = draw(st.sampled_from([None, 0, 2, 4]))
+    separators = draw(st.sampled_from([None, (",", ":")]))
+
+    def text(doc):
+        if shuffled:
+            doc = {key: doc[key] for key in order if key in doc} | doc
+        if reversed_items and isinstance(doc.get("items"), list):
+            doc = dict(doc, items=[
+                dict(reversed(item.items())) if isinstance(item, dict) else item
+                for item in doc["items"]
+            ])
+        return json.dumps(doc, indent=indent, separators=separators)
+
+    return text
+
+
+def whole_document_answer(text, command):
+    """(exit code, stdout, stderr) of ``command`` from the whole parsed document."""
+    try:
+        inst = loads_instance(text)
+    except SchemaError as exc:
+        return 1, "", f"error: {exc}\n"
+    if command == "run":
+        result = run(inst, for_instance(inst))
+        return 0, result.to_json() + "\n", f"profit {result.profit!r} over {inst.num_items} items\n"
+    report = validate_instance(inst, strict=True)
+    err = [f"error: {m}\n" for m in report.errors] + [f"warning: {m}\n" for m in report.warnings]
+    return int(not report.ok), json.dumps(report.to_dict(), indent=2) + "\n", "".join(err)
+
+
+# Building the argument parser is most of a small call's cost, and a
+# parser can parse many times, so the property's calls share this one.
+PARSER = cli._build_parser()
+
+
+def cli_answer(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, cli._build_parser
+    sys.stdin, cli._build_parser = io.StringIO(stdin), lambda: PARSER
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    finally:
+        sys.stdin, cli._build_parser = saved
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(SETTINGS, max_examples=50)
+@given(inst=instances(), layout=layouts(), chunk=st.integers(1, 16), data=st.data())
+def test_streamed_commands_answer_as_the_whole_document(inst, layout, chunk, data):
+    saved = stream._CHUNK
+    stream._CHUNK = chunk  # numbers, cuts and the head straddle reads
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/doc.json"
+            for mutation in MUTATIONS:
+                doc = instance_to_dict(inst)
+                mutation(doc, data.draw)
+                text = layout(doc)
+                with open(path, "w") as f:
+                    f.write(text)
+                for command in (["run"], ["validate", "--strict"]):
+                    expected = whole_document_answer(text, command[0])
+                    assert cli_answer([*command, "--input", path]) == expected, mutation.__name__
+                    assert cli_answer(command, stdin=text) == expected, mutation.__name__
+    finally:
+        stream._CHUNK = saved
 
 
 # Brute force visits up to (K+1)^n assignments: the item count is capped
