@@ -9,6 +9,7 @@ environment, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,6 +302,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once: parse_args leaves the parser as it was, and building it is
+# most of a small call's cost.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knapdep",

@@ -246,12 +246,10 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                     continue
                 child_value = value + item_value
                 cheap = child_value + rest
-                if nodes > budget:
-                    refused_bound = max(refused_bound, cheap)
-                    continue
-                if cheap <= floor:
-                    continue
-                nodes += 1
+                if nodes <= budget:
+                    if cheap <= floor:
+                        continue
+                    nodes += 1
                 if nodes > budget:
                     refused_bound = max(refused_bound, cheap)
                     continue
@@ -270,12 +268,10 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
             # The decline, searched here as node nxt; current[i] is set before each descent.
             current[i] = None
             cheap = value + rest
-            if nodes > budget:
-                refused_bound = max(refused_bound, cheap)
-                return
-            if cheap <= floor:
-                return
-            nodes += 1
+            if nodes <= budget:
+                if cheap <= floor:
+                    return
+                nodes += 1
             if nodes > budget:
                 refused_bound = max(refused_bound, cheap)
                 return

@@ -11,7 +11,11 @@ every such document.  ``run`` and ``validate --strict``, which read a
 document in one streamed pass where its layout allows and otherwise
 whole, answer every such document, in every JSON layout and at every
 read size from 1 to 16 characters, with the exit code and bytes that
-parsing it whole gives.
+parsing it whole gives.  That alone would pass a reader that never
+streams, so ``gen``'s own text must take the streamed pass and give the
+instance it was written from, and that text with one character (or one
+item join) replaced, deleted or inserted must either fail the pass, and
+so be read whole, or give what ``loads_instance`` gives.
 
 On instances small enough for brute force, the online profit never
 exceeds the offline optimum, branch-and-bound proves the brute-force
@@ -249,8 +253,8 @@ def layouts(draw):
     """A drawn JSON layout: a function from a document to its text.
 
     Indent None, 0, 2 or 4, compact or default separators, and optionally
-    the top-level keys shuffled (any order but the canonical one is read
-    whole) or every item's keys reversed (no batch cut is then found).
+    the top-level keys shuffled or every item's keys reversed.  Only
+    indent 2 with default separators and items last can be streamed.
     """
     order = draw(st.permutations(["horizon", "knapsacks", "items"]))
     shuffled, reversed_items = draw(st.booleans()), draw(st.booleans())
@@ -284,20 +288,15 @@ def whole_document_answer(text, command):
     return int(not report.ok), json.dumps(report.to_dict(), indent=2) + "\n", "".join(err)
 
 
-# Building the argument parser is most of a small call's cost, and a
-# parser can parse many times, so the property's calls share this one.
-PARSER = cli._build_parser()
-
-
 def cli_answer(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin, cli._build_parser
-    sys.stdin, cli._build_parser = io.StringIO(stdin), lambda: PARSER
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(argv)
     finally:
-        sys.stdin, cli._build_parser = saved
+        sys.stdin = saved
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -321,6 +320,99 @@ def test_streamed_commands_answer_as_the_whole_document(inst, layout, chunk, dat
                     assert cli_answer(command, stdin=text) == expected, mutation.__name__
     finally:
         stream._CHUNK = saved
+
+
+STREAM_CHUNKS = (*range(1, 17), 256, 1024, stream._CHUNK)
+
+
+@contextlib.contextmanager
+def stream_chunk(size):
+    saved, stream._CHUNK = stream._CHUNK, size
+    try:
+        yield
+    finally:
+        stream._CHUNK = saved
+
+
+def streamed(path, text=None):
+    """The horizon, knapsacks and items of one streamed pass over ``path`` (or ``text``)."""
+    with stream.streamed_instance(path, text) as inst:
+        return inst.horizon, inst.knapsacks, tuple(inst.items)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(inst=instances())
+def test_gen_text_is_streamed(inst):
+    # A reader that always fell back would pass the property above; gen's
+    # text must take the streamed pass, at every read size.
+    expected = inst.horizon, inst.knapsacks, inst.items
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/doc.json"
+        for text in (dumps_instance(inst), dumps_instance(inst) + "\n"):
+            with open(path, "w") as f:
+                f.write(text)
+            for size in STREAM_CHUNKS:
+                with stream_chunk(size):
+                    assert streamed(path) == expected
+                    assert streamed("-", text) == expected
+
+
+def test_gen_text_broken_at_a_mark_is_refused_at_every_read_size(tmp_path):
+    # Cut where the pass stands after the items' opening or a join, so
+    # that at some read size the last read ends exactly at the cut; and a
+    # trailing comma, which leaves an empty last batch after a join.
+    knapsack = KnapsackSpec(4.0, 8.0, 1, 3, 2.0)
+    text = dumps_instance(generate(GenSpec("uniform", 2, 4, (knapsack,), seed=1))[0])
+    broken = [text[:text.index(mark) + len(mark)] + "  " for mark in (stream._OPEN, stream._JOIN)]
+    broken.append(text.replace("\n  " + stream._CLOSE, ",\n  " + stream._CLOSE))
+    path = tmp_path / "doc.json"
+    for doc in broken:
+        with pytest.raises(SchemaError):
+            loads_instance(doc)
+        path.write_text(doc)
+        for size in range(1, len(doc) + 1):
+            with stream_chunk(size), pytest.raises(ValueError):
+                streamed(path)
+        with pytest.raises(ValueError):
+            streamed("-", doc)
+
+
+EDIT_TEXTS = (",", "}", "]", "{", "[", '"', ":", " ", "\n", "0", "-", stream._JOIN)
+
+
+@SETTINGS
+@given(inst=instances(), size=st.sampled_from(STREAM_CHUNKS), data=st.data())
+def test_edited_gen_text_streams_as_the_whole_document_or_raises(inst, size, data):
+    text = dumps_instance(inst) + "\n"
+    # Edits land on the reader's marks as often as anywhere else.
+    marks = [
+        at + offset
+        for mark in (stream._OPEN, stream._JOIN, "\n  " + stream._CLOSE)
+        for offset in range(len(mark))
+        for at in range(len(text)) if text.startswith(mark, at)
+    ]
+    with tempfile.TemporaryDirectory() as tmp, stream_chunk(size):
+        path = f"{tmp}/doc.json"
+        for _ in range(8):
+            at = data.draw(st.one_of(st.integers(0, len(text)), st.sampled_from(marks)))
+            put = data.draw(st.sampled_from(EDIT_TEXTS))
+            removed = data.draw(st.sampled_from([0, 1]))  # insert, or replace / delete
+            if removed and data.draw(st.booleans()):
+                put = ""
+            edited = text[:at] + put + text[at + removed:]
+            try:
+                whole = loads_instance(edited)
+            except SchemaError:
+                whole = None
+            with open(path, "w") as f:
+                f.write(edited)
+            for args in ((path,), ("-", edited)):
+                try:
+                    got = streamed(*args)
+                except (ValueError, RecursionError):
+                    continue
+                assert whole is not None, repr(edited)
+                assert got == (whole.horizon, whole.knapsacks, whole.items)
 
 
 # Brute force visits up to (K+1)^n assignments: the item count is capped
