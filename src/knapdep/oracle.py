@@ -9,8 +9,15 @@ hermetic build keeps CI deterministic.
 
 The branch-and-bound cuts on one bound, a child's value plus the best
 values of the items after it.  It tests each child before it places
-anything for it, scores a leaf in place, and keeps its own stack, so its
-depth is not limited by Python's recursion limit.  Both searches undo a
+anything for it (the value bound, then fit, then the node budget), scores
+a leaf in place, and keeps its own stack, so its depth is not limited by
+Python's recursion limit.  Each option of either search watches one slot
+key, first its window's start: a fit test reads that slot first and
+refuses on it alone, and only when it has room takes the window's max,
+moving the watch to the slot that blocks when the max does.  ``x + size``
+is monotone in ``x``, so one slot blocks only if the max does, and every
+fit outcome is the one a max over the whole window gives.  The watches
+live in the option tuples that each call builds.  Both searches undo a
 placement by writing back the slot loads saved before it, never by
 subtracting its size: ``(x + s) - s`` need not be ``x`` in floating
 point.  So every feasibility test sees exactly the loads
@@ -93,7 +100,9 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
 
     Refuses instances past ``bruteforce_accepts``.  Prefixes that
     already violate capacity are cut, which loses no feasible vector
-    because loads only grow with further assignments.  Children are
+    because loads only grow with further assignments.  Both fit tests, at
+    inner nodes and at the leaves scored in place, read the option's
+    watched slot first, as the module docstring describes.  Children are
     visited decline first, then knapsacks in index order, and a vector
     replaces the incumbent only when strictly better.
 
@@ -115,13 +124,14 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
         raise ValueError(f"instance too large for brute force: N = {N}, (max(K, 1) + 1)^N > 1e8")
     options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
-    # Per item: (k, size, value, cap, first key, end key, bit i*K + k) per
-    # option; live[j] holds the bits of the placements live at depth j.
-    flat = [[(k, size, value, caps[k], keys.start, keys.stop, 1 << (i * K + k))
+    # Per item: (k, size, value, cap, first key, end key, bit i*K + k, watch)
+    # per option, watch a one-key cell; live[j] holds the bits of the
+    # placements live at depth j.
+    flat = [[(k, size, value, caps[k], keys.start, keys.stop, 1 << (i * K + k), [keys.start])
              for k, size, value, keys in opts] for i, opts in enumerate(options)]
     live = [0] * N
     for i, opts in enumerate(flat):
-        for *_, lo, hi, bit in opts:
+        for *_, lo, hi, bit, _ in opts:
             for j in range(i + 1, max(last[lo:hi]) + 1):
                 live[j] |= bit
     slack = _PRUNE_SLACK * (1.0 + sum(max((o[2] for o in opts), default=0.0) for opts in options))
@@ -142,16 +152,22 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
             if value > best_value:
                 best_value = value
                 best_assignment = current.copy()
-            for k, size, item_value, cap, lo, hi, _ in flat[i]:
-                # One max suffices: x + size is monotone in x.
-                if max(load[lo:hi]) + size <= cap:
-                    count += 1
-                    if item_value > gain:
-                        gain = item_value
-                    if value + item_value > best_value:
-                        best_value = value + item_value
-                        best_assignment = current.copy()
-                        best_assignment[i] = k
+            for k, size, item_value, cap, lo, hi, _, watch in flat[i]:
+                # One slot refuses, and one max admits: x + size is monotone in x.
+                if load[watch[0]] + size > cap:
+                    continue
+                saved = load[lo:hi]
+                top = max(saved)
+                if top + size > cap:
+                    watch[0] = lo + saved.index(top)
+                    continue
+                count += 1
+                if item_value > gain:
+                    gain = item_value
+                if value + item_value > best_value:
+                    best_value = value + item_value
+                    best_assignment = current.copy()
+                    best_assignment[i] = k
             nodes += count
             return gain
         seen = memo.get(mask * N + i)
@@ -161,16 +177,21 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
         before = nodes
         nodes += 1
         gain = visit(i + 1, value, mask & live[i + 1])
-        for k, size, item_value, cap, lo, hi, bit in flat[i]:
+        for k, size, item_value, cap, lo, hi, bit, watch in flat[i]:
+            if load[watch[0]] + size > cap:
+                continue
             saved = load[lo:hi]
-            if max(saved) + size <= cap:
-                for t in range(lo, hi):
-                    load[t] += size
-                current[i] = k
-                child_gain = visit(i + 1, value + item_value, (mask | bit) & live[i + 1])
-                if item_value + child_gain > gain:
-                    gain = item_value + child_gain
-                load[lo:hi] = saved
+            top = max(saved)
+            if top + size > cap:
+                watch[0] = lo + saved.index(top)
+                continue
+            for t in range(lo, hi):
+                load[t] += size
+            current[i] = k
+            child_gain = visit(i + 1, value + item_value, (mask | bit) & live[i + 1])
+            if item_value + child_gain > gain:
+                gain = item_value + child_gain
+            load[lo:hi] = saved
         current[i] = None
         if seen is None and len(memo) < _MEMO_LIMIT:
             memo[mask * N + i] = nodes - before, gain
@@ -194,11 +215,16 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     refused and ``upper_bound``, and at least the incumbent.  A
     ``node_budget`` must be None or an integer >= 0 (ValueError otherwise).
 
-    A child is tested before anything is placed for it: fit, the value
-    bound, then the budget; a leaf is scored in place.  A generator
-    searches a node's assignment children, yielding one generator per
-    child it enters, then carries on as the node's decline child, on an
-    explicit stack free of the recursion limit.
+    A child is tested before anything is placed for it: the value bound,
+    fit, then the budget; a leaf is scored in place.  While budget remains,
+    a child the value bound cuts ends the node's assignment children: the
+    later ones have no larger value and ``floor`` never falls.  Past the
+    budget the bound is not tested, and a child that fits adds its bound to
+    the refused subtrees'.  Fit reads the option's watched slot first, as
+    the module docstring describes.  A generator searches a node's
+    assignment children, yielding one generator per child it enters, then
+    carries on as the node's decline child, on an explicit stack free of
+    the recursion limit.
     """
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)
@@ -213,10 +239,11 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
         suffix_value[i] = suffix_value[i + 1] + max((v for _, _, v, _ in options[i]), default=0.0)
 
     # Assignment children, best value first (ties to lower index), the decline
-    # after them: (k, size, value, cap, first key, end key).
+    # after them: (k, size, value, cap, first key, end key, watch), watch a
+    # one-key cell.
     children_of = [
         [
-            (k, size, value, caps[k], keys.start, keys.stop)
+            (k, size, value, caps[k], keys.start, keys.stop, [keys.start])
             for k, size, value, keys in sorted(opts, key=lambda o: (-o[2], o[0]))
         ]
         for opts in options
@@ -239,16 +266,20 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
         while True:
             nxt = i + 1
             rest = suffix_value[nxt]
-            for k, size, item_value, cap, lo, hi in children_of[i]:
-                saved = load[lo:hi]
-                # One max suffices: x + size is monotone in x.
-                if max(saved) + size > cap:
-                    continue
+            for k, size, item_value, cap, lo, hi, watch in children_of[i]:
                 child_value = value + item_value
                 cheap = child_value + rest
+                if cheap <= floor and nodes <= budget:
+                    break  # so is every later child: no larger value, and floor never falls
+                # One slot refuses, and one max admits: x + size is monotone in x.
+                if load[watch[0]] + size > cap:
+                    continue
+                saved = load[lo:hi]
+                top = max(saved)
+                if top + size > cap:
+                    watch[0] = lo + saved.index(top)
+                    continue
                 if nodes <= budget:
-                    if cheap <= floor:
-                        continue
                     nodes += 1
                 if nodes > budget:
                     refused_bound = max(refused_bound, cheap)

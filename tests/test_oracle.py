@@ -453,3 +453,43 @@ class TestExactRestore:
             for sol in (solve_exact(inst), solve_bruteforce(inst)):
                 assert sol.objective == optimum, inst
                 assert assignment_violations(inst, sol.assignment) == []
+
+
+class TestWatchedSlot:
+    """Each option's fit test reads one watched slot, first its window's
+    start, and takes the window's max only when that slot has room; when the
+    max blocks, the watch moves to the blocking slot.  A watch one branch
+    leaves is stale in the next, where the slot may have room again.
+    """
+
+    @staticmethod
+    def solved(inst, search, objective, nodes):
+        sol = search(inst)
+        assert sol.objective == sol.bound == objective
+        assert sol.assignment == (0, None, 0)
+        assert sol.nodes == nodes
+        assert sol.proof == "exact"
+        assert assignment_violations(inst, sol.assignment) == []
+        exact, brute = solve_exact(inst), solve_bruteforce(inst)
+        assert (exact.objective, exact.assignment) == (brute.objective, brute.assignment)
+
+    @pytest.mark.parametrize("search, nodes", [(solve_exact, 6), (solve_bruteforce, 13)])
+    def test_blocked_watch_has_room_in_a_later_branch(self, search, nodes):
+        # Item 1 fills slot 2, the watched start of item 2's window 2-3, so
+        # the branch that places item 1 refuses item 2 on that one read.  The
+        # optimum declines item 1 and takes item 2, through the same watch.
+        ks = KnapsackSpec(1.0, 8.0, 1, 4, 1.0)
+        rows = [(1.0, 2.0, 1, 1), (1.0, 1.0, 2, 1), (1.0, 4.0, 2, 2)]
+        inst = Instance(4, (ks,), tuple(Item(i, 1, (opt(*row),)) for i, row in enumerate(rows)))
+        self.solved(inst, search, 6.0, nodes)
+
+    @pytest.mark.parametrize("search, nodes", [(solve_exact, 6), (solve_bruteforce, 13)])
+    def test_watch_moves_to_the_blocking_slot(self, search, nodes):
+        # Item 2's window is slots 3-5.  Where item 1 fills slot 4, slot 3 has
+        # room but the max blocks, so the watch moves to slot 4, not to slot
+        # 1 (the offset of 4 in the window), which item 0 fills where the
+        # optimum, items 0 and 2, is found.
+        ks = KnapsackSpec(1.0, 8.0, 1, 4, 1.0)
+        rows = [(1.0, 2.0, 1, 1), (1.0, 1.0, 4, 1), (1.0, 5.0, 3, 3)]
+        inst = Instance(6, (ks,), tuple(Item(i, 1, (opt(*row),)) for i, row in enumerate(rows)))
+        self.solved(inst, search, 7.0, nodes)
