@@ -22,9 +22,10 @@ placement by writing back the slot loads saved before it, never by
 subtracting its size: ``(x + s) - s`` need not be ``x`` in floating
 point.  So every feasibility test sees exactly the loads
 ``assignment_violations`` would sum, for any float sizes.  The enumerator
-scores the last item's leaves in place and counts a repeated subtree that
-cannot beat the incumbent without walking it; its result, full node count
-included, is the plain walk's.
+scores the last item's leaves in place, keys subtrees (the last item's
+too) on the loads of slots that can refuse, and counts a repeat that
+cannot beat the incumbent from its table before placing or calling for
+it; its result, full node count included, is the plain walk's.
 """
 
 from __future__ import annotations
@@ -106,12 +107,17 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     visited decline first, then knapsacks in index order, and a vector
     replaces the incumbent only when strictly better.
 
-    A subtree above the last item is keyed on its depth i and the earlier
-    placements whose window meets a slot some item >= i requests: only
-    they load the slots items i.. test, in item order, so one key means
-    one subtree.  Nodes are counted in one counter; a subtree's node count
-    and gain (the most its completions add) are kept for at most
-    ``_MEMO_LIMIT`` keys, and a repeat adds its count without a walk when
+    A slot key can refuse only if the sizes requested on it, summed in
+    item order, pass its capacity: rounding of non-negative sums is
+    monotone, so a load of earlier items plus the next size is at most
+    that sum.  A subtree at depth i >= 1 is keyed on i and the earlier
+    placements whose window meets a slot that can refuse and that some
+    item >= i requests: only their loads decide which fit tests of items
+    i.. pass, so one key means one subtree.  Nodes are counted in one
+    counter; a subtree's node count and gain (the most its completions
+    add) are kept for at most ``_MEMO_LIMIT`` keys, the last item's
+    subtrees included.  A parent tests each child's key before it places
+    anything or calls, and adds a repeat's count without a walk when
     value + gain + slack cannot beat the incumbent: rounding is monotone,
     and the slack, 1e-9 of one plus the best-value sum, exceeds any gap
     between the suffix-order gain and an item-order leaf sum.  So ``nodes``
@@ -124,19 +130,25 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
         raise ValueError(f"instance too large for brute force: N = {N}, (max(K, 1) + 1)^N > 1e8")
     options, last = _prepared(inst)
     caps = [ks.capacity for ks in inst.knapsacks]
-    # Per item: (k, size, value, cap, first key, end key, bit i*K + k, watch)
-    # per option, watch a one-key cell; live[j] holds the bits of the
-    # placements live at depth j.
-    flat = [[(k, size, value, caps[k], keys.start, keys.stop, 1 << (i * K + k), [keys.start])
+    total = [0.0] * len(last)  # per slot key, its requested sizes summed in item order
+    for opts in options:
+        for _, size, _, keys in opts:
+            for t in keys:
+                total[t] += size
+    # live[j]: bits i*K + k of the placements that key depth j.
+    live = [0] * (N + 1)
+    for i, opts in enumerate(options):
+        for k, _, _, keys in opts:
+            reach = max((last[t] for t in keys if total[t] > caps[k]), default=i)
+            for j in range(i + 1, reach + 1):
+                live[j] |= 1 << (i * K + k)
+    # Per item: (k, size, value, cap, first key, end key, bit live in the
+    # child's key, watch) per option, watch a one-key cell.
+    flat = [[(k, size, value, caps[k], keys.start, keys.stop, (1 << (i * K + k)) & live[i + 1], [keys.start])
              for k, size, value, keys in opts] for i, opts in enumerate(options)]
-    live = [0] * N
-    for i, opts in enumerate(flat):
-        for *_, lo, hi, bit, _ in opts:
-            for j in range(i + 1, max(last[lo:hi]) + 1):
-                live[j] |= bit
     slack = _PRUNE_SLACK * (1.0 + sum(max((o[2] for o in opts), default=0.0) for opts in options))
     load = [0.0] * len(last)
-    memo: dict[int, tuple[int, float]] = {}  # depth i, live set mask: key mask * N + i
+    memo: dict[int, tuple[int, float]] = {}  # depth i, key mask: key mask * N + i
 
     best_value = 0.0
     best_assignment: list[Optional[int]] = [None] * N
@@ -144,7 +156,7 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     nodes = 0 if N else 1  # with no items the root is the one leaf
 
     def visit(i: int, value: float, mask: int) -> float:
-        """Gain of item i's subtree, its nodes counted; ``mask``: prefix placements in live[i]."""
+        """Gain of item i's subtree, its nodes counted; ``mask``: its key's placements."""
         nonlocal best_value, best_assignment, nodes
         if i == N - 1:
             # This node and its leaves: decline, then each feasible option.
@@ -169,14 +181,19 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
                     best_assignment = current.copy()
                     best_assignment[i] = k
             nodes += count
+            if len(memo) < _MEMO_LIMIT:
+                memo[mask * N + i] = count, gain
             return gain
-        seen = memo.get(mask * N + i)
-        if seen is not None and value + seen[1] + slack <= best_value:
-            nodes += seen[0]
-            return seen[1]
         before = nodes
         nodes += 1
-        gain = visit(i + 1, value, mask & live[i + 1])
+        nxt = i + 1
+        child = mask & live[nxt]
+        seen = memo.get(child * N + nxt)
+        if seen is not None and value + seen[1] + slack <= best_value:
+            nodes += seen[0]
+            gain = seen[1]
+        else:
+            gain = visit(nxt, value, child)
         for k, size, item_value, cap, lo, hi, bit, watch in flat[i]:
             if load[watch[0]] + size > cap:
                 continue
@@ -185,15 +202,21 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
             if top + size > cap:
                 watch[0] = lo + saved.index(top)
                 continue
-            for t in range(lo, hi):
-                load[t] += size
-            current[i] = k
-            child_gain = visit(i + 1, value + item_value, (mask | bit) & live[i + 1])
+            child_value = value + item_value
+            seen = memo.get((child | bit) * N + nxt)
+            if seen is not None and child_value + seen[1] + slack <= best_value:
+                nodes += seen[0]
+                child_gain = seen[1]
+            else:
+                for t in range(lo, hi):
+                    load[t] += size
+                current[i] = k
+                child_gain = visit(nxt, child_value, child | bit)
+                load[lo:hi] = saved
             if item_value + child_gain > gain:
                 gain = item_value + child_gain
-            load[lo:hi] = saved
         current[i] = None
-        if seen is None and len(memo) < _MEMO_LIMIT:
+        if len(memo) < _MEMO_LIMIT:
             memo[mask * N + i] = nodes - before, gain
         return gain
 

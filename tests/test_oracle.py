@@ -183,6 +183,51 @@ class TestBruteforce:
         assert sol.assignment == (0,) * 16
         assert peak < 2e6
 
+    def test_table_bounded_where_the_slot_can_refuse(self):
+        # 16 x 0.1 sum past the capacity of 1.55, so the slot can refuse and
+        # every prefix keys its own subtree, the last item's included: the
+        # table fills to its limit, and an unbounded one would hold about
+        # 2**16 entries.  Only the full set does not fit.
+        ks = KnapsackSpec(1.55, 8.0, 1, 1, 1.55)
+        items = [Item(i, 1, (opt(0.1, 0.5 + 0.01 * i, 1, 1),)) for i in range(16)]
+        inst = Instance(2, (ks,), tuple(items))
+        tracemalloc.start()
+        try:
+            sol = solve_bruteforce(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.nodes == 2**17 - 2
+        assert sol.assignment == (None,) + (0,) * 15
+        assert sol.to_dict() == reference_solve_bruteforce(inst).to_dict()
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("sizes, nodes, fits", [
+        ((0.3, 0.2, 0.1), 21, True),
+        ((0.1, 0.2, 0.3), 20, False),
+    ])
+    def test_slot_refuses_only_past_its_item_order_sum(self, sizes, nodes, fits):
+        # Items 0-2 request one slot of knapsack 1, capacity 0.6.  Summed in
+        # item order, (0.3, 0.2, 0.1) give exactly 0.6, so the slot never
+        # refuses and all three fit; (0.1, 0.2, 0.3) give 0.6000000000000001,
+        # so the third is refused; summed in reverse order or by math.fsum
+        # they give 0.6.  Item 1's option on knapsack 0, worth more and
+        # visited first, lifts the incumbent past the branch that puts items
+        # 0 and 1 on the slot, so a key blind to the slot would count that
+        # branch from an earlier one where item 2 fits.
+        specs = (KnapsackSpec(1.0, 8.0, 1, 1, 1.0), KnapsackSpec(0.6, 8.0, 1, 1, 0.6))
+        off = opt(1.0, 1.0, 1, 1, eligible=False)
+        decoys = (off, opt(0.5, 2.0, 1, 1), off)
+        inst = Instance(1, specs, tuple(
+            Item(i, 1, (decoy, opt(size, 1.0, 1, 1))) for i, (decoy, size) in enumerate(zip(decoys, sizes))
+        ))
+        sol = solve_bruteforce(inst)
+        assert sol.to_dict() == reference_solve_bruteforce(inst).to_dict()
+        assert sol.assignment == (1, 0, 1)
+        assert sol.objective == 4.0
+        assert sol.nodes == nodes
+        assert (assignment_violations(inst, (1, 1, 1)) == []) is fits
+
 
 class TestExact:
     def test_mutually_exclusive_pair(self):
