@@ -283,7 +283,8 @@ class TuneSpec:
     inside the safety band [gamma_lo, gamma_hi] per knapsack.  An odd
     ``grid_points`` puts the default itself on the grid.  Each value is
     checked when the spec is made (ValueError otherwise): ``delta`` is a
-    number in (0, 1) and ``grid_points`` an integer >= 1.
+    number in (0, 1) and ``grid_points`` an integer in [1, 2**53], where
+    every grid index is a float exactly.
     """
 
     delta: float = 0.5
@@ -294,6 +295,8 @@ class TuneSpec:
         if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
         check_count("grid_points", self.grid_points, 1)
+        if self.grid_points > 2**53:
+            raise ValueError(f"grid_points must be at most 2**53, got {self.grid_points}")
 
     def multipliers(self) -> list[float]:
         if self.grid_points == 1:

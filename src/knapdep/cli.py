@@ -78,7 +78,10 @@ def _gamma_config(raw: str) -> dict:
 def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
     if not 1 <= args.alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 1, got {args.alpha}")
-    duration_hi = max(args.dlo, int(round(args.dlo * args.alpha)))
+    try:
+        duration_hi = max(args.dlo, int(round(args.dlo * args.alpha)))
+    except OverflowError:  # the product, or dlo itself, is past the largest float
+        raise ValueError(f"dlo * alpha must be a finite number, got {args.dlo} * {args.alpha}") from None
     size_cap = args.eps if args.eps is not None else args.capacity
     spec = KnapsackSpec(
         capacity=args.capacity,

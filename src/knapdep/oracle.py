@@ -17,10 +17,10 @@ refuses on it alone, and only when it has room takes the window's max,
 moving the watch to the slot that blocks when the max does.  ``x + size``
 is monotone in ``x``, so one slot blocks only if the max does, and every
 fit outcome is the one a max over the whole window gives.  The watches
-live in the option tuples that each call builds.  Both searches undo a
-placement by writing back the slot loads saved before it, never by
-subtracting its size: ``(x + s) - s`` need not be ``x`` in floating
-point.  So every feasibility test sees exactly the loads
+live in the search rows ``_prepared`` builds afresh for each call.  Both
+searches undo a placement by writing back the slot loads saved before it,
+never by subtracting its size: ``(x + s) - s`` need not be ``x`` in
+floating point.  So every feasibility test sees exactly the loads
 ``assignment_violations`` would sum, for any float sizes.  The enumerator
 scores the last item's leaves in place, keys subtrees (the last item's
 too) on the loads of slots that can refuse, and counts a repeat that
@@ -72,22 +72,25 @@ class OfflineSolution:
 
 
 def _prepared(inst: Instance):
-    """Per-item eligible options as (knapsack, size, value, slot keys), and
-    per slot key the last item requesting it (-1 if none).  Slot t of
-    knapsack k is key k*(horizon+1) + t, so an option's keys are one ``range``.
+    """Per item, its eligible options as search rows (k, size, value, cap,
+    lo, hi, watch), and per slot key the last item requesting it (-1 if
+    none).  Slot t of knapsack k is key k*(horizon+1) + t, an option's keys
+    are lo..hi-1, and ``watch`` is a one-key cell, first [lo], that each
+    call builds afresh, so no two searches share a watch.
     """
     stride = inst.horizon + 1
-    options = []
+    caps = [ks.capacity for ks in inst.knapsacks]
+    rows = []
     last = [-1] * (inst.num_knapsacks * stride + 1)
     for i, item in enumerate(inst.items):
         opts = []
         for k, opt in item.eligible_options():
-            first = k * stride + opt.start
-            keys = range(first, first + opt.duration)
-            opts.append((k, opt.size, opt.value, keys))
-            last[first:keys.stop] = [i] * opt.duration
-        options.append(opts)
-    return options, last
+            lo = k * stride + opt.start
+            hi = lo + opt.duration
+            opts.append((k, opt.size, opt.value, caps[k], lo, hi, [lo]))
+            last[lo:hi] = [i] * opt.duration
+        rows.append(opts)
+    return rows, last
 
 
 def bruteforce_accepts(inst: Instance) -> bool:
@@ -128,25 +131,22 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     K = inst.num_knapsacks
     if not bruteforce_accepts(inst):
         raise ValueError(f"instance too large for brute force: N = {N}, (max(K, 1) + 1)^N > 1e8")
-    options, last = _prepared(inst)
-    caps = [ks.capacity for ks in inst.knapsacks]
+    rows, last = _prepared(inst)
     total = [0.0] * len(last)  # per slot key, its requested sizes summed in item order
-    for opts in options:
-        for _, size, _, keys in opts:
-            for t in keys:
+    for opts in rows:
+        for _, size, _, _, lo, hi, _ in opts:
+            for t in range(lo, hi):
                 total[t] += size
     # live[j]: bits i*K + k of the placements that key depth j.
     live = [0] * (N + 1)
-    for i, opts in enumerate(options):
-        for k, _, _, keys in opts:
-            reach = max((last[t] for t in keys if total[t] > caps[k]), default=i)
+    for i, opts in enumerate(rows):
+        for k, _, _, cap, lo, hi, _ in opts:
+            reach = max((last[t] for t in range(lo, hi) if total[t] > cap), default=i)
             for j in range(i + 1, reach + 1):
                 live[j] |= 1 << (i * K + k)
-    # Per item: (k, size, value, cap, first key, end key, bit live in the
-    # child's key, watch) per option, watch a one-key cell.
-    flat = [[(k, size, value, caps[k], keys.start, keys.stop, (1 << (i * K + k)) & live[i + 1], [keys.start])
-             for k, size, value, keys in opts] for i, opts in enumerate(options)]
-    slack = _PRUNE_SLACK * (1.0 + sum(max((o[2] for o in opts), default=0.0) for opts in options))
+    # Per item, its rows with the bit each sets in the child's key put before the watch.
+    flat = [[o[:6] + ((1 << (i * K + o[0])) & live[i + 1], o[6]) for o in opts] for i, opts in enumerate(rows)]
+    slack = _PRUNE_SLACK * (1.0 + sum(max((o[2] for o in opts), default=0.0) for opts in rows))
     load = [0.0] * len(last)
     memo: dict[int, tuple[int, float]] = {}  # depth i, key mask: key mask * N + i
 
@@ -252,25 +252,16 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)
     N = inst.num_items
-    options, last = _prepared(inst)
-    caps = [ks.capacity for ks in inst.knapsacks]
+    rows, last = _prepared(inst)
     load = [0.0] * len(last)
 
     # suffix_value[i] bounds the value of items i.. regardless of capacity.
     suffix_value = [0.0] * (N + 1)
     for i in range(N - 1, -1, -1):
-        suffix_value[i] = suffix_value[i + 1] + max((v for _, _, v, _ in options[i]), default=0.0)
+        suffix_value[i] = suffix_value[i + 1] + max((o[2] for o in rows[i]), default=0.0)
 
-    # Assignment children, best value first (ties to lower index), the decline
-    # after them: (k, size, value, cap, first key, end key, watch), watch a
-    # one-key cell.
-    children_of = [
-        [
-            (k, size, value, caps[k], keys.start, keys.stop, [keys.start])
-            for k, size, value, keys in sorted(opts, key=lambda o: (-o[2], o[0]))
-        ]
-        for opts in options
-    ]
+    # Assignment children, best value first (ties to lower index), the decline after them.
+    children_of = [sorted(opts, key=lambda o: (-o[2], o[0])) for opts in rows]
 
     best_value = 0.0
     # A subtree whose bound is at most ``floor`` cannot beat the incumbent.
@@ -361,13 +352,13 @@ def upper_bound(inst: Instance) -> float:
     valid even when declared bounds are violated.  A bound, never an
     optimum.
     """
-    options, last = _prepared(inst)
+    rows, last = _prepared(inst)
     value_sum = 0.0
     density = [spec.theta for spec in inst.knapsacks]
-    for opts in options:
-        value_sum += max((value for _, _, value, _ in opts), default=0.0)
-        for k, size, value, keys in opts:
-            density[k] = max(density[k], value / (size * len(keys)))
+    for opts in rows:
+        value_sum += max((o[2] for o in opts), default=0.0)
+        for k, size, value, _, lo, hi, _ in opts:
+            density[k] = max(density[k], value / (size * (hi - lo)))
 
     stride = inst.horizon + 1
     capacity_sum = 0.0

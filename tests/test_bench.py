@@ -378,6 +378,10 @@ class TestTuneGamma:
             tune_gamma(())
         with pytest.raises(ValueError, match="delta"):
             TuneSpec(delta=1.5)
+        # Every grid index a float exactly; neither grid is ever built here.
+        assert TuneSpec(grid_points=2**53).grid_points == 2**53
+        with pytest.raises(ValueError, match=r"^grid_points must be at most 2\*\*53, got 9007199254740993$"):
+            TuneSpec(grid_points=2**53 + 1)
         mixed = (empty_instance(), single_item_instance())
         tune_gamma(mixed)  # same specs: fine
         other = Instance(10, (ksp(capacity=3.0, eps=3.0),), ())

@@ -5,8 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -464,6 +465,25 @@ class TestBenchTune:
         [row] = json.loads(captured.out)["rows"]
         assert (row["opt"], row["opt_tag"], row["error"]) == (objective, "exact", None)
 
+    def test_crosscheck_mismatch_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        # An enumeration one ulp above branch-and-bound: the row is an error
+        # row, and bench exits 1 with its report written.
+        from knapdep import oracle
+
+        (path,) = self.make_suite(tmp_path, capsys, count=1)
+        exact = oracle.solve_exact(loads_instance(path.read_text())).objective
+        off = math.nextafter(exact, math.inf)
+        real = oracle.solve_bruteforce
+        monkeypatch.setattr(oracle, "solve_bruteforce",
+                            lambda inst: replace(real(inst), objective=off))
+        out = tmp_path / "rep"
+        assert cli("bench", "--input", str(tmp_path / "suite"), "--out", str(out)) == 1
+        message = f"AssertionError: oracle mismatch: branch-and-bound {exact} vs enumeration {off}"
+        assert capsys.readouterr().err.endswith(f"error: s0.json: {message}\n")
+        [row] = json.loads((tmp_path / "rep.json").read_text())["rows"]
+        assert (row["opt_tag"], row["error"]) == ("error", message)
+        assert message in (tmp_path / "rep.csv").read_text()
+
     def test_error_row_report_is_strict_json(self, tmp_path, capsys):
         self.make_suite(tmp_path, capsys, count=1)
         config = tmp_path / "cfg.json"
@@ -623,9 +643,15 @@ class TestBenchTune:
             ("bench", {}, ("--node-budget", "-5"),
              "node_budget must be an integer >= 0 or null, got -5"),
             ("bench", {}, ("--jobs", "0"), "jobs must be an integer >= 1, got 0"),
+            ("tune", {}, ("--grid-points", str(10**400)),  # its grid step would overflow a float
+             f"grid_points must be at most 2**53, got {10**400}"),
+            ("tune", {"tuner": {"grid_points": 10**400}}, (),
+             f"grid_points must be at most 2**53, got {10**400}"),
         ],
     )
-    def test_bad_config_value_exits_1(self, tmp_path, capsys, command, body, flags, message):
+    def test_bad_config_value_exits_1(
+        self, tmp_path, capsys, deadline, command, body, flags, message
+    ):
         self.make_suite(tmp_path, capsys, n=4, count=1)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
@@ -984,12 +1010,37 @@ class TestRefusal:
             (("--family", "staircase", "--levels", "1414"),
              "staircase prefixes must hold at most 1000000 items in all, "
              "got 1414 levels of ceil(10.0 / 10.0) items"),
+            (("--alpha", "1e308", "--dlo", "2"),
+             "dlo * alpha must be a finite number, got 2 * 1e+308"),
+            (("--dlo", str(10**400)),  # past the largest float before alpha multiplies it
+             f"dlo * alpha must be a finite number, got {10**400} * 2.0"),
+            (("--k", "0"), "at least one knapsack is required"),
+            (("--eligibility", "1.5"), "eligibility must be in [0, 1], got 1.5"),
+            (("--family", "staircase", "--dlo", "20", "--t", "10", "--level", "1"),
+             "horizon 10 too short for duration 20"),
         ],
     )
-    def test_gen_refuses_non_finite_knapsack(self, capsys, flags, message):
+    def test_gen_refuses_non_finite_knapsack(self, capsys, deadline, flags, message):
         assert cli("gen", "--n", "3", *flags) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gen", "--family", "staircase", "--level", "9"), "--level must be in [1, 4]"),
+            (("gen", "--family", "staircase"),
+             "staircase emits one instance per prefix; pass --out PREFIX "
+             "or select one with --level"),
+            (("bench",), "no instances: pass --input files/dirs or --config"),
+            (("tune",), "no instances: pass --input files/dirs or --config"),
+        ],
+    )
+    def test_usage_error_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            cli(*argv)
+        assert info.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", [("run",), ("validate", "--strict")])
     @pytest.mark.parametrize("case", sorted(INPUT_FORMS))
@@ -1035,6 +1086,33 @@ class TestRefusal:
             assert (piped.returncode, piped.stdout, piped.stderr) == (1, "", f"error: {expected}\n")
         piped = run_pipe(["validate", "--input", "/dev/stdin"], stdin_text=three_item_text())
         assert piped.returncode == 0 and json.loads(piped.stdout)["ok"] is True
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_named_pipe_input_is_read_once(self, tmp_path, capsys, deadline):
+        # A named pipe is not a regular file: run reads it once, whole, and
+        # writes what it writes for the file; a fault in the last item is
+        # reported as the whole reading reports it.
+        good = tmp_path / "good.json"
+        assert cli("gen", "--n", "50", "--out", str(good)) == 0
+        doc = json.loads(good.read_text())
+        doc["items"][49]["options"][0]["size"] = -1.0
+        faulty = tmp_path / "faulty.json"
+        faulty.write_text(json.dumps(doc, indent=2) + "\n")  # the layout gen writes
+        capsys.readouterr()
+        for source, status in ((good, 0), (faulty, 1)):
+            assert cli("run", "--input", str(source)) == status
+            expected = (status, *capsys.readouterr())
+            pipe = tmp_path / "pipe"
+            os.mkfifo(pipe)
+            writer = threading.Thread(target=pipe.write_bytes, args=(source.read_bytes(),),
+                                      daemon=True)
+            writer.start()
+            rc = cli("run", "--input", str(pipe))
+            assert (rc, *capsys.readouterr()) == expected
+            writer.join(5.0)
+            assert not writer.is_alive()
+            pipe.unlink()
+        assert expected == (1, "", "error: item 49, knapsack 0: nonpositive size -1.0\n")
 
     def test_bench_error_rows_exit_1_with_report(self, tmp_path, capsys):
         inst = tmp_path / "one.json"

@@ -272,6 +272,11 @@ class TestRun:
         with pytest.raises(ValueError, match="capacity"):
             run(inst, [flat(capacity=5.0)])
 
+    def test_threshold_count_mismatch(self):
+        ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+        with pytest.raises(ValueError, match=r"^expected 2 thresholds, got 1$"):
+            run(Instance(10, (ks, ks), ()), [flat()])
+
     def test_deterministic(self):
         inst = uniform_instance(seed=9, n=30, k=2)
         thresholds = for_instance(inst)
