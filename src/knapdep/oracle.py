@@ -9,23 +9,28 @@ hermetic build keeps CI deterministic.
 
 The branch-and-bound cuts on one bound, a child's value plus the best
 values of the items after it.  It tests each child before it places
-anything for it (the value bound, then fit, then the node budget), scores
-a leaf in place, and keeps its own stack, so its depth is not limited by
-Python's recursion limit.  Each option of either search watches one slot
-key, first its window's start: a fit test reads that slot first and
-refuses on it alone, and only when it has room takes the window's max,
-moving the watch to the slot that blocks when the max does.  ``x + size``
-is monotone in ``x``, so one slot blocks only if the max does, and every
-fit outcome is the one a max over the whole window gives.  The watches
-live in the search rows ``_prepared`` builds afresh for each call.  Both
-searches undo a placement by writing back the slot loads saved before it,
-never by subtracting its size: ``(x + s) - s`` need not be ``x`` in
-floating point.  So every feasibility test sees exactly the loads
-``assignment_violations`` would sum, for any float sizes.  The enumerator
-scores the last item's leaves in place, keys subtrees (the last item's
-too) on the loads of slots that can refuse, and counts a repeat that
-cannot beat the incumbent from its table before placing or calling for
-it; its result, full node count included, is the plain walk's.
+anything for it (the watched slot, the value bound, the window's max, then
+the node budget), scores a leaf in place, and keeps its own stack, so its
+depth is not limited by Python's recursion limit.  Each option of either
+search watches one slot key, first its window's start: a fit test reads
+that slot first and refuses on it alone, and only when it has room takes
+the window's max, moving the watch to the slot that blocks when the max
+does.  ``x + size`` is monotone in ``x``, so one slot blocks only if the
+max does, and every fit outcome is the one a max over the whole window
+gives.  Each test only refuses, so their order moves no result: a watch
+moves only on a max read, which still follows the value bound, and a
+child the value bound cuts is followed only by children it cuts too.  The
+watches live in the search rows ``_prepared`` builds afresh for each
+call; where a watch starts changes no result, only which slot refuses
+first.  Both searches undo a placement by writing back the slot loads
+saved before it, never by subtracting its size: ``(x + s) - s`` need not
+be ``x`` in floating point.  So every feasibility test sees exactly the
+loads ``assignment_violations`` would sum, for any float sizes.  The
+enumerator scores the last item's leaves in place, keys subtrees (the
+last item's too) on the loads of slots that can refuse, and counts a
+repeat that cannot beat the incumbent from its table before placing or
+calling for it; its result, full node count included, is the plain
+walk's.
 """
 
 from __future__ import annotations
@@ -106,9 +111,10 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     already violate capacity are cut, which loses no feasible vector
     because loads only grow with further assignments.  Both fit tests, at
     inner nodes and at the leaves scored in place, read the option's
-    watched slot first, as the module docstring describes.  Children are
-    visited decline first, then knapsacks in index order, and a vector
-    replaces the incumbent only when strictly better.
+    watched slot first, on the row before it is unpacked, as the module
+    docstring describes.  Children are visited decline first, then
+    knapsacks in index order, and a vector replaces the incumbent only when
+    strictly better.
 
     A slot key can refuse only if the sizes requested on it, summed in
     item order, pass its capacity: rounding of non-negative sums is
@@ -164,10 +170,11 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
             if value > best_value:
                 best_value = value
                 best_assignment = current.copy()
-            for k, size, item_value, cap, lo, hi, _, watch in flat[i]:
+            for row in flat[i]:
                 # One slot refuses, and one max admits: x + size is monotone in x.
-                if load[watch[0]] + size > cap:
+                if load[row[7][0]] + row[1] > row[3]:
                     continue
+                k, size, item_value, cap, lo, hi, _, watch = row
                 saved = load[lo:hi]
                 top = max(saved)
                 if top + size > cap:
@@ -194,9 +201,10 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
             gain = seen[1]
         else:
             gain = visit(nxt, value, child)
-        for k, size, item_value, cap, lo, hi, bit, watch in flat[i]:
-            if load[watch[0]] + size > cap:
+        for row in flat[i]:
+            if load[row[7][0]] + row[1] > row[3]:
                 continue
+            k, size, item_value, cap, lo, hi, bit, watch = row
             saved = load[lo:hi]
             top = max(saved)
             if top + size > cap:
@@ -238,14 +246,16 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     refused and ``upper_bound``, and at least the incumbent.  A
     ``node_budget`` must be None or an integer >= 0 (ValueError otherwise).
 
-    A child is tested before anything is placed for it: the value bound,
-    fit, then the budget; a leaf is scored in place.  While budget remains,
-    a child the value bound cuts ends the node's assignment children: the
-    later ones have no larger value and ``floor`` never falls.  Past the
-    budget the bound is not tested, and a child that fits adds its bound to
-    the refused subtrees'.  Fit reads the option's watched slot first, as
-    the module docstring describes.  A generator searches a node's
-    assignment children, yielding one generator per child it enters, then
+    A child is tested before anything is placed for it: its watched slot
+    (on the row, before the row is unpacked), the value bound, the
+    window's max, then the budget; a leaf is scored in place.  While budget
+    remains, a child the value bound cuts ends the node's assignment
+    children: the later ones have no larger value and ``floor`` never
+    falls.  Each test only refuses, so their order moves no result, as the
+    module docstring says.  Past the budget the bound is not tested, and a
+    child that fits adds its bound to the refused subtrees'.  A generator
+    searches a node's assignment children, yielding one generator per child
+    it enters and clearing ``current[i]`` when the descent returns, then
     carries on as the node's decline child, on an explicit stack free of
     the recursion limit.
     """
@@ -280,24 +290,25 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
         while True:
             nxt = i + 1
             rest = suffix_value[nxt]
-            for k, size, item_value, cap, lo, hi, watch in children_of[i]:
+            for row in children_of[i]:
+                # One slot refuses, and one max admits: x + size is monotone in x.
+                if load[row[6][0]] + row[1] > row[3]:
+                    continue
+                k, size, item_value, cap, lo, hi, watch = row
                 child_value = value + item_value
                 cheap = child_value + rest
                 if cheap <= floor and nodes <= budget:
                     break  # so is every later child: no larger value, and floor never falls
-                # One slot refuses, and one max admits: x + size is monotone in x.
-                if load[watch[0]] + size > cap:
-                    continue
                 saved = load[lo:hi]
                 top = max(saved)
                 if top + size > cap:
                     watch[0] = lo + saved.index(top)
                     continue
-                if nodes <= budget:
-                    nodes += 1
-                if nodes > budget:
+                if nodes >= budget:
+                    nodes = budget + 1
                     refused_bound = max(refused_bound, cheap)
                     continue
+                nodes += 1
                 if nxt == N:
                     if child_value > best_value:
                         best_value = child_value
@@ -310,16 +321,16 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                     load[t] += size
                 yield branches(nxt, child_value)
                 load[lo:hi] = saved
-            # The decline, searched here as node nxt; current[i] is set before each descent.
-            current[i] = None
+                current[i] = None
+            # The decline, searched here as node nxt; current[i] is None but during a descent.
             cheap = value + rest
-            if nodes <= budget:
-                if cheap <= floor:
-                    return
-                nodes += 1
-            if nodes > budget:
+            if cheap <= floor and nodes <= budget:
+                return
+            if nodes >= budget:
+                nodes = budget + 1
                 refused_bound = max(refused_bound, cheap)
                 return
+            nodes += 1
             if nxt == N:
                 if value > best_value:
                     best_value = value

@@ -1144,6 +1144,10 @@ UNIFORM_INELIGIBLE = ("gen", "--k", "3", "--eligibility", "0.5")
 BURST_INELIGIBLE = ("gen", "--family", "burst", "--eligibility", "0.4")
 STAIRCASE = ("gen", "--family", "staircase", "--theta", "4", "--alpha", "1",
              "--eps", "2.5", "--level", "3")
+# The benchmark's oracle knapsack at n = 60, T = 40: a budget-bound search
+# deep enough that most children are refused at their watched slot.
+DEEP = ("gen", "--n", "60", "--k", "2", "--t", "40", "--capacity", "4", "--theta", "8",
+        "--eps", "4", "--dlo", "2", "--alpha", "3", "--seed", "5")
 GOLDEN = {
     "uniform": "4e463e285294543fd9589e563cb19056d2891de9fa7ce4e3f528efc4b58300fd",
     "burst": "36e0bc5defa2c8a69a70165c70b9120583dce93db19d1ebf696edf8d3f3ca9e5",
@@ -1156,6 +1160,7 @@ GOLDEN = {
     "run_ineligible": "65de122892efc2032281991670cab2a25e85f1bad60206f9706ec41856b64038",
     "staircase": "f39001ae52f016b886e85470e254af0a65f4cd97ee65b2dd437cd0ed15aa6af7",
     "bench": "89b43d9e6056730514c24e680cd183536dc38af82e86b46d581741428c98652c",
+    "deep_budget": "ee9a7d052e1185351b77a393093e78a00bfc4202d0524f22e335b91f3887bd46",
 }
 
 
@@ -1166,6 +1171,7 @@ def test_golden_bytes(tmp_path, capsys):
 
     uniform, burst = tmp_path / "uniform.json", tmp_path / "burst.json"
     ineligible, suite = tmp_path / "ineligible.json", tmp_path / "suite"
+    deep = tmp_path / "deep.json"
     got = {
         "uniform": digest(*UNIFORM),
         "burst": digest(*BURST),
@@ -1176,6 +1182,7 @@ def test_golden_bytes(tmp_path, capsys):
     assert cli(*UNIFORM, "--out", str(uniform)) == 0
     assert cli(*BURST, "--out", str(burst)) == 0
     assert cli(*BURST_INELIGIBLE, "--out", str(ineligible)) == 0
+    assert cli(*DEEP, "--out", str(deep)) == 0
     suite.mkdir()
     for seed in (1, 2, 3):
         out = str(suite / f"i{seed}.json")
@@ -1187,6 +1194,7 @@ def test_golden_bytes(tmp_path, capsys):
     got["run"] = digest("run", "--input", str(uniform))
     got["run_ineligible"] = digest("run", "--input", str(ineligible))
     got["bench"] = digest("bench", "--input", str(suite))
+    got["deep_budget"] = digest("opt", "--input", str(deep), "--node-budget", "15000")
     assert got == GOLDEN
 
 

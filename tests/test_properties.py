@@ -46,6 +46,9 @@ included, equals the reference's.
 scored the last item's leaves in place: one call per node, leaves
 included.  ``solve_bruteforce`` must visit the same nodes in the same
 order, so its result, node count included, equals the reference's.
+Neither search's result depends on the slot each option's watch starts
+at: with every watch started at a drawn slot of its window, both give the
+result they give from the window's start.
 ``reference_generate`` is the uniform and burst generator as it was
 before it drew integers straight from ``getrandbits``: ``generate`` must
 make the same draws in the same order, so its records and their text
@@ -62,12 +65,13 @@ import tempfile
 from random import Random
 from types import MappingProxyType
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knapdep import cli, stream
+from knapdep import cli, oracle, stream
 from knapdep.core import (
     Instance,
     Item,
@@ -750,6 +754,30 @@ def test_bruteforce_matches_reference_on_suite_shaped_instances():
         assert (
             solve_bruteforce(inst).to_dict() == reference_solve_bruteforce(inst).to_dict()
         ), spec
+
+
+@SMALL
+@given(
+    inst=st.one_of(instances(), small_instances(), small_instances(TENTHS)),
+    budget=st.sampled_from([None, 0, 1, 10, 100]),
+    data=st.data(),
+)
+def test_searches_do_not_depend_on_where_watches_start(inst, budget, data):
+    # A watch only lets one slot refuse before the window's max is read, so
+    # each row's watch may start at any slot of its window.
+    default = [solve_exact(inst, node_budget=budget).to_dict(), solve_bruteforce(inst).to_dict()]
+    prepared = oracle._prepared
+
+    def drawn_watches(inst):
+        rows, last = prepared(inst)
+        for opts in rows:
+            for row in opts:
+                row[6][0] = data.draw(st.integers(row[4], row[5] - 1))
+        return rows, last
+
+    with mock.patch.object(oracle, "_prepared", drawn_watches):
+        moved = [solve_exact(inst, node_budget=budget).to_dict(), solve_bruteforce(inst).to_dict()]
+    assert moved == default
 
 
 # ---------------------------------------------------------------------------
