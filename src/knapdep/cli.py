@@ -155,7 +155,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             gamma = [fn.gamma for fn in fns]
         return validate_instance(inst, strict=args.strict, gamma=gamma)
 
-    report = through_items(args.input, validate, loads_instance)
+    report = through_items(args.input, validate)
     _emit([json.dumps(report.to_dict(), indent=2)], args.out)
     for msg in report.errors:
         print(f"error: {msg}", file=sys.stderr)
@@ -170,7 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     def run(inst: Instance):
         return engine_run(inst, threshold.for_instance(inst, _gamma_config(args.gamma)))
 
-    result = through_items(args.input, run, loads_instance)
+    result = through_items(args.input, run)
     _emit(result.json_parts(), args.out)
     print(f"profit {result.profit!r} over {len(result.decisions)} items", file=sys.stderr)
     return EXIT_OK
@@ -392,6 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise _usage_error(str(exc)) from exc
     except (OSError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_FAILURE
 
 

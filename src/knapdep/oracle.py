@@ -7,10 +7,11 @@ instances too large to solve (`upper_bound`).  All solvers are in-house;
 desk-scale instances do not justify an external MILP dependency and a
 hermetic build keeps CI deterministic.
 
-The branch-and-bound cuts on one bound, a child's value plus the best
-values of the items after it.  It tests each child before it places
-anything for it (the watched slot, the value bound, the window's max, then
-the node budget), scores a leaf in place, and keeps its own stack, so its
+Both searches score a leaf child inside their node loop, with no call and
+no placement for it.  The branch-and-bound cuts on one bound, a child's
+value plus the best values of the items after it.  It tests each child
+before it places anything for it (the watched slot, the value bound, the
+window's max, then the node budget), and keeps its own stack, so its
 depth is not limited by Python's recursion limit.  Each option of either
 search watches one slot key, first its window's start: a fit test reads
 that slot first and refuses on it alone, and only when it has room takes
@@ -26,11 +27,10 @@ first.  Both searches undo a placement by writing back the slot loads
 saved before it, never by subtracting its size: ``(x + s) - s`` need not
 be ``x`` in floating point.  So every feasibility test sees exactly the
 loads ``assignment_violations`` would sum, for any float sizes.  The
-enumerator scores the last item's leaves in place, keys subtrees (the
-last item's too) on the loads of slots that can refuse, and counts a
-repeat that cannot beat the incumbent from its table before placing or
-calling for it; its result, full node count included, is the plain
-walk's.
+enumerator keys subtrees (the last item's too) on the loads of slots that
+can refuse, and counts a repeat that cannot beat the incumbent from its
+table before placing or calling for it; its result, full node count
+included, is the plain walk's.
 """
 
 from __future__ import annotations
@@ -109,12 +109,11 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
 
     Refuses instances past ``bruteforce_accepts``.  Prefixes that
     already violate capacity are cut, which loses no feasible vector
-    because loads only grow with further assignments.  Both fit tests, at
-    inner nodes and at the leaves scored in place, read the option's
-    watched slot first, on the row before it is unpacked, as the module
-    docstring describes.  Children are visited decline first, then
-    knapsacks in index order, and a vector replaces the incumbent only when
-    strictly better.
+    because loads only grow with further assignments.  The fit test reads
+    the option's watched slot first, on the row before it is unpacked, as
+    the module docstring describes.  Children are visited decline first,
+    then knapsacks in index order, and a vector replaces the incumbent only
+    when strictly better.
 
     A slot key can refuse only if the sizes requested on it, summed in
     item order, pass its capacity: rounding of non-negative sums is
@@ -125,8 +124,8 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     i.. pass, so one key means one subtree.  Nodes are counted in one
     counter; a subtree's node count and gain (the most its completions
     add) are kept for at most ``_MEMO_LIMIT`` keys, the last item's
-    subtrees included.  A parent tests each child's key before it places
-    anything or calls, and adds a repeat's count without a walk when
+    subtrees included.  A parent tests each inner child's key before it
+    places anything or calls, and adds a repeat's count without a walk when
     value + gain + slack cannot beat the incumbent: rounding is monotone,
     and the slack, 1e-9 of one plus the best-value sum, exceeds any gap
     between the suffix-order gain and an item-order leaf sum.  So ``nodes``
@@ -164,44 +163,23 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
     def visit(i: int, value: float, mask: int) -> float:
         """Gain of item i's subtree, its nodes counted; ``mask``: its key's placements."""
         nonlocal best_value, best_assignment, nodes
-        if i == N - 1:
-            # This node and its leaves: decline, then each feasible option.
-            count, gain = 2, 0.0
-            if value > best_value:
-                best_value = value
-                best_assignment = current.copy()
-            for row in flat[i]:
-                # One slot refuses, and one max admits: x + size is monotone in x.
-                if load[row[7][0]] + row[1] > row[3]:
-                    continue
-                k, size, item_value, cap, lo, hi, _, watch = row
-                saved = load[lo:hi]
-                top = max(saved)
-                if top + size > cap:
-                    watch[0] = lo + saved.index(top)
-                    continue
-                count += 1
-                if item_value > gain:
-                    gain = item_value
-                if value + item_value > best_value:
-                    best_value = value + item_value
-                    best_assignment = current.copy()
-                    best_assignment[i] = k
-            nodes += count
-            if len(memo) < _MEMO_LIMIT:
-                memo[mask * N + i] = count, gain
-            return gain
         before = nodes
         nodes += 1
         nxt = i + 1
         child = mask & live[nxt]
-        seen = memo.get(child * N + nxt)
-        if seen is not None and value + seen[1] + slack <= best_value:
+        if nxt == N:  # the decline leaf, scored in place
+            nodes += 1
+            gain = 0.0
+            if value > best_value:
+                best_value = value
+                best_assignment = current.copy()
+        elif (seen := memo.get(child * N + nxt)) and value + seen[1] + slack <= best_value:
             nodes += seen[0]
             gain = seen[1]
         else:
             gain = visit(nxt, value, child)
         for row in flat[i]:
+            # One slot refuses, and one max admits: x + size is monotone in x.
             if load[row[7][0]] + row[1] > row[3]:
                 continue
             k, size, item_value, cap, lo, hi, bit, watch = row
@@ -211,8 +189,14 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
                 watch[0] = lo + saved.index(top)
                 continue
             child_value = value + item_value
-            seen = memo.get((child | bit) * N + nxt)
-            if seen is not None and child_value + seen[1] + slack <= best_value:
+            if nxt == N:  # a leaf, scored in place
+                nodes += 1
+                child_gain = 0.0
+                if child_value > best_value:
+                    best_value = child_value
+                    best_assignment = current.copy()
+                    best_assignment[i] = k
+            elif (seen := memo.get((child | bit) * N + nxt)) and child_value + seen[1] + slack <= best_value:
                 nodes += seen[0]
                 child_gain = seen[1]
             else:
@@ -247,17 +231,16 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
     ``node_budget`` must be None or an integer >= 0 (ValueError otherwise).
 
     A child is tested before anything is placed for it: its watched slot
-    (on the row, before the row is unpacked), the value bound, the
-    window's max, then the budget; a leaf is scored in place.  While budget
-    remains, a child the value bound cuts ends the node's assignment
-    children: the later ones have no larger value and ``floor`` never
-    falls.  Each test only refuses, so their order moves no result, as the
-    module docstring says.  Past the budget the bound is not tested, and a
-    child that fits adds its bound to the refused subtrees'.  A generator
-    searches a node's assignment children, yielding one generator per child
-    it enters and clearing ``current[i]`` when the descent returns, then
-    carries on as the node's decline child, on an explicit stack free of
-    the recursion limit.
+    (on the row, before the row is unpacked), the value bound, the window's
+    max, then the budget.  While budget remains, a child the value bound
+    cuts ends the node's assignment children: the later ones have no larger
+    value and ``floor`` never falls.  Each test only refuses, so their
+    order moves no result, as the module docstring says.  Past the budget
+    the bound is not tested, and a child that fits adds its bound to the
+    refused subtrees'.  A generator searches a node's assignment children,
+    yielding one generator per child it enters and clearing ``current[i]``
+    when the descent returns, then carries on as the node's decline child,
+    on an explicit stack free of the recursion limit.
     """
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)

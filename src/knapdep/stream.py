@@ -45,6 +45,7 @@ from .core import (
     checked_items,
     item_records,
     knapsack_specs,
+    loads_instance,
 )
 
 # Characters per read, and the most text a batch of items spans (or one
@@ -74,13 +75,13 @@ class StreamedInstance(NamedTuple):
     items: Iterator[Item]
 
 
-def through_items(path: str, use: Callable[[Instance], T], loads: Callable[[str], Instance]) -> T:
+def through_items(path: str, use: Callable[[Instance], T]) -> T:
     """``use(inst)`` for the instance at ``path`` (``-``: standard input), streamed if it can be.
 
     ``use`` must draw every item once, in order, and form no output.  If
-    the streamed pass raises, ``use`` runs again on ``loads`` of the whole
-    text, so every result and message is the whole reading's.  Standard
-    input is read whole first, so that it can be read twice.
+    the streamed pass raises, ``use`` runs again on ``loads_instance`` of
+    the whole text, so every result and message is the whole reading's.
+    Standard input is read whole first, so that it can be read twice.
     """
     text = sys.stdin.read() if path == "-" else None
     try:
@@ -88,7 +89,7 @@ def through_items(path: str, use: Callable[[Instance], T], loads: Callable[[str]
             return use(inst)
     except (OSError, ValueError, RecursionError):
         pass
-    return use(loads(Path(path).read_text() if text is None else text))
+    return use(loads_instance(Path(path).read_text() if text is None else text))
 
 
 @contextmanager

@@ -965,6 +965,19 @@ class TestRefusal:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["run", "opt"])
+    def test_rows_too_large_to_allocate_exit_1(self, tmp_path, capsys, command):
+        # A slot row of 8 x 10^17 bytes is past a 47-bit address space, so
+        # its allocation fails at once, touching no memory.
+        path = tmp_path / "huge.json"
+        assert cli("gen", "--n", "0", "--t", str(10**17), "--dlo", "1", "--alpha", "1",
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert cli(command, "--input", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not out.exists()
+
     def test_no_traceback_in_a_fresh_process(self, tmp_path):
         mutate, message = MALFORMED["more-options-than-knapsacks"]
         data = one_item_instance()

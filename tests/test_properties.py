@@ -42,10 +42,11 @@ included, and a curve that overrides only ``eval`` is charged through it.
 recursion, one call per node, with the same value bound and child order.
 ``solve_exact`` must make the same search, so its result, node count
 included, equals the reference's.
-``reference_solve_bruteforce`` is the enumerator as it was before it
-scored the last item's leaves in place: one call per node, leaves
-included.  ``solve_bruteforce`` must visit the same nodes in the same
-order, so its result, node count included, equals the reference's.
+``reference_solve_bruteforce`` is the enumerator written as plain
+recursion, one call per node, leaves included, with no table of walked
+subtrees.  ``solve_bruteforce`` must visit the same nodes in the same
+order, so its result, node count included, equals the reference's, and
+so does its result with its table capped at 0, 1 or 3 subtrees.
 Neither search's result depends on the slot each option's watch starts
 at: with every watch started at a drawn slot of its window, both give the
 result they give from the window's start.
@@ -741,6 +742,18 @@ def reference_solve_bruteforce(inst):
 @given(inst=st.one_of(instances(), small_instances(), small_instances(TENTHS)))
 def test_bruteforce_matches_reference(inst):
     assert solve_bruteforce(inst).to_dict() == reference_solve_bruteforce(inst).to_dict()
+
+
+@SMALL
+@given(inst=st.one_of(instances(), small_instances(), small_instances(TENTHS)))
+def test_bruteforce_table_size_changes_no_result(inst):
+    # A table of 0 keys remembers nothing; one of 1 or 3 fills up early in
+    # the walk, so later subtrees are walked though their keys repeat.
+    expected = solve_bruteforce(inst).to_dict()
+    assert expected == reference_solve_bruteforce(inst).to_dict()
+    for limit in (0, 1, 3):
+        with mock.patch.object(oracle, "_MEMO_LIMIT", limit):
+            assert solve_bruteforce(inst).to_dict() == expected, limit
 
 
 def test_bruteforce_matches_reference_on_suite_shaped_instances():
