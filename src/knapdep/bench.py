@@ -210,6 +210,8 @@ def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
             ratio=_ratio(result.profit, opt),
         )
     except Exception as exc:  # isolate per-instance failures into error rows
+        # A MemoryError carries no message; name it as ``cli.main`` does.
+        text = "out of memory" if isinstance(exc, MemoryError) else exc
         return BenchRow(
             instance_id=instance_id,
             n_items=inst.num_items,
@@ -217,7 +219,7 @@ def _evaluate(instance_id: str, inst: Instance, cfg: BenchConfig) -> BenchRow:
             opt=0.0,
             opt_tag="error",
             ratio=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{type(exc).__name__}: {text}",
         )
 
 

@@ -93,27 +93,6 @@ def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
     return tuple([spec] * args.k)
 
 
-def _collect_paths(sources: Sequence[str]) -> list[Path]:
-    paths: list[Path] = []
-    for src in sources:
-        p = Path(src)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("*.json")))
-        else:
-            paths.append(p)
-    return paths
-
-
-def _load_suite(sources: Sequence[str]) -> list[tuple[str, Instance]]:
-    suite = []
-    for p in _collect_paths(sources):
-        try:
-            suite.append((p.name, loads_instance(p.read_text())))
-        except ValueError as exc:  # SchemaError, or text that is not UTF-8
-            raise SchemaError(f"{p}: {exc}") from exc
-    return suite
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family != "staircase" and (args.level is not None or args.levels is not None):
         raise _usage_error("--level and --levels apply only to --family staircase")
@@ -249,12 +228,22 @@ def _settings(cls: type, file_cfg: dict, args: argparse.Namespace, **flags: obje
     return cls(**values)
 
 
-def _suite_sources(args: argparse.Namespace, file_cfg: dict) -> list[str]:
-    sources = list(args.input or [])
-    sources.extend(file_cfg.get("instances", []))
+def _load_suite(args: argparse.Namespace, file_cfg: dict) -> list[tuple[str, Instance]]:
+    """The suite of bench and tune: each --input source, then each of the
+    config's ``instances``, a directory giving its *.json files by name."""
+    sources = list(args.input or []) + file_cfg.get("instances", [])
     if not sources:
         raise _usage_error("no instances: pass --input files/dirs or --config")
-    return sources
+    suite = []
+    for src in map(Path, sources):
+        for p in sorted(src.glob("*.json")) if src.is_dir() else [src]:
+            try:
+                suite.append((p.name, loads_instance(p.read_text())))
+            except ValueError as exc:  # SchemaError, or text that is not UTF-8
+                raise SchemaError(f"{p}: {exc}") from exc
+    if not suite:  # no instances: nothing to report or tune on, so no exit 0
+        raise ValueError(f"no *.json instance files in {', '.join(sources)}")
+    return suite
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -263,10 +252,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     file_cfg = _read_config(args.config)
     gamma = None if args.gamma is None else _gamma_config(args.gamma)
     cfg = _settings(bench.BenchConfig, file_cfg, args, threshold=gamma)  # before the suite
-    sources = _suite_sources(args, file_cfg)
-    suite = _load_suite(sources)
-    if not suite:  # a report of no rows would claim nothing and exit 0
-        raise ValueError(f"no *.json instance files in {', '.join(sources)}")
+    suite = _load_suite(args, file_cfg)
     report = bench.bench_suite(suite, cfg)
     if args.out:
         Path(f"{args.out}.csv").write_text(report.to_csv())
@@ -287,7 +273,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     file_cfg = _read_config(args.config)
     spec = _settings(bench.TuneSpec, file_cfg.get("tuner", {}), args)  # before the suite
-    suite = _load_suite(_suite_sources(args, file_cfg))
+    suite = _load_suite(args, file_cfg)
     result = bench.tune_gamma([inst for _, inst in suite], spec)
     if args.out:
         Path(f"{args.out}.json").write_text(

@@ -9,26 +9,25 @@ hermetic build keeps CI deterministic.
 
 Both searches score a leaf child inside their node loop, with no call and
 no placement for it.  The branch-and-bound cuts on one bound, a child's
-value plus the best values of the items after it.  It tests each child
-before it places anything for it (the watched slot, the value bound, the
-window's max, then the node budget), and keeps its own stack, so its
-depth is not limited by Python's recursion limit.  Each option of either
-search watches one slot key, first its window's start: a fit test reads
-that slot first and refuses on it alone, and only when it has room takes
-the window's max, moving the watch to the slot that blocks when the max
+value plus the best values of the items after it, by one rule on both
+sides of its node budget.  It tests each child before it places it, on
+its own stack, free of Python's recursion limit.  Each search row ends
+in one watched slot key, first its window's start: a fit test reads that
+slot first and refuses on it alone, and only when it has room takes the
+window's max, moving the watch to the slot that blocks when the max
 does.  ``x + size`` is monotone in ``x``, so one slot blocks only if the
 max does, and every fit outcome is the one a max over the whole window
 gives.  Each test only refuses, so their order moves no result: a watch
 moves only on a max read, which still follows the value bound, and a
-child the value bound cuts is followed only by children it cuts too.  The
-watches live in the search rows ``_prepared`` builds afresh for each
-call; where a watch starts changes no result, only which slot refuses
-first.  Both searches undo a placement by writing back the slot loads
-saved before it, never by subtracting its size: ``(x + s) - s`` need not
-be ``x`` in floating point.  So every feasibility test sees exactly the
-loads ``assignment_violations`` would sum, for any float sizes.  The
-enumerator keys subtrees (the last item's too) on the loads of slots that
-can refuse, and counts a repeat that cannot beat the incumbent from its
+child the value bound cuts is followed only by children it cuts too.
+``_prepared`` builds the rows afresh for each call; where a watch starts
+changes no result, only which slot refuses first.  Both searches undo a
+placement by writing back the slot loads saved before it, never by
+subtracting its size: ``(x + s) - s`` need not be ``x`` in floating
+point.  So every feasibility test sees exactly the loads that
+``assignment_violations`` sums, for any float sizes.  The enumerator
+keys subtrees (the last item's too) on the loads of slots that can
+refuse, and counts a repeat that cannot beat the incumbent from its
 table before placing or calling for it; its result, full node count
 included, is the plain walk's.
 """
@@ -77,11 +76,11 @@ class OfflineSolution:
 
 
 def _prepared(inst: Instance):
-    """Per item, its eligible options as search rows (k, size, value, cap,
-    lo, hi, watch), and per slot key the last item requesting it (-1 if
+    """Per item, its eligible options as search rows [k, size, value, cap,
+    lo, hi, watch], and per slot key the last item requesting it (-1 if
     none).  Slot t of knapsack k is key k*(horizon+1) + t, an option's keys
-    are lo..hi-1, and ``watch`` is a one-key cell, first [lo], that each
-    call builds afresh, so no two searches share a watch.
+    are lo..hi-1, and ``watch``, first lo, is the watched slot's key; each
+    call builds its rows afresh, so no two searches share a watch.
     """
     stride = inst.horizon + 1
     caps = [ks.capacity for ks in inst.knapsacks]
@@ -92,7 +91,7 @@ def _prepared(inst: Instance):
         for k, opt in item.eligible_options():
             lo = k * stride + opt.start
             hi = lo + opt.duration
-            opts.append((k, opt.size, opt.value, caps[k], lo, hi, [lo]))
+            opts.append([k, opt.size, opt.value, caps[k], lo, hi, lo])
             last[lo:hi] = [i] * opt.duration
         rows.append(opts)
     return rows, last
@@ -149,8 +148,8 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
             reach = max((last[t] for t in range(lo, hi) if total[t] > cap), default=i)
             for j in range(i + 1, reach + 1):
                 live[j] |= 1 << (i * K + k)
-    # Per item, its rows with the bit each sets in the child's key put before the watch.
-    flat = [[o[:6] + ((1 << (i * K + o[0])) & live[i + 1], o[6]) for o in opts] for i, opts in enumerate(rows)]
+        for row in opts:  # live[i + 1] is whole: append the bit each sets in its child's key
+            row.append((1 << (i * K + row[0])) & live[i + 1])
     slack = _PRUNE_SLACK * (1.0 + sum(max((o[2] for o in opts), default=0.0) for opts in rows))
     load = [0.0] * len(last)
     memo: dict[int, tuple[int, float]] = {}  # depth i, key mask: key mask * N + i
@@ -178,15 +177,15 @@ def solve_bruteforce(inst: Instance) -> OfflineSolution:
             gain = seen[1]
         else:
             gain = visit(nxt, value, child)
-        for row in flat[i]:
+        for row in rows[i]:
             # One slot refuses, and one max admits: x + size is monotone in x.
-            if load[row[7][0]] + row[1] > row[3]:
+            if load[row[6]] + row[1] > row[3]:
                 continue
-            k, size, item_value, cap, lo, hi, bit, watch = row
+            k, size, item_value, cap, lo, hi, _, bit = row
             saved = load[lo:hi]
             top = max(saved)
             if top + size > cap:
-                watch[0] = lo + saved.index(top)
+                row[6] = lo + saved.index(top)
                 continue
             child_value = value + item_value
             if nxt == N:  # a leaf, scored in place
@@ -232,15 +231,16 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
 
     A child is tested before anything is placed for it: its watched slot
     (on the row, before the row is unpacked), the value bound, the window's
-    max, then the budget.  While budget remains, a child the value bound
-    cuts ends the node's assignment children: the later ones have no larger
-    value and ``floor`` never falls.  Each test only refuses, so their
-    order moves no result, as the module docstring says.  Past the budget
-    the bound is not tested, and a child that fits adds its bound to the
-    refused subtrees'.  A generator searches a node's assignment children,
-    yielding one generator per child it enters and clearing ``current[i]``
-    when the descent returns, then carries on as the node's decline child,
-    on an explicit stack free of the recursion limit.
+    max, then the budget.  A child the value bound cuts ends the node's
+    assignment children: the later ones have no larger value and ``floor``
+    never falls.  Each test only refuses, so their order moves no result,
+    as the module docstring says.  Past the budget no leaf is scored and
+    ``floor`` stays put, so a cut child's bound, at most ``floor``, stays
+    below the incumbent and moves no returned bound; one that fits adds
+    its bound to the refused subtrees'.  A generator searches a node's
+    assignment children, yielding one generator per child it enters and
+    clearing ``current[i]`` when its descent returns, then goes on as the
+    node's decline child, on an explicit stack free of the recursion limit.
     """
     if node_budget is not None:
         check_count("node_budget", node_budget, 0)
@@ -275,17 +275,17 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
             rest = suffix_value[nxt]
             for row in children_of[i]:
                 # One slot refuses, and one max admits: x + size is monotone in x.
-                if load[row[6][0]] + row[1] > row[3]:
+                if load[row[6]] + row[1] > row[3]:
                     continue
-                k, size, item_value, cap, lo, hi, watch = row
+                k, size, item_value, cap, lo, hi, _ = row
                 child_value = value + item_value
                 cheap = child_value + rest
-                if cheap <= floor and nodes <= budget:
+                if cheap <= floor:
                     break  # so is every later child: no larger value, and floor never falls
                 saved = load[lo:hi]
                 top = max(saved)
                 if top + size > cap:
-                    watch[0] = lo + saved.index(top)
+                    row[6] = lo + saved.index(top)
                     continue
                 if nodes >= budget:
                     nodes = budget + 1
@@ -307,7 +307,7 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> OfflineSol
                 current[i] = None
             # The decline, searched here as node nxt; current[i] is None but during a descent.
             cheap = value + rest
-            if cheap <= floor and nodes <= budget:
+            if cheap <= floor:
                 return
             if nodes >= budget:
                 nodes = budget + 1

@@ -760,18 +760,19 @@ class TestBenchTune:
         assert captured.out == ""
         assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
 
-    def test_bench_refuses_empty_suite(self, tmp_path, capsys):
-        # A directory without *.json files: no report of no rows, exit 1.
+    @pytest.mark.parametrize("command", ["bench", "tune"])
+    def test_refuses_empty_suite(self, tmp_path, capsys, command):
+        # Directories without *.json files: no result from no instances, exit 1.
         empty, other = tmp_path / "empty", tmp_path / "other"
         empty.mkdir()
         other.mkdir()
         (other / "notes.txt").write_text("not an instance")
         out = tmp_path / "rep"
-        assert cli("bench", "--input", str(empty), str(other), "--out", str(out)) == 1
+        assert cli(command, "--input", str(empty), str(other), "--out", str(out)) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: no *.json instance files in {empty}, {other}\n"
         assert captured.out == ""
-        assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "other"]
 
     def test_unknown_threshold_key_gives_error_rows(self, tmp_path, capsys):
         self.make_suite(tmp_path, capsys, n=4, count=2)
@@ -977,6 +978,19 @@ class TestRefusal:
         assert cli(command, "--input", str(path), "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
         assert not out.exists()
+
+    def test_bench_row_too_large_to_allocate_names_memory(self, tmp_path, capsys):
+        # The same document in a suite: an error row that names memory.
+        suite = tmp_path / "s"
+        suite.mkdir()
+        assert cli("gen", "--n", "0", "--t", str(10**17), "--dlo", "1", "--alpha", "1",
+                   "--out", str(suite / "h.json")) == 0
+        capsys.readouterr()
+        assert cli("bench", "--input", str(suite)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith("\nerror: h.json: MemoryError: out of memory\n")
+        rows = json.loads(captured.out)["rows"]
+        assert [r["error"] for r in rows] == ["MemoryError: out of memory"]
 
     def test_no_traceback_in_a_fresh_process(self, tmp_path):
         mutate, message = MALFORMED["more-options-than-knapsacks"]
