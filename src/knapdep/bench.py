@@ -358,7 +358,10 @@ def tune_gamma(training: Sequence[Instance], spec: Optional[TuneSpec] = None) ->
     curve: list[tuple[float, float]] = []
     best: Optional[tuple[float, float]] = None  # (mean profit, multiplier)
     for mult in spec.multipliers():
-        fns = threshold.scaled_defaults(shared, mult)
+        fns = [
+            threshold.ExponentialThreshold(gamma=mult * g, capacity=ks.capacity)
+            for g, ks in zip(defaults, shared.knapsacks)
+        ]
         total = 0.0
         for inst in training:
             total += run(inst, fns).profit

@@ -40,12 +40,6 @@ class _FlagError(ValueError):
     """A flag value that cannot be read; ``main`` reports it as a usage error."""
 
 
-def _read_instance(path: str) -> Instance:
-    if path == "-":
-        return loads_instance(sys.stdin.read())
-    return loads_instance(Path(path).read_text())
-
-
 def _emit(parts: Iterable[str], out: Optional[str]) -> None:
     """Write each of ``parts``, then one newline, to stdout or the ``out`` file.
 
@@ -160,7 +154,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
     if args.method != "exact" and args.node_budget is not None:
         raise _usage_error("--node-budget applies only to --method exact")
-    inst = _read_instance(args.input)
+    inst = loads_instance(sys.stdin.read() if args.input == "-" else Path(args.input).read_text())
     if args.method == "bruteforce":
         sol = oracle.solve_bruteforce(inst)
     else:
@@ -376,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise
     except _FlagError as exc:
         raise _usage_error(str(exc)) from exc
-    except (OSError, SchemaError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except MemoryError:

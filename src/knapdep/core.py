@@ -284,21 +284,11 @@ class Decision(NamedTuple):
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KnapsackObservation:
-    """Observed ranges for one knapsack, next to their declared bounds."""
-
-    density_range: Optional[tuple[float, float]]
-    duration_range: Optional[tuple[int, int]]
-    max_size: float
-    size_bound: Optional[float]  # capacity*ln2/gamma when gamma was supplied
-
-
 @dataclass
 class ValidationReport:
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    knapsacks: list[KnapsackObservation] = field(default_factory=list)
+    knapsacks: list[dict] = field(default_factory=list)  # see validate_instance
 
     @property
     def ok(self) -> bool:
@@ -309,15 +299,7 @@ class ValidationReport:
             "ok": self.ok,
             "errors": list(self.errors),
             "warnings": list(self.warnings),
-            "knapsacks": [
-                {
-                    "density_range": list(o.density_range) if o.density_range else None,
-                    "duration_range": list(o.duration_range) if o.duration_range else None,
-                    "max_size": o.max_size,
-                    "size_bound": o.size_bound,
-                }
-                for o in self.knapsacks
-            ],
+            "knapsacks": list(self.knapsacks),
         }
 
 
@@ -342,10 +324,12 @@ def validate_instance(
     with the bound from ``threshold.size_precondition``, which refuses a
     gamma that is not finite and > 0 (ValueError).
 
-    ``report.knapsacks`` carries each knapsack's observed density range,
-    duration range and max size over its eligible options (no ranges and
-    max size 0 when there are none); this is the one place they are
-    computed.
+    ``report.knapsacks`` holds one JSON object per knapsack, as the report
+    document writes it: ``density_range`` and ``duration_range`` as
+    ``[lo, hi]`` lists and ``max_size`` over its eligible options (no
+    ranges and max size 0 when there are none), and ``size_bound``, the
+    precondition's bound or None without ``gamma``.  This is the one
+    place they are computed.
     """
     report = ValidationReport()
     specs = inst.knapsacks
@@ -421,14 +405,12 @@ def validate_instance(
             violations.append(
                 f"knapsack {k}: max size {max_size} exceeds capacity*ln2/gamma = {bound}"
             )
-        report.knapsacks.append(
-            KnapsackObservation(
-                density_range=None if r is None else (r[0], r[1]),
-                duration_range=None if r is None else (r[2], r[3]),
-                max_size=max_size,
-                size_bound=bound,
-            )
-        )
+        report.knapsacks.append({
+            "density_range": None if r is None else r[0:2],
+            "duration_range": None if r is None else r[2:4],
+            "max_size": max_size,
+            "size_bound": bound,
+        })
     return report
 
 
@@ -479,8 +461,8 @@ _int_repr = int.__repr__
 def json_scalar(v: object) -> str:
     """JSON text of one scalar, as ``json.dumps`` writes it.
 
-    Exact ``float`` (finite), ``int``, ``bool`` and ``None`` take their
-    fixed spelling directly; anything else (NaN, infinities, subclasses,
+    Exact ``float`` (finite) and ``int`` take their repr directly;
+    anything else (NaN, infinities, ``bool``, ``None``, subclasses,
     strings) goes through ``json.dumps`` itself.
     """
     if type(v) is float:
@@ -488,12 +470,6 @@ def json_scalar(v: object) -> str:
             return _float_repr(v)
     elif type(v) is int:
         return _int_repr(v)
-    elif v is True:
-        return "true"
-    elif v is False:
-        return "false"
-    elif v is None:
-        return "null"
     return json.dumps(v)
 
 

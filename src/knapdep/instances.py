@@ -11,9 +11,8 @@ the records it builds are acyclic.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -251,13 +250,7 @@ class IngestStats:
     bad_rows: list[int] = field(default_factory=list)  # 1-based data row numbers
 
     def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "rows_dropped": self.rows_dropped,
-            "rows_clamped": self.rows_clamped,
-            "bad_rows": list(self.bad_rows),
-        }
+        return asdict(self)
 
 
 def _clamp_row(
@@ -319,6 +312,8 @@ def ingest_trace(
     A row breaks a knapsack's declared bounds exactly when clamping would
     change it, or finds no clamp.
     """
+    import csv  # here, so that no command but a trace reader loads it
+
     path = Path(path)
     knapsacks = tuple(knapsacks)
     stats = IngestStats()

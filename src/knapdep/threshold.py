@@ -3,8 +3,8 @@
 The admission engine charges an item ``sum(size * phi(z_t))`` over its
 requested slots and admits only if the item's value covers that charge.
 The exponential family ``phi(z) = exp(z*gamma/capacity) - 1`` is the
-default; a tabulated piecewise-linear kind is provided so ablations and
-the tuner can plug in alternative shapes.
+default; a tabulated piecewise-linear kind is provided for experiment
+configs and ablations.  The tuner scales only the exponential defaults.
 
 The exponential curve's domain (finite gamma and capacity > 0) and the
 size precondition are coded here only; ``validate_instance`` uses them.
@@ -238,16 +238,3 @@ def for_instance(inst: Instance, config: Mapping | None = None) -> list[Threshol
     """One threshold per knapsack of ``inst`` from a shared config."""
     cfg = {"kind": "exponential", "gamma": "auto"} if config is None else config
     return [from_config(cfg, spec) for spec in inst.knapsacks]
-
-
-def scaled_defaults(inst: Instance, multiplier: float = 1.0) -> list[ExponentialThreshold]:
-    """Exponential thresholds at ``multiplier`` times each default gamma."""
-    if multiplier <= 0:
-        raise ValueError(f"multiplier must be > 0, got {multiplier}")
-    return [
-        ExponentialThreshold(
-            gamma=multiplier * default_gamma(spec.theta, spec.alpha),
-            capacity=spec.capacity,
-        )
-        for spec in inst.knapsacks
-    ]

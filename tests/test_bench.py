@@ -17,11 +17,21 @@ from knapdep.core import Instance, Item, ItemOption, KnapsackSpec
 from knapdep.engine import run
 from knapdep.instances import GenSpec, gen_staircase, gen_uniform
 from knapdep.oracle import solve_bruteforce, solve_exact
-from knapdep.threshold import default_gamma, scaled_defaults
+from knapdep.threshold import ExponentialThreshold, default_gamma
 
 
 def ksp(capacity=10.0, theta=4.0, dlo=1, dhi=4, eps=None):
     return KnapsackSpec(capacity, theta, dlo, dhi, eps if eps is not None else capacity)
+
+
+def scaled_defaults(inst, multiplier=1.0):
+    """Exponential curves at ``multiplier`` times each default gamma."""
+    return [
+        ExponentialThreshold(
+            gamma=multiplier * default_gamma(ks.theta, ks.alpha), capacity=ks.capacity
+        )
+        for ks in inst.knapsacks
+    ]
 
 
 def empty_instance():
@@ -85,6 +95,11 @@ class TestRatioConvention:
 
 
 class TestBenchSuite:
+    def test_empty_suite(self):
+        report = bench_suite([])
+        assert report.rows == [] and report.cr is None and report.mean_ratio is None
+        assert report.config["knapsacks"] is None
+
     def test_empty_instance_row(self):
         report = bench_suite([("empty", empty_instance())])
         row = report.rows[0]
@@ -372,6 +387,25 @@ class TestTuneGamma:
                 f"\n[tuner protocol] tuned beats both band edges on held-out "
                 f"profit in {wins}/{reps} repetitions"
             )
+
+    def test_one_point_grid_is_the_default(self):
+        assert TuneSpec(grid_points=1).multipliers() == [1.0]
+        training = self.training_set([3])
+        result = tune_gamma(training, TuneSpec(grid_points=1))
+        assert result.multiplier == 1.0 and result.gammas == result.defaults
+        assert result.curve == [(1.0, run(training[0], scaled_defaults(training[0])).profit)]
+
+    def test_reported_gammas_are_the_curves_run(self):
+        training = self.training_set([3, 4])
+        result = tune_gamma(training, TuneSpec(grid_points=4))
+        fns = [
+            ExponentialThreshold(gamma=g, capacity=ks.capacity)
+            for g, ks in zip(result.gammas, training[0].knapsacks)
+        ]
+        total = 0.0
+        for inst in training:
+            total += run(inst, fns).profit
+        assert (result.multiplier, total / len(training)) in result.curve
 
     def test_validation(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -159,6 +159,38 @@ class TestValidate:
         capsys.readouterr()
         assert cli("validate", "--input", str(path), "--strict") == 1
 
+    def test_gamma_bounds_sizes(self, tmp_path, capsys):
+        # Capacities 10 and 20 at gamma 1.5 bound sizes by about 4.62 and
+        # 9.24: size 2.5 passes both; size 6.0 exceeds the first.
+        doc = one_item_instance()
+        doc["knapsacks"].append(dict(doc["knapsacks"][0], capacity=20.0, size_cap=20.0))
+        doc["items"][0]["options"].append(dict(doc["items"][0]["options"][0]))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert cli("validate", "--input", str(path), "--gamma", "1.5") == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert [o["size_bound"] for o in report["knapsacks"]] == [
+            10.0 * math.log(2.0) / 1.5, 20.0 * math.log(2.0) / 1.5,
+        ]
+        assert report["ok"] and report["warnings"] == [] and err == ""
+
+        option = doc["items"][0]["options"][0]
+        option.update(size=6.0, value=24.0)  # density 2
+        path.write_text(json.dumps(doc))
+        finding = (
+            "knapsack 0: max size 6.0 exceeds capacity*ln2/gamma = "
+            f"{10.0 * math.log(2.0) / 1.5}"
+        )
+        assert cli("validate", "--input", str(path), "--gamma", "1.5") == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["warnings"] == [finding]
+        assert err == f"warning: {finding}\n"
+        assert cli("validate", "--input", str(path), "--gamma", "1.5", "--strict") == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["errors"] == [finding]
+        assert err == f"error: {finding}\n"
+
     def test_malformed_gamma_is_usage_error(self, instance_file, capsys):
         for command in ("validate", "run"):
             with pytest.raises(SystemExit) as info:
@@ -539,6 +571,14 @@ class TestBenchTune:
             assert lo <= gamma <= hi
         curve = (tmp_path / "tuned.curve.csv").read_text()
         assert curve.startswith("multiplier,mean_profit\n")
+
+    def test_tune_one_grid_point_runs_the_defaults(self, tmp_path, capsys):
+        self.make_suite(tmp_path, capsys, count=2)
+        assert cli("tune", "--input", str(tmp_path / "suite"), "--grid-points", "1") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["multiplier"] == 1.0
+        assert data["gammas"] == data["default_gammas"]
+        assert [point["multiplier"] for point in data["curve"]] == [1.0]
 
     def test_missing_input_usage_error(self):
         result = run_pipe(["bench"])

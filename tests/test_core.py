@@ -112,9 +112,9 @@ class TestValidate:
         assert report.ok
         assert report.warnings == []
         obs = report.knapsacks[0]
-        assert obs.density_range == (1.0, 1.0)
-        assert obs.duration_range == (2, 2)
-        assert obs.max_size == 1.0
+        assert obs["density_range"] == [1.0, 1.0]
+        assert obs["duration_range"] == [2, 2]
+        assert obs["max_size"] == 1.0
 
     def test_size_precondition_ok(self):
         inst = make_instance([single(3.0, 6.0, 1, 2)], eps=3.0)
@@ -211,7 +211,7 @@ class TestValidateFindings:
             "knapsack 0: max size 4.0 exceeds capacity*ln2/gamma = 3.154648767857287",
         ]
         assert report.warnings == ["item 1: no eligible option (vacuous item)"]
-        assert [o.size_bound for o in report.knapsacks] == [
+        assert [o["size_bound"] for o in report.knapsacks] == [
             3.154648767857287, 10.0 * math.log(2.0) / 0.5,
         ]
 
@@ -428,12 +428,12 @@ class TestObservedParameters:
             for i, d in enumerate([1.0, 3.0, 3.0])
         ]
         obs = validate_instance(make_instance(items)).knapsacks
-        assert obs[0].density_range == (1.0, 3.0)
+        assert obs[0]["density_range"] == [1.0, 3.0]
 
     def test_duration_ratio(self):
         items = [single(1.0, 2.0, 1, 2, item_id=0), single(1.0, 6.0, 1, 6, item_id=1)]
         obs = validate_instance(make_instance(items, dhi=6)).knapsacks
-        lo, hi = obs[0].duration_range
+        lo, hi = obs[0]["duration_range"]
         assert (lo, hi) == (2, 6) and hi / lo == 3.0
 
     def test_degenerate_knapsack(self):
@@ -441,7 +441,7 @@ class TestObservedParameters:
         item = Item(0, 1, (opt(1.0, 2.0, 1, 2), opt(0.0, 0.0, 1, 1, eligible=False)))
         inst = Instance(20, (ks, ks), (item,))
         obs = validate_instance(inst).knapsacks
-        assert (obs[1].density_range, obs[1].duration_range, obs[1].max_size) == (
+        assert (obs[1]["density_range"], obs[1]["duration_range"], obs[1]["max_size"]) == (
             None, None, 0.0,
         )
 

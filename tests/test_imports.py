@@ -52,13 +52,13 @@ def test_stream_commands_load_neither_oracle_nor_bench(suite, command):
     argv = [command] if command == "--help" else [command, "--input", str(suite / "i1.json")]
     loaded = loaded_by(*argv)
     assert "knapdep.engine" in loaded
-    assert not loaded & (POOL | {"knapdep.oracle", "knapdep.bench"})
+    assert not loaded & (POOL | {"knapdep.oracle", "knapdep.bench", "csv"})
 
 
 def test_opt_loads_oracle_only(suite):
     loaded = loaded_by("opt", "--input", str(suite / "i1.json"))
     assert "knapdep.oracle" in loaded
-    assert not loaded & (POOL | {"knapdep.bench"})
+    assert not loaded & (POOL | {"knapdep.bench", "csv"})
 
 
 def test_serial_bench_loads_no_pool(suite):

@@ -236,6 +236,33 @@ class TestIngestTrace:
         # midpoint density (1+3)/2 = 2, so value = 2 * 2.0 * 2 = 8.
         assert inst.items[0].options[0].value == pytest.approx(8.0)
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("violation_policy", "ignore", "unknown violation policy 'ignore'"),
+            ("assign_policy", "random", "unknown assign policy 'random'"),
+            ("error_tolerance", -0.1, "error_tolerance must be in [0, 1]"),
+            ("error_tolerance", 1.5, "error_tolerance must be in [0, 1]"),
+        ],
+    )
+    def test_mapping_refuses_unknown_policy_or_tolerance(self, field, bad, message):
+        with pytest.raises(ValueError) as info:
+            self.mapping(**{field: bad})
+        assert str(info.value) == message
+
+    def test_empty_file_fails(self, tmp_path):
+        path = self.write(tmp_path, "")
+        with pytest.raises(ValueError) as info:
+            ingest_trace(path, self.mapping(), [ksp()])
+        assert str(info.value) == f"{path}: empty trace, no header row"
+
+    def test_stats_dict_keys_in_field_order(self, tmp_path):
+        _, stats = ingest_trace(self.write(tmp_path), self.mapping(), [ksp(theta=8.0)])
+        stats.bad_rows.append(7)
+        record = stats.to_dict()
+        assert list(record) == ["rows_read", "rows_kept", "rows_dropped", "rows_clamped", "bad_rows"]
+        assert record["bad_rows"] == [7] and record["bad_rows"] is not stats.bad_rows
+
     def test_missing_column_fails(self, tmp_path):
         with pytest.raises(ValueError, match="missing columns"):
             ingest_trace(

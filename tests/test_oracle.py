@@ -33,31 +33,19 @@ def random_instance(seed, n=10, k=2, horizon=12, capacity=4.0):
     return gen_uniform(GenSpec("uniform", n, horizon, tuple([ks] * k), seed))
 
 
-def enumerate_reference(inst):
-    """Independent optimum: try every assignment vector via itertools."""
-    K = inst.num_knapsacks
+def product_optimum(inst):
+    """The best objective over every vector ``assignment_violations`` accepts.
+
+    Values are summed in item order, as both solvers sum them.
+    """
     best = 0.0
-    for vector in itertools.product([None, *range(K)], repeat=inst.num_items):
-        load = {}
-        value = 0.0
-        feasible = True
-        for item, k in zip(inst.items, vector):
-            if k is None:
-                continue
-            o = item.options[k]
-            if not o.eligible:
-                feasible = False
-                break
-            for t in o.slots():
-                load[(k, t)] = load.get((k, t), 0.0) + o.size
-                if load[(k, t)] > inst.knapsacks[k].capacity:
-                    feasible = False
-                    break
-            if not feasible:
-                break
-            value += o.value
-        if feasible and value > best:
-            best = value
+    for vector in itertools.product([None, *range(inst.num_knapsacks)], repeat=inst.num_items):
+        if assignment_violations(inst, vector) == []:
+            value = 0.0
+            for item, k in zip(inst.items, vector):
+                if k is not None:
+                    value += item.options[k].value
+            best = max(best, value)
     return best
 
 
@@ -99,7 +87,7 @@ class TestBruteforce:
             for i, v in enumerate([2.0, 3.0, 4.0])
         ]
         inst = Instance(10, (ks, ks), tuple(items))
-        expected = enumerate_reference(inst)
+        expected = product_optimum(inst)
         assert expected == 7.0  # max pairwise sum
         sol = solve_bruteforce(inst)
         assert sol.objective == expected
@@ -247,7 +235,7 @@ class TestExact:
     def test_matches_reference_small(self):
         for seed in range(8):
             inst = random_instance(seed, n=6, k=2)
-            expected = enumerate_reference(inst)
+            expected = product_optimum(inst)
             assert solve_exact(inst).objective == expected
 
     def test_matches_bruteforce_seed7(self):
@@ -449,22 +437,6 @@ def drift_instance():
     return Instance(
         1, (ks,), tuple(Item(i, 1, (opt(s, v, 1, 1),)) for i, (s, v) in enumerate(pairs))
     )
-
-
-def product_optimum(inst):
-    """The best objective over every vector ``assignment_violations`` accepts.
-
-    Values are summed in item order, as both solvers sum them.
-    """
-    best = 0.0
-    for vector in itertools.product([None, *range(inst.num_knapsacks)], repeat=inst.num_items):
-        if assignment_violations(inst, vector) == []:
-            value = 0.0
-            for item, k in zip(inst.items, vector):
-                if k is not None:
-                    value += item.options[k].value
-            best = max(best, value)
-    return best
 
 
 class TestExactRestore:

@@ -166,6 +166,7 @@ class TestTableThreshold:
         assert fn.eval(2.5) == pytest.approx(0.5)
         assert fn.eval(7.5) == pytest.approx(5.0)
         assert fn.eval(10.0) == pytest.approx(9.0)
+        assert fn.eval(10.5) == fn.eval(1e300) == 9.0  # past the last point: its phi
 
     def test_construction_rules(self):
         with pytest.raises(ValueError):
