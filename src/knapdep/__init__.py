@@ -16,7 +16,6 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "core": (
-            "Decision",
             "Instance",
             "Item",
             "ItemOption",
@@ -38,7 +37,7 @@ _MODULE_OF = {
             "default_gamma",
             "size_precondition",
         ),
-        "engine": ("RunResult", "run", "step"),
+        "engine": ("Decision", "RunResult", "run", "step"),
         "oracle": ("OfflineSolution", "solve_bruteforce", "solve_exact", "upper_bound"),
         "instances": ("GenSpec", "TraceMapping", "gen_staircase", "gen_uniform", "ingest_trace"),
         "bench": ("BenchConfig", "BenchReport", "TuneSpec", "bench_suite", "tune_gamma"),

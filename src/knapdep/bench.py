@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import oracle, threshold
 from .core import Instance, check_count
@@ -300,12 +300,13 @@ class TuneSpec:
         if self.grid_points > 2**53:
             raise ValueError(f"grid_points must be at most 2**53, got {self.grid_points}")
 
-    def multipliers(self) -> list[float]:
+    def multipliers(self) -> Iterator[float]:
+        """The grid in ascending order, each multiplier made as it is drawn."""
         if self.grid_points == 1:
-            return [1.0]
+            return iter((1.0,))
         lo, hi = 1.0 - self.delta, 1.0 + self.delta
         step = (hi - lo) / (self.grid_points - 1)
-        return [lo + i * step for i in range(self.grid_points)]
+        return (lo + i * step for i in range(self.grid_points))
 
 
 @dataclass

@@ -188,22 +188,14 @@ def _read_config(path: Optional[str]) -> dict:
     except (ValueError, RecursionError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ValueError(f"config {path}: invalid JSON: {exc}") from exc
     config_keys, tuner_keys = _config_keys()
-    _check_keys(cfg, config_keys, f"config {path}")
-    _check_keys(cfg.get("tuner", {}), tuner_keys, f"config {path}, tuner")
+    threshold.check_keys(cfg, config_keys, f"config {path}")
+    threshold.check_keys(cfg.get("tuner", {}), tuner_keys, f"config {path}, tuner")
     # The other values are checked by BenchConfig and TuneSpec, which
     # also check the flags layered over them.
     listed = cfg.get("instances", [])
     if not (isinstance(listed, list) and all(isinstance(p, str) for p in listed)):
         raise ValueError(f"config {path}: 'instances' must be an array of paths, got {listed!r}")
     return cfg
-
-
-def _check_keys(obj: object, known: frozenset[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object")
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _settings(cls: type, file_cfg: dict, args: argparse.Namespace, **flags: object):

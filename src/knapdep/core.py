@@ -266,20 +266,6 @@ class UtilizationState:
         return zip(compress(range(len(row)), row), compress(row, row))
 
 
-class Decision(NamedTuple):
-    """Irrevocable outcome for one item: assigned knapsack or declined.
-
-    A named tuple because the engine builds one per item.
-    """
-
-    item_id: int
-    knapsack: Optional[int]
-
-    @property
-    def admitted(self) -> bool:
-        return self.knapsack is not None
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

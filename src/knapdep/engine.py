@@ -5,8 +5,9 @@ Per knapsack, an item is charged the summed marginal cost of its window
 at current utilization and admitted only if its value covers the charge
 and capacity holds in every requested slot.  Across knapsacks, the item
 goes to the admissible knapsack of maximum value.  ``step`` is the one
-admission path; ``run`` calls it once per item, with the cyclic collector
-paused, as decisions and audits are acyclic records.
+admission path: it returns one ``Decision`` per item, which carries the
+item's per-knapsack checks.  ``run`` calls it once per item, with the
+cyclic collector paused, as decisions are acyclic records.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
-    Decision,
     Instance,
     Item,
-    KnapsackSpec,
     UtilizationState,
     _CollectorPaused,
     json_block,
@@ -42,28 +41,34 @@ class KnapsackAudit(NamedTuple):
     admissible: bool  # value clause AND capacity clause
 
 
-class ItemAudit(NamedTuple):
-    """Every per-knapsack check of one item, in knapsack order."""
+class Decision(NamedTuple):
+    """Irrevocable outcome for one item, with the checks that led to it.
+
+    ``knapsack`` is the assigned knapsack, or None when declined.
+    ``entries`` holds one check per eligible knapsack, in knapsack order.
+    A named tuple because the engine builds one per item.
+    """
 
     item_id: int
+    knapsack: Optional[int]
     entries: tuple[KnapsackAudit, ...]
 
+    @property
+    def admitted(self) -> bool:
+        return self.knapsack is not None
 
-def step(
-    item: Item,
-    state: UtilizationState,
-    thresholds: Sequence[ThresholdFn],
-    specs: Sequence[KnapsackSpec],
-) -> tuple[Decision, ItemAudit]:
+
+def step(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn]) -> Decision:
     """Process one item against the current state; mutates ``state`` on admit.
 
     Every eligible knapsack is queried; ineligible ones never are, and
-    each query is one ``ThresholdFn.charge`` call.  The charge is
+    each query is one ``ThresholdFn.charge`` call on that knapsack's
+    curve, whose ``capacity`` is the knapsack's.  The charge is
     sum(size * phi(z_t)) over the option's window; the option is
     admissible iff value >= charge (ties admit) and z_t + size <= capacity
     in every slot, both exact comparisons on the computed floats.  Among
     admissible knapsacks the item goes to the one of maximum value, ties
-    to the lowest index.
+    to the lowest index.  The returned ``Decision`` lists each check.
     """
     new = tuple.__new__  # the records' own __new__ is an extra Python call
     entries: list[KnapsackAudit] = []
@@ -73,9 +78,10 @@ def step(
         if not eligible:
             continue
         window = state.window(k, start, duration)
-        phi = thresholds[k].charge(size, window)
+        fn = thresholds[k]
+        phi = fn.charge(size, window)
         # Tested on the fullest slot only, exact as z + size is monotone in z.
-        fits = max(window) + size <= specs[k].capacity
+        fits = max(window) + size <= fn.capacity
         admissible = value >= phi and fits
         entries.append(new(KnapsackAudit, (k, phi, fits, admissible)))
         if admissible and (best is None or value > best_value):
@@ -84,12 +90,12 @@ def step(
     if best is not None:
         chosen = item.options[best]
         state.add(best, chosen.start, chosen.duration, chosen.size)
-    return new(Decision, (item.id, best)), new(ItemAudit, (item.id, tuple(entries)))
+    return new(Decision, (item.id, best, tuple(entries)))
 
 
 @dataclass
 class RunResult:
-    """Full outcome of one online run: decisions, profit, state, audit.
+    """Full outcome of one online run: one decision per item, profit, state.
 
     ``json_parts`` is the one definition of the run document's text;
     ``to_json`` joins it and ``to_dict`` parses that back.  A writer that
@@ -99,7 +105,11 @@ class RunResult:
     decisions: list[Decision]
     profit: float
     state: UtilizationState
-    audits: list[ItemAudit]
+
+    @property
+    def audits(self) -> list[Decision]:
+        """The decisions themselves; kept only for a benchmark tracer that reads ``.audits``."""
+        return self.decisions
 
     def assignment(self) -> list[Optional[int]]:
         return [d.knapsack for d in self.decisions]
@@ -111,7 +121,7 @@ class RunResult:
         "audit"}], "utilization": {knapsack: {slot: z}}}``, where ``phi`` is
         the charge of the chosen knapsack (null when declined) and the
         utilization lists the covered slots.  Written straight from the
-        decisions, audits and state: the head, then the decision records
+        decisions and state: the head, then the decision records
         and each knapsack's slots in batches of ``JSON_BATCH`` elements
         (``json_block_parts``), so no part holds more than one batch.
         """
@@ -153,7 +163,7 @@ class RunResult:
             k: f',\n      "admitted": {s(k is not None)},\n      "knapsack": {s(k)},\n'
             for k in (None, *knapsacks)
         }
-        for (item_id, chosen), (_, entries) in zip(self.decisions, self.audits):
+        for item_id, chosen, entries in self.decisions:
             phi = "null"
             texts = []
             for k, charge, fits, admissible in entries:
@@ -203,13 +213,11 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
             raise ValueError(f"knapsack {k}: threshold phi(0) must be 0.0, got {zero}")
     state = UtilizationState(K, inst.horizon)
     decisions: list[Decision] = []
-    audits: list[ItemAudit] = []
     profit = 0.0
     with _CollectorPaused():
         for item in inst.items:
-            decision, audit = step(item, state, thresholds, inst.knapsacks)
+            decision = step(item, state, thresholds)
             decisions.append(decision)
-            audits.append(audit)
             if decision.admitted:
                 profit += item.options[decision.knapsack].value
-        return RunResult(decisions=decisions, profit=profit, state=state, audits=audits)
+        return RunResult(decisions=decisions, profit=profit, state=state)

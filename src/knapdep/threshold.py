@@ -16,7 +16,7 @@ import abc
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Mapping, Sequence
 
 if TYPE_CHECKING:  # core imports this module, for size_precondition
     from .core import Instance, KnapsackSpec
@@ -201,7 +201,7 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
     """
     kind = config.get("kind", "exponential")
     if kind == "exponential":
-        _refuse_unknown_keys(config, kind, "gamma")
+        check_keys(config, {"kind", "gamma"}, "exponential threshold")
         gamma = config.get("gamma", "auto")
         if gamma == "auto":
             gamma = default_gamma(spec.theta, spec.alpha)
@@ -210,7 +210,7 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
         check_gamma(gamma)  # before float(), which overflows on a huge int
         return ExponentialThreshold(gamma=float(gamma), capacity=spec.capacity)
     if kind == "table":
-        _refuse_unknown_keys(config, kind, "points")
+        check_keys(config, {"kind", "points"}, "table threshold")
         raw = config.get("points")
         try:
             if not all(type(v) in (int, float) for point in raw for v in point):
@@ -228,10 +228,13 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
     raise ValueError(f"unknown threshold kind {kind!r}")
 
 
-def _refuse_unknown_keys(config: Mapping, kind: str, key: str) -> None:
-    unknown = set(config) - {"kind", key}
+def check_keys(obj: object, known: AbstractSet[str], where: str) -> None:
+    """Refuse ``obj`` unless it is a mapping whose keys are all in ``known``."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where}: expected an object")
+    unknown = set(obj) - known
     if unknown:
-        raise ValueError(f"{kind} threshold: unknown keys {sorted(unknown, key=str)}")
+        raise ValueError(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
 def for_instance(inst: Instance, config: Mapping | None = None) -> list[ThresholdFn]:

@@ -252,9 +252,8 @@ def test_criterion_5_admission_semantics():
         for t in slots:
             state.add(0, t, 1, snapshot[t])
         item = Item(0, 1, (ItemOption(True, size, value, start, duration),))
-        spec = KnapsackSpec(capacity, 1.0, 1, 1, capacity)
-        decision, audit = step(item, state, [fn], [spec])
-        (entry,) = audit.entries
+        decision = step(item, state, [fn])
+        (entry,) = decision.entries
         # Left to right in slot order, as the engine adds: builtin sum() of
         # floats is compensated from Python 3.12 on and would differ.
         expected_phi = 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import MappingProxyType
 
 import pytest
@@ -389,11 +390,22 @@ class TestTuneGamma:
             )
 
     def test_one_point_grid_is_the_default(self):
-        assert TuneSpec(grid_points=1).multipliers() == [1.0]
+        assert list(TuneSpec(grid_points=1).multipliers()) == [1.0]
         training = self.training_set([3])
         result = tune_gamma(training, TuneSpec(grid_points=1))
         assert result.multiplier == 1.0 and result.gammas == result.defaults
         assert result.curve == [(1.0, run(training[0], scaled_defaults(training[0])).profit)]
+
+    def test_grid_is_made_as_it_is_drawn(self):
+        # A grid of 10**6 points held whole would take about 32 MB.
+        tracemalloc.start()
+        try:
+            first = next(iter(TuneSpec(grid_points=10**6).multipliers()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == 0.5
+        assert peak < 2**20
 
     def test_reported_gammas_are_the_curves_run(self):
         training = self.training_set([3, 4])

@@ -11,7 +11,7 @@ from knapdep.core import (
     UtilizationState,
     assignment_violations,
 )
-from knapdep.engine import run, step
+from knapdep.engine import Decision, KnapsackAudit, run, step
 from knapdep.instances import GenSpec, gen_uniform
 from knapdep.threshold import ExponentialThreshold, for_instance
 
@@ -33,9 +33,9 @@ def check(value, size, start, duration, fn, utilization, capacity):
     for t, z in zip(option.slots(), utilization):
         state.add(0, t, 1, z)
     item = Item(0, 1, (option,))
-    spec = KnapsackSpec(capacity, 1.0, 1, 1, capacity)
-    decision, audit = step(item, state, [fn], [spec])
-    (entry,) = audit.entries
+    assert fn.capacity == capacity
+    decision = step(item, state, [fn])
+    (entry,) = decision.entries
     assert decision.admitted == entry.admissible
     return entry.admissible, entry.phi
 
@@ -74,39 +74,31 @@ def two_knapsack_item(v1, v2, size=1.0, start=1, duration=1):
     )
 
 
-def two_knapsack_setup():
-    specs = (KnapsackSpec(10.0, 4.0, 1, 4, 10.0), KnapsackSpec(10.0, 4.0, 1, 4, 10.0))
-    thresholds = [flat(), flat()]
-    return specs, thresholds
-
-
 class TestStep:
     def test_argmax_value(self):
-        specs, thresholds = two_knapsack_setup()
+        thresholds = [flat(), flat()]
         state = UtilizationState(2, 1)
-        decision, _ = step(two_knapsack_item(3.0, 5.0), state, thresholds, specs)
+        decision = step(two_knapsack_item(3.0, 5.0), state, thresholds)
         assert decision.knapsack == 1
 
     def test_tie_lowest_index(self):
-        specs, thresholds = two_knapsack_setup()
+        thresholds = [flat(), flat()]
         state = UtilizationState(2, 1)
-        decision, _ = step(two_knapsack_item(4.0, 4.0), state, thresholds, specs)
+        decision = step(two_knapsack_item(4.0, 4.0), state, thresholds)
         assert decision.knapsack == 0
 
     def test_neither_admissible_leaves_state(self):
-        specs, thresholds = two_knapsack_setup()
+        thresholds = [flat(), flat()]
         state = UtilizationState(2, 1)
         state.add(0, 1, 1, 9.5)
         state.add(1, 1, 1, 9.5)
-        decision, audit = step(
-            two_knapsack_item(4.0, 4.0), state, thresholds, specs
-        )
+        decision = step(two_knapsack_item(4.0, 4.0), state, thresholds)
         assert decision.knapsack is None
         assert state.window(0, 1, 1) == state.window(1, 1, 1) == [9.5]
-        assert all(not e.fits for e in audit.entries)
+        assert all(not e.fits for e in decision.entries)
 
     def test_ineligible_never_queried(self):
-        specs, thresholds = two_knapsack_setup()
+        thresholds = [flat(), flat()]
         item = Item(
             0,
             1,
@@ -116,9 +108,34 @@ class TestStep:
             ),
         )
         state = UtilizationState(2, 1)
-        decision, audit = step(item, state, thresholds, specs)
+        decision = step(item, state, thresholds)
         assert decision.knapsack == 1
-        assert [e.knapsack for e in audit.entries] == [1]
+        assert [e.knapsack for e in decision.entries] == [1]
+
+    def test_one_record_per_item(self):
+        # The decision carries its checks, one per eligible knapsack in
+        # index order, and the run keeps only these records.
+        item = Item(
+            0,
+            1,
+            (
+                ItemOption(True, 1.0, 2.0, 1, 1),
+                ItemOption(False, 0.0, 0.0, 1, 1),
+                ItemOption(True, 1.0, 3.0, 1, 1),
+            ),
+        )
+        state = UtilizationState(3, 1)
+        state.add(2, 1, 1, 9.5)
+        decision = step(item, state, [flat(), flat(), flat()])
+        assert isinstance(decision, Decision)
+        checks = (
+            KnapsackAudit(0, 0.0, True, True),
+            KnapsackAudit(2, flat().eval(9.5), False, False),
+        )
+        assert decision == (0, 0, checks)
+        inst = uniform_instance(seed=3)
+        result = run(inst, for_instance(inst))
+        assert result.audits is result.decisions
 
     @pytest.mark.parametrize(
         "start, duration, message",
@@ -134,9 +151,8 @@ class TestStep:
         state = UtilizationState(1, 3)
         state.add(0, 1, 3, 1.0)
         item = Item(0, 1, (ItemOption(True, 1.0, 100.0, start, duration),))
-        spec = KnapsackSpec(10.0, 100.0, 1, 4, 10.0)
         with pytest.raises(ValueError) as info:
-            step(item, state, [flat()], [spec])
+            step(item, state, [flat()])
         assert str(info.value) == message
         with pytest.raises(ValueError):
             state.add(0, start, duration, 1.0)
@@ -333,7 +349,7 @@ class TestRunInvariants:
         state = UtilizationState(1, inst.horizon)
         previous = state.window(0, 1, inst.horizon)
         for item in inst.items:
-            step(item, state, thresholds, inst.knapsacks)
+            step(item, state, thresholds)
             current = state.window(0, 1, inst.horizon)
             assert all(now >= before for now, before in zip(current, previous))
             previous = current

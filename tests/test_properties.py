@@ -842,8 +842,9 @@ def seeded_step(capacity, fn, window, size, value):
             state.add(0, t, 1, z)
     assert state.window(0, option.start, option.duration) == window
     item = Item(0, 1, (option,))
-    decision, audit = step(item, state, [fn], [KnapsackSpec(capacity, 1.0, 1, 1, capacity)])
-    (entry,) = audit.entries
+    assert fn.capacity == capacity
+    decision = step(item, state, [fn])
+    (entry,) = decision.entries
     return decision, entry
 
 
@@ -949,8 +950,9 @@ def test_step_never_evaluates_an_empty_slot(inst):
     # The mechanism: step skips z == 0.0 rather than evaluating phi(0).
     fns = [Recording(fn) for fn in for_instance(inst)]
     state = UtilizationState(inst.num_knapsacks, inst.horizon)
-    decisions = [step(item, state, fns, inst.knapsacks)[0] for item in inst.items]
+    decisions = [step(item, state, fns) for item in inst.items]
     assert all(z != 0.0 for fn in fns for z in fn.seen)
+    # Whole records: each decision with every check that led to it.
     assert decisions == run(inst, for_instance(inst)).decisions
 
 
@@ -967,7 +969,7 @@ def test_run_evaluates_each_occupied_slot_once(inst):
     for item in inst.items:
         for k, opt in item.eligible_options():
             expected[k].extend(z for z in state.window(k, opt.start, opt.duration) if z)
-        step(item, state, fns, inst.knapsacks)
+        step(item, state, fns)
     assert [fn.seen for fn in recorded] == expected
     assert result.to_json() == run(inst, fns).to_json()
 
