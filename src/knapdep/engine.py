@@ -4,36 +4,29 @@ Items are processed strictly in input order with irrevocable decisions.
 Per knapsack, an item is charged the summed marginal cost of its window
 at current utilization and admitted only if its value covers the charge
 and capacity holds in every requested slot.  Across knapsacks, the item
-goes to the admissible knapsack of maximum value.  ``step`` is the one
-admission path: it returns one ``Decision`` per item, which carries the
-item's per-knapsack checks.  ``run`` calls it once per item, with the
-cyclic collector paused, as decisions are acyclic records.
+goes to the admissible knapsack of maximum value.  ``_admit`` is the one
+admission path: it writes each check and the choice into flat columns,
+once per item for ``run`` and once per call for ``step``.  The columns
+hold no Python records, which are built from them on each read.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional
 
-from .core import (
-    Instance,
-    Item,
-    UtilizationState,
-    _CollectorPaused,
-    json_block,
-    json_block_parts,
-    json_scalar,
-)
+from .core import Instance, Item, UtilizationState, json_block, json_block_parts, json_scalar
 from .threshold import ThresholdFn
+
+_FLAGS = ((False, False), (True, False), (False, True), (True, True))  # by fits | admissible << 1
 
 
 class KnapsackAudit(NamedTuple):
-    """Outcome of one per-knapsack admission check.
-
-    A named tuple because the engine builds one per check, and a frozen
-    dataclass costs about twice as much to construct.
-    """
+    """Outcome of one per-knapsack admission check; built on each read of its decision."""
 
     knapsack: int
     phi: float
@@ -46,7 +39,7 @@ class Decision(NamedTuple):
 
     ``knapsack`` is the assigned knapsack, or None when declined.
     ``entries`` holds one check per eligible knapsack, in knapsack order.
-    A named tuple because the engine builds one per item.
+    Built from the run's columns on each read: reads are equal, not identical.
     """
 
     item_id: int
@@ -58,21 +51,51 @@ class Decision(NamedTuple):
         return self.knapsack is not None
 
 
-def step(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn]) -> Decision:
-    """Process one item against the current state; mutates ``state`` on admit.
+class _Decisions(Sequence):
+    """A run's decisions as columns, read as a sequence of ``Decision``.
 
-    Every eligible knapsack is queried; ineligible ones never are, and
-    each query is one ``ThresholdFn.charge`` call on that knapsack's
-    curve, whose ``capacity`` is the knapsack's.  The charge is
-    sum(size * phi(z_t)) over the option's window; the option is
-    admissible iff value >= charge (ties admit) and z_t + size <= capacity
-    in every slot, both exact comparisons on the computed floats.  Among
-    admissible knapsacks the item goes to the one of maximum value, ties
-    to the lowest index.  The returned ``Decision`` lists each check.
+    Per item: the id, the chosen knapsack (-1 if declined) and the running
+    end offset of its checks, after a leading 0.  Per check: the knapsack,
+    ``phi`` as a C double and ``fits | admissible << 1`` as a byte.
     """
-    new = tuple.__new__  # the records' own __new__ is an extra Python call
-    entries: list[KnapsackAudit] = []
-    best: Optional[int] = None
+
+    def __init__(self) -> None:
+        self.ids, self.chosen, self.ends = [], array("i"), array("q", [0])
+        self.knapsacks, self.phis, self.flags = array("i"), array("d"), bytearray()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        i = range(len(self.ids))[index]  # IndexError past either end
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        lo, hi = self.ends[i], self.ends[i + 1]
+        checks = zip(self.knapsacks[lo:hi], self.phis[lo:hi], self.flags[lo:hi])
+        entries = tuple(KnapsackAudit(c, phi, *_FLAGS[f]) for c, phi, f in checks)
+        k = self.chosen[i]
+        return Decision(self.ids[i], None if k < 0 else k, entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _admit(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn],
+           out: _Decisions) -> int:
+    """Admit one item into ``out``; mutates ``state`` on admit, returns its knapsack or -1.
+
+    Each eligible knapsack, and no other, is checked by one
+    ``ThresholdFn.charge`` call on its curve, whose ``capacity`` is the
+    knapsack's.  The option is admissible iff value >= charge (ties admit)
+    and z_t + size <= capacity in every slot, both exact comparisons on the
+    computed floats; the item goes to the admissible knapsack of maximum
+    value, ties to the lowest index.  Each check and the choice are
+    appended to ``out``'s columns.
+    """
+    add_knapsack, add_phi, add_flags = out.knapsacks.append, out.phis.append, out.flags.append
+    best = -1
     best_value = 0.0
     for k, (eligible, size, value, start, duration) in enumerate(item.options):
         if not eligible:
@@ -83,14 +106,26 @@ def step(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn])
         # Tested on the fullest slot only, exact as z + size is monotone in z.
         fits = max(window) + size <= fn.capacity
         admissible = value >= phi and fits
-        entries.append(new(KnapsackAudit, (k, phi, fits, admissible)))
-        if admissible and (best is None or value > best_value):
+        add_knapsack(k)
+        add_phi(phi)
+        add_flags(fits | admissible << 1)
+        if admissible and (best < 0 or value > best_value):
             best = k
             best_value = value
-    if best is not None:
+    if best >= 0:
         chosen = item.options[best]
         state.add(best, chosen.start, chosen.duration, chosen.size)
-    return new(Decision, (item.id, best, tuple(entries)))
+    out.ids.append(item.id)
+    out.chosen.append(best)
+    out.ends.append(len(out.phis))
+    return best
+
+
+def step(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn]) -> Decision:
+    """Admit one item as ``run`` does; mutates ``state`` on admit, returns its ``Decision``."""
+    out = _Decisions()
+    _admit(item, state, thresholds, out)
+    return out[0]
 
 
 @dataclass
@@ -102,17 +137,17 @@ class RunResult:
     takes the parts one by one never holds the document whole.
     """
 
-    decisions: list[Decision]
+    decisions: _Decisions
     profit: float
     state: UtilizationState
 
     @property
-    def audits(self) -> list[Decision]:
+    def audits(self) -> _Decisions:
         """The decisions themselves; kept only for a benchmark tracer that reads ``.audits``."""
         return self.decisions
 
     def assignment(self) -> list[Optional[int]]:
-        return [d.knapsack for d in self.decisions]
+        return [None if k < 0 else k for k in self.decisions.chosen]
 
     def json_parts(self) -> Iterator[str]:
         """The run document in parts, byte for byte as ``json.dumps(doc, indent=2)``.
@@ -144,33 +179,32 @@ class RunResult:
         return "".join(self.json_parts())
 
     def _decision_texts(self) -> Iterator[str]:
-        # Each audit entry's text is formed once, from its knapsack's head,
-        # its phi and one of four (fits, admissible) tails; the decision's
-        # "phi" is the chosen entry's text.  The fixed texts around them are
-        # formed once per document.
+        # Read from the columns.  Each audit entry's text is formed once, from
+        # its knapsack's head, its phi and the tail its flags byte picks; the
+        # decision's "phi" is the chosen entry's text.  The fixed texts around
+        # them are formed once per document.
         s = json_scalar
         knapsacks = range(self.state.num_knapsacks)
         heads = [f'        {{\n          "knapsack": {k},\n          "phi": ' for k in knapsacks]
         tails = [
-            [
-                f',\n          "fits": {s(fits)},\n'
-                f'          "admissible": {s(admissible)}\n        }}'
-                for admissible in (False, True)
-            ]
-            for fits in (False, True)
+            f',\n          "fits": {s(fits)},\n          "admissible": {s(admissible)}\n        }}'
+            for fits, admissible in _FLAGS
         ]
         outcomes = {
-            k: f',\n      "admitted": {s(k is not None)},\n      "knapsack": {s(k)},\n'
-            for k in (None, *knapsacks)
+            k: f',\n      "admitted": {s(k >= 0)},\n      "knapsack": {s(None if k < 0 else k)},\n'
+            for k in range(-1, len(knapsacks))
         }
-        for item_id, chosen, entries in self.decisions:
+        columns = self.decisions
+        checks = zip(columns.knapsacks, columns.phis, columns.flags)
+        ends = columns.ends
+        for item_id, chosen, lo, hi in zip(columns.ids, columns.chosen, ends, islice(ends, 1, None)):
             phi = "null"
             texts = []
-            for k, charge, fits, admissible in entries:
+            for k, charge, flags in islice(checks, hi - lo):
                 text = s(charge)
                 if k == chosen:
                     phi = text
-                texts.append(f"{heads[k]}{text}{tails[fits][admissible]}")
+                texts.append(f"{heads[k]}{text}{tails[flags]}")
             yield (
                 f'    {{\n      "id": {s(item_id)}{outcomes[chosen]}'
                 f'      "phi": {phi},\n'
@@ -212,12 +246,10 @@ def run(inst: Instance, thresholds: Sequence[ThresholdFn]) -> RunResult:
         if zero != 0.0:  # charge skips empty slots, which relies on it
             raise ValueError(f"knapsack {k}: threshold phi(0) must be 0.0, got {zero}")
     state = UtilizationState(K, inst.horizon)
-    decisions: list[Decision] = []
+    decisions = _Decisions()
     profit = 0.0
-    with _CollectorPaused():
-        for item in inst.items:
-            decision = step(item, state, thresholds)
-            decisions.append(decision)
-            if decision.admitted:
-                profit += item.options[decision.knapsack].value
-        return RunResult(decisions=decisions, profit=profit, state=state)
+    for item in inst.items:
+        best = _admit(item, state, thresholds, decisions)
+        if best >= 0:
+            profit += item.options[best].value
+    return RunResult(decisions=decisions, profit=profit, state=state)

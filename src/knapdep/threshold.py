@@ -81,7 +81,8 @@ class ThresholdFn(abc.ABC):
         no bit of a charge that is never -0.0, so it is skipped.  The rest is
         added left to right, never with builtin ``sum()``: from Python 3.12
         on it sums floats with compensation, so charges, and with them
-        decisions, would depend on the Python version.
+        decisions, would depend on the Python version.  The engine stores
+        each charge as a C double, so a charge must be a float.
         """
         evaluate = self.eval
         phi = 0.0

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -114,7 +115,7 @@ class TestStep:
 
     def test_one_record_per_item(self):
         # The decision carries its checks, one per eligible knapsack in
-        # index order, and the run keeps only these records.
+        # index order, and a run's audits are its decisions.
         item = Item(
             0,
             1,
@@ -244,8 +245,8 @@ class TestRun:
         assert [d.knapsack for d in result.decisions] == expected_decisions
         assert result.profit == expected_profit
         got = [
-            [(e.knapsack, e.phi, e.fits, e.admissible) for e in audit.entries]
-            for audit in result.audits
+            [(e.knapsack, e.phi, e.fits, e.admissible) for e in decision.entries]
+            for decision in result.decisions
         ]
         assert got == expected_audits
 
@@ -261,8 +262,8 @@ class TestRun:
         )
         result = run(Instance(9, (ks,), items), [flat()])
         assert result.assignment() == [0, None, 0]
-        assert result.audits[1].entries[0].fits is False  # 4 + 7 > 10 at slot 6
-        assert result.audits[2].entries[0].phi == 5.0 * flat().eval(0.0) * 2
+        assert result.decisions[1].entries[0].fits is False  # 4 + 7 > 10 at slot 6
+        assert result.decisions[2].entries[0].phi == 5.0 * flat().eval(0.0) * 2
         assert result.to_dict()["utilization"] == {
             "0": {"3": 4.0, "4": 4.0, "5": 4.0, "6": 4.0, "8": 5.0, "9": 5.0}
         }
@@ -333,10 +334,8 @@ class TestRunInvariants:
         for seed in (1, 2, 3):
             inst = uniform_instance(seed=seed, n=30)
             result = run(inst, for_instance(inst))
-            for item, decision, audit in zip(
-                inst.items, result.decisions, result.audits
-            ):
-                for entry in audit.entries:
+            for item, decision in zip(inst.items, result.decisions):
+                for entry in decision.entries:
                     value = item.options[entry.knapsack].value
                     if decision.knapsack == entry.knapsack:
                         assert entry.phi <= value
@@ -361,12 +360,10 @@ class TestRunInvariants:
             thresholds = for_instance(inst)
             result = run(inst, thresholds)
             target = None
-            for i, (decision, audit) in enumerate(
-                zip(result.decisions, result.audits)
-            ):
+            for i, decision in enumerate(result.decisions):
                 if decision.admitted:
                     continue
-                feasible = [e for e in audit.entries if e.fits]
+                feasible = [e for e in decision.entries if e.fits]
                 if feasible:
                     target = (i, feasible[0])
                     break
@@ -389,6 +386,84 @@ class TestRunInvariants:
             assert new_result.decisions[i].admitted
             return
         pytest.fail("no declined-but-feasible item found across seeds")
+
+
+class TestDecisionsView:
+    """``RunResult.decisions`` reads as a sequence of records built from columns."""
+
+    @pytest.fixture
+    def result_and_steps(self):
+        inst = uniform_instance(seed=11, n=30, k=2)
+        thresholds = for_instance(inst)
+        state = UtilizationState(inst.num_knapsacks, inst.horizon)
+        stepped = [step(item, state, thresholds) for item in inst.items]
+        return run(inst, thresholds), stepped
+
+    def test_len_and_index(self, result_and_steps):
+        result, stepped = result_and_steps
+        decisions = result.decisions
+        assert len(decisions) == len(stepped) == 30
+        assert decisions[0] == stepped[0]
+        assert decisions[29] == stepped[29]
+        assert decisions[-1] == stepped[-1]
+        assert decisions[-30] == stepped[0]
+        assert isinstance(decisions[3], Decision)
+        assert all(isinstance(e, KnapsackAudit) for e in decisions[3].entries)
+        for index in (30, -31):
+            with pytest.raises(IndexError):
+                decisions[index]
+
+    def test_slice(self, result_and_steps):
+        result, stepped = result_and_steps
+        assert result.decisions[5:9] == stepped[5:9]
+        assert result.decisions[::-4] == stepped[::-4]
+        assert result.decisions[40:] == []
+
+    def test_iteration_equals_stepping(self, result_and_steps):
+        result, stepped = result_and_steps
+        assert list(result.decisions) == stepped
+        assert [d.knapsack for d in result.decisions] == result.assignment()
+        assert any(d.admitted for d in stepped) and not all(d.admitted for d in stepped)
+
+    def test_equality_either_side(self, result_and_steps):
+        result, stepped = result_and_steps
+        assert result.decisions == stepped
+        assert stepped == result.decisions
+        assert tuple(stepped) == result.decisions
+        changed = list(stepped)
+        first = changed[0]
+        changed[0] = first._replace(item_id=first.item_id + 1)
+        assert result.decisions != changed
+        assert changed != result.decisions
+        assert result.decisions != stepped[:-1]
+        assert stepped[:-1] != result.decisions
+
+    def test_no_items(self):
+        ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+        result = run(Instance(10, (ks,), ()), [flat()])
+        assert len(result.decisions) == 0
+        assert result.decisions == [] and [] == result.decisions
+        assert list(result.decisions) == []
+        assert result.assignment() == []
+        with pytest.raises(IndexError):
+            result.decisions[0]
+
+
+def test_run_holds_columns_not_records():
+    # A stream-dense-shaped run: 10 000 items on K = 4, T = 2000.  As one
+    # record per item and check, the result held 5.9 MB; as columns, 1 MB.
+    ks = KnapsackSpec(capacity=10.0, theta=8.0, duration_lo=4, duration_hi=16, size_cap=2.0)
+    inst = gen_uniform(GenSpec("uniform", 10_000, 2_000, (ks,) * 4, seed=1))
+    thresholds = for_instance(inst)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = run(inst, thresholds)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.decisions) == 10_000
+    assert held <= 2_000_000
 
 
 class TestRunResultJson:

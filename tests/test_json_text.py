@@ -21,7 +21,7 @@ from knapdep.core import (
 )
 from knapdep.engine import run
 from knapdep.instances import FAMILIES, GenSpec, generate
-from knapdep.threshold import ExponentialThreshold, for_instance
+from knapdep.threshold import ExponentialThreshold, ThresholdFn, for_instance
 
 
 def reference_instance_dict(inst):
@@ -77,11 +77,11 @@ def reference_utilization(inst, result):
 
 def reference_run_dict(inst, result):
     records = []
-    for decision, audit in zip(result.decisions, result.audits):
+    for decision in result.decisions:
         phi = None
         if decision.admitted:
             phi = next(
-                e.phi for e in audit.entries if e.knapsack == decision.knapsack
+                e.phi for e in decision.entries if e.knapsack == decision.knapsack
             )
         records.append(
             {
@@ -96,7 +96,7 @@ def reference_run_dict(inst, result):
                         "fits": e.fits,
                         "admissible": e.admissible,
                     }
-                    for e in audit.entries
+                    for e in decision.entries
                 ],
             }
         )
@@ -248,8 +248,65 @@ def test_infinite_phi():
     )
     result, text = check(Instance(10, (FLAT,), items), [ExponentialThreshold(1e5, 10.0)])
     assert result.assignment() == [0, None]
-    assert result.audits[1].entries[0].phi == math.inf
+    assert result.decisions[1].entries[0].phi == math.inf
     assert '"phi": Infinity' in text
+
+
+@pytest.mark.parametrize("item_id", [2**70, -5, 2**63, -(2**63) - 1])
+def test_item_ids_past_a_machine_word(item_id):
+    # The run keeps each id as the item holds it, not in a fixed-width column.
+    items = (
+        Item(item_id, 1, (one_option(1.0, 5.0, 1, 2),)),
+        Item(3, 1, (one_option(1.0, 5.0, 2, 2),)),
+    )
+    result, text = check(Instance(10, (FLAT,), items))
+    assert [d.item_id for d in result.decisions] == [item_id, 3]
+    assert f'"id": {item_id},' in text
+
+
+def test_knapsack_indices_past_255():
+    # 300 knapsacks; item i is eligible on knapsacks 0, 256 + i and 299 - i,
+    # and the value grows with the index, so it goes to the highest.  The
+    # last item, larger than the capacity, is checked past 255 and declined.
+    def item(item_id, eligible, size=1.0):
+        options = (one_option(size, k + 1.0, 1, 2, k in eligible) for k in range(300))
+        return Item(item_id, 1, tuple(options))
+
+    items = (*(item(i, (0, 256 + i, 299 - i)) for i in range(4)), item(4, range(256, 300), 11.0))
+    result, text = check(Instance(10, (FLAT,) * 300, items))
+    assert result.assignment() == [299, 298, 297, 296, None]
+    assert [e.knapsack for e in result.decisions[1].entries] == [0, 257, 298]
+    assert [e.knapsack for e in result.decisions[4].entries] == list(range(256, 300))
+    assert '"knapsack": 299,' in text
+
+
+class Constant(ThresholdFn):
+    """phi(0) = 0 and ``level`` at every other utilization."""
+
+    kind = "constant"
+
+    def __init__(self, level, capacity):
+        self.level = level
+        self.capacity = capacity
+
+    def eval(self, z):
+        return 0.0 if z == 0.0 else self.level
+
+
+@pytest.mark.parametrize("level", [math.inf, math.nan])
+def test_non_finite_charge(level):
+    # The first item is charged 0.0 and admitted; the second overlaps it and
+    # is charged inf or nan, which no value covers.
+    items = (
+        Item(0, 1, (one_option(1.0, 5.0, 1, 2),)),
+        Item(1, 1, (one_option(1.0, 5.0, 2, 2),)),
+    )
+    result, text = check(Instance(10, (FLAT,), items), [Constant(level, 10.0)])
+    assert result.assignment() == [0, None]
+    (entry,) = result.decisions[1].entries
+    assert entry.fits and not entry.admissible
+    assert repr(entry.phi) == repr(level)
+    assert f'"phi": {json.dumps(level)},' in text
 
 
 @pytest.mark.parametrize(
