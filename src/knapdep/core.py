@@ -22,6 +22,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
@@ -178,17 +179,23 @@ def checked_items(horizon: int, K: int, items: Iterable[Item]) -> Iterator[Item]
     check_count("horizon", horizon, 1)
     inf = math.inf
     limit = horizon + 1
-    seen: set[int] = set()
+    seen: Optional[set[int]] = None  # made at the first id off the run first, first + 1, ...
+    first = 0
     prev_arrival = 1
-    for item in items:
+    for position, item in enumerate(items):
         item_id, arrival, options = item
-        if type(item_id) is not int and not _integer(item_id):  # seen: one id per item so far
+        if type(item_id) is not int and not _integer(item_id):
             raise ValueError(
-                f"item at position {len(seen)}: id must be an integer, got {item_id!r}"
+                f"item at position {position}: id must be an integer, got {item_id!r}"
             )
-        if item_id in seen:
-            raise ValueError(f"duplicate item id {item_id}")
-        seen.add(item_id)
+        if not position:
+            first = item_id
+        elif seen is None and item_id != first + position:
+            seen = set(range(first, first + position))
+        if seen is not None:
+            if item_id in seen:
+                raise ValueError(f"duplicate item id {item_id}")
+            seen.add(item_id)
         if type(arrival) is not int and not _integer(arrival):
             raise ValueError(f"item {item_id}: arrival must be an integer, got {arrival!r}")
         if arrival < prev_arrival:  # prev_arrival starts at 1
@@ -228,15 +235,19 @@ def checked_items(horizon: int, K: int, items: Iterable[Item]) -> Iterator[Item]
 class UtilizationState:
     """Per-knapsack, per-slot committed size; the engine's only mutable state.
 
-    Each knapsack holds one dense row of floats indexed by slot, 0 to
-    ``horizon`` (index 0 is unused).  A window outside slots 1 to
-    ``horizon`` is refused (ValueError); the eligible options of an
-    ``Instance`` never hold one.  Utilization only ever grows: departures
-    are encoded in the time-indexed windows, never by decrementing.
+    Each knapsack holds one dense row of C doubles (``array('d')``, 8
+    bytes per slot) indexed by slot, 0 to ``horizon`` (index 0 is unused).
+    ``window`` returns a new list of floats, never a view of the row.  A
+    window outside slots 1 to ``horizon`` is refused (ValueError); the
+    eligible options of an ``Instance`` never hold one.  Utilization only
+    ever grows: departures are encoded in the time-indexed windows, never
+    by decrementing.
     """
 
     def __init__(self, num_knapsacks: int, horizon: int) -> None:
-        self._z: list[list[float]] = [[0.0] * (horizon + 1) for _ in range(num_knapsacks)]
+        # Each row is read and written through a view of its array, which
+        # stores a float without parsing it as the array's own writes do.
+        self._z = [memoryview(array("d", [0.0]) * (horizon + 1)) for _ in range(num_knapsacks)]
 
     @property
     def num_knapsacks(self) -> int:
@@ -250,20 +261,23 @@ class UtilizationState:
             raise ValueError(f"window duration must be >= 1, got {duration}")
         if start < 1 or stop > len(row):
             raise ValueError(f"window {start}..{stop - 1} is outside slots 1..{len(row) - 1}")
-        return row[start:stop]
+        return row[start:stop].tolist()
 
     def add(self, knapsack: int, start: int, duration: int, size: float) -> None:
         """Add ``size`` to slots ``start`` to ``start + duration - 1``."""
         if not size >= 0:  # NaN too, which would poison every slot it touched
             raise ValueError(f"utilization updates must be nonnegative, got {size}")
-        self._z[knapsack][start:start + duration] = [
-            z + size for z in self.window(knapsack, start, duration)
-        ]
+        row = self._z[knapsack]
+        for t, z in enumerate(self.window(knapsack, start, duration), start):
+            row[t] = z + size
 
     def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
         """(slot, utilization) of each slot some positive ``add`` covered, ascending."""
         row = self._z[knapsack]
-        return zip(compress(range(len(row)), row), compress(row, row))
+        # Only +0.0 has no bit set, and a covered slot holds a positive sum:
+        # the slots are chosen on the bits, so no empty slot's float is made.
+        bits = row.cast("B").cast("Q")
+        return ((t, row[t]) for t in compress(range(len(row)), bits))
 
 
 # ---------------------------------------------------------------------------

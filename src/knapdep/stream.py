@@ -122,9 +122,9 @@ def _streamed(t: _Text, length: int) -> StreamedInstance:
     t.pos = start + len(_OPEN)
     horizon, specs = top["horizon"], knapsack_specs(top["knapsacks"])
     items = checked_items(horizon, len(specs), item_records(_item_objs(t)))
-    # The engine's state holds a row of horizon + 1 slots per knapsack; a
-    # document that is refused must not be able to claim more than its own
-    # length before it is.
+    # The engine's state holds a row of horizon + 1 slots per knapsack, a C
+    # double (8 bytes) each; a document that is refused must not be able to
+    # claim more slots than it has characters before it is.
     if len(specs) * (horizon + 1) > length:
         raise ValueError(f"{len(specs)} x {horizon + 1} slots outweigh the document")
     return StreamedInstance(horizon, specs, items)

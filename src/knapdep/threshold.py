@@ -76,9 +76,11 @@ class ThresholdFn(abc.ABC):
     def charge(self, size: float, window: Sequence[float]) -> float:
         """The charge ``sum(size * phi(z))`` of an item over ``window``.
 
-        ``window`` holds the utilization of each slot in slot order.  An
-        empty slot (``z == 0.0``) adds ``size * phi(0) == 0.0``, which changes
-        no bit of a charge that is never -0.0, so it is skipped.  The rest is
+        ``window`` holds the utilization of each slot in slot order: the
+        engine passes a new ``list`` of floats (``UtilizationState.window``),
+        so that is what a custom curve receives.  An empty slot (``z ==
+        0.0``) adds ``size * phi(0) == 0.0``, which changes no bit of a
+        charge that is never -0.0, so it is skipped.  The rest is
         added left to right, never with builtin ``sum()``: from Python 3.12
         on it sums floats with compensation, so charges, and with them
         decisions, would depend on the Python version.  The engine stores

@@ -466,6 +466,24 @@ def test_run_holds_columns_not_records():
     assert held <= 2_000_000
 
 
+def test_sparse_run_holds_doubles_not_floats():
+    # A stream-sparse-shaped run: 20 000 items on K = 1, T = 500 000.  With
+    # a row of float objects the run held 8.2 MB; a row of C doubles is
+    # 4 MB, the rest the run's columns.
+    ks = KnapsackSpec(capacity=10.0, theta=8.0, duration_lo=4, duration_hi=16, size_cap=2.0)
+    inst = gen_uniform(GenSpec("uniform", 20_000, 500_000, (ks,), seed=1))
+    thresholds = for_instance(inst)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = run(inst, thresholds)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for _ in result.state.covered(0)) > 100_000
+    assert held <= 6_000_000
+
+
 class TestRunResultJson:
     def test_serialization_shape(self):
         inst = uniform_instance(seed=4, n=6)

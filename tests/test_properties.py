@@ -50,6 +50,9 @@ so does its result with its table capped at 0, 1 or 3 subtrees.
 Neither search's result depends on the slot each option's watch starts
 at: with every watch started at a drawn slot of its window, both give the
 result they give from the window's start.
+``reference_checked_ids`` is the id rule over a set of every id:
+``checked_items``, which stores no id while the ids run on by one, must
+take and refuse the same items, with the same message.
 ``reference_generate`` is the uniform and burst generator as it was
 before it drew integers straight from ``getrandbits``: ``generate`` must
 make the same draws in the same order, so its records and their text
@@ -63,6 +66,7 @@ import math
 import random
 import sys
 import tempfile
+import tracemalloc
 from random import Random
 from types import MappingProxyType
 from typing import Optional
@@ -81,6 +85,7 @@ from knapdep.core import (
     SchemaError,
     UtilizationState,
     assignment_violations,
+    checked_items,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
@@ -418,6 +423,100 @@ def test_edited_gen_text_streams_as_the_whole_document_or_raises(inst, size, dat
                     continue
                 assert whole is not None, repr(edited)
                 assert got == (whole.horizon, whole.knapsacks, whole.items)
+
+
+# ---------------------------------------------------------------------------
+# The id rule
+# ---------------------------------------------------------------------------
+
+# ``checked_items`` records no id while the ids run first, first + 1, ...;
+# whatever the ids, it must take and refuse what a set of every id does.
+
+
+class SubId(int):
+    pass
+
+
+def reference_checked_ids(items):
+    """The id rule of ``checked_items`` over a set of every id seen."""
+    seen = set()
+    for item in items:
+        item_id = item.id
+        if not isinstance(item_id, int) or isinstance(item_id, bool):
+            raise ValueError(
+                f"item at position {len(seen)}: id must be an integer, got {item_id!r}"
+            )
+        if item_id in seen:
+            raise ValueError(f"duplicate item id {item_id}")
+        seen.add(item_id)
+        yield item
+
+
+@st.composite
+def id_sequences(draw):
+    """A run of consecutive ids, then breaks, each followed by a run again.
+
+    A break is a gap, a descent, a repeat of the first, a middle or the
+    last id so far, or an id that is no integer.  Some ids are ``SubId``.
+    """
+    first = draw(st.sampled_from([0, -5, 2**70]))
+    ids = list(range(first, first + draw(st.integers(0, 12))))
+    ints = list(ids)  # the integer ids so far
+    for _ in range(draw(st.integers(0, 3))):
+        last = ints[-1] if ints else first - 1
+        kind = draw(st.sampled_from(["gap", "descent", "repeat", "not an integer"]))
+        if kind == "gap":
+            last += draw(st.integers(2, 2**65))
+        elif kind == "descent":
+            last -= draw(st.integers(1, 20))
+        elif kind == "repeat" and ints:
+            last = ints[draw(st.sampled_from([0, len(ints) // 2, len(ints) - 1]))]
+        else:
+            ids.append(draw(st.sampled_from([1.0, True, "7", None])))
+            continue
+        run = range(last, last + 1 + draw(st.integers(0, 6)))
+        ids.extend(run)
+        ints.extend(run)
+    subclassed = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    return [
+        SubId(i) if wrap and type(i) is int else i for i, wrap in zip(ids, subclassed)
+    ]
+
+
+def id_rule_answer(items):
+    """The items taken, and the text of the ValueError that stopped them, if any."""
+    taken = []
+    try:
+        for item in items:
+            taken.append(item)
+    except ValueError as exc:
+        return taken, str(exc)
+    return taken, None
+
+
+@SETTINGS
+@given(ids=id_sequences())
+def test_id_rule_equals_a_set_of_every_id(ids):
+    items = [Item(i, 1, ()) for i in ids]
+    taken, error = id_rule_answer(checked_items(1, 0, items))
+    expected, expected_error = id_rule_answer(reference_checked_ids(items))
+    assert error == expected_error
+    assert len(taken) == len(expected)
+    assert all(a is b for a, b in zip(taken, expected))
+
+
+def test_consecutive_ids_hold_no_set():
+    # A set of 100 000 ids alone is over 4 MB; a run of them needs none.
+    option = ItemOption(True, 1.0, 1.0, 1, 1)
+    items = (Item(i, 1, (option,)) for i in range(100_000))
+    tracemalloc.start()
+    try:
+        for _ in checked_items(1, 1, items):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 # Brute force visits up to (K+1)^n assignments: the item count is capped
