@@ -1,12 +1,14 @@
 """Read an instance document in one pass, one batch of items at a time.
 
 ``run`` and ``validate`` take each item once, in arrival order, so they
-need not hold the document, its parse or its records whole.
-``streamed_instance`` reads the head (``horizon`` and ``knapsacks``), then
-decodes the items in batches from a chunked read.  Each record is built by
-the parser's per-item branch (``core.item_records``) and checked by
-``Instance``'s per-item rule (``core.checked_items``) as it is drawn, and
-none is kept.
+need not hold the document, its parse or its records whole.  The input
+is one seekable text file: a regular file (or standard input redirected
+from one) from where it stands, any other input a copy made once,
+undecoded, in the temporary directory.  The pass reads the head
+(``horizon`` and ``knapsacks``), then decodes the items in batches from
+a chunked read.  Each record is built by the parser's per-item branch
+(``core.item_records``) and checked by ``Instance``'s per-item rule
+(``core.checked_items``) as it is drawn, and none is kept.
 
 Only the text ``gen`` writes is read this way: ``dumps_instance``, which
 is ``json.dumps(doc, indent=2)``.  No JSON string holds a raw newline, so
@@ -17,23 +19,22 @@ one array.  A cut anywhere else leaves a bracket open, so whatever
 decodes is what the whole parse gives.
 
 Any other layout, any JSON fault, text after the closing brace, any fault
-of a record, a file that is not a regular one, and a head that declares
-more slots (K x (horizon + 1)) than the document has characters raise
-ValueError (or RecursionError) at the point they are met, at the latest
-when the last item is drawn.  ``through_items`` then reads the document
-whole through ``loads_instance``, which reports what it reports for every
-document, so streaming changes no message.
+of a record, and a head that declares more slots (K x (horizon + 1)) than
+the document is long raise ValueError (or RecursionError) at the point
+they are met, at the latest when the last item is drawn.
+``through_items`` then reads the file again whole, from where the pass
+began, through ``loads_instance``, which reports what it reports for
+every document, so streaming changes no message.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import stat
 import sys
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .core import (
     _INSTANCE_FIELDS,
@@ -50,7 +51,7 @@ from .core import (
 
 # Characters per read, and the most text a batch of items spans (or one
 # item, where an item is longer), which bounds what the pass holds of a
-# document read from a file or a string.
+# document; bytes per read when an input is copied to a temporary file.
 _CHUNK = 1 << 16
 
 # The items array's opening, the join of two items, and the array's and
@@ -80,38 +81,40 @@ def through_items(path: str, use: Callable[[Instance], T]) -> T:
 
     ``use`` must draw every item once, in order, and form no output.  If
     the streamed pass raises, ``use`` runs again on ``loads_instance`` of
-    the whole text, so every result and message is the whole reading's.
-    Standard input is read whole first, so that it can be read twice.
+    the whole text, read from where the pass began, so every result and
+    message is the whole reading's.
     """
-    text = sys.stdin.read() if path == "-" else None
-    try:
-        with streamed_instance(path, text) as inst:
-            return use(inst)
-    except (OSError, ValueError, RecursionError):
-        pass
-    return use(loads_instance(Path(path).read_text() if text is None else text))
+    with _seekable(path) as f:
+        start = f.tell()  # before any read, a plain offset
+        length = f.seek(0, os.SEEK_END) - f.seek(start)  # of what is left
+        try:
+            with _CollectorPaused():  # the records are acyclic
+                return use(_streamed(f.read, length))
+        except (OSError, ValueError, RecursionError):
+            f.seek(start)
+        return use(loads_instance(f.read()))
 
 
 @contextmanager
-def streamed_instance(path: str, text: Optional[str] = None) -> Iterator[StreamedInstance]:
-    """The instance of the file at ``path``, or of ``text`` when it is given.
-
-    The file stays open, and the cyclic collector paused (the records are
-    acyclic), until the block ends, so the block must draw all the items
-    inside it.  A file that is not a regular one (a pipe, say) is not read
-    at all: ValueError, so that its caller can read it once, whole.
-    """
-    if text is not None:
-        with _CollectorPaused():
-            yield _streamed(_Text(None, text), len(text))
-        return
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise ValueError(f"{path} is not a regular file")
-    with open(path) as f, _CollectorPaused():
-        yield _streamed(_Text(f.read, ""), os.fstat(f.fileno()).st_size)
+def _seekable(path: str) -> Iterator[TextIO]:
+    """The input at ``path`` (``-``: standard input), or if it cannot seek an
+    unnamed copy of its bytes, decoded as the input is decoded."""
+    with nullcontext(sys.stdin) if path == "-" else open(path) as f:
+        if f.seekable():
+            yield f
+            return
+        import shutil
+        import tempfile  # only an input that cannot seek loads it
+        newline = "\n" if path == "-" else None  # POSIX stdin translates no "\r\n"; open() does
+        with io.TextIOWrapper(tempfile.TemporaryFile(), f.encoding, f.errors, newline) as spill:
+            shutil.copyfileobj(f.buffer, spill.buffer, _CHUNK)
+            spill.seek(0)
+            yield spill
 
 
-def _streamed(t: _Text, length: int) -> StreamedInstance:
+def _streamed(read: Callable[[int], str], length: int) -> StreamedInstance:
+    """The instance of a text ``length`` long, its items taken from ``read`` as drawn."""
+    t = _Text(read)
     start = t.find(_OPEN)
     if start < 0:
         raise ValueError("no items array in the layout gen writes")
@@ -124,7 +127,7 @@ def _streamed(t: _Text, length: int) -> StreamedInstance:
     items = checked_items(horizon, len(specs), item_records(_item_objs(t)))
     # The engine's state holds a row of horizon + 1 slots per knapsack, a C
     # double (8 bytes) each; a document that is refused must not be able to
-    # claim more slots than it has characters before it is.
+    # claim more slots than it is long before it is.
     if len(specs) * (horizon + 1) > length:
         raise ValueError(f"{len(specs)} x {horizon + 1} slots outweigh the document")
     return StreamedInstance(horizon, specs, items)
@@ -133,10 +136,8 @@ def _streamed(t: _Text, length: int) -> StreamedInstance:
 class _Text:
     """The unread text of a document: ``buf[pos:]``, refilled by ``read``."""
 
-    def __init__(self, read: Optional[Callable[[int], str]], buf: str) -> None:
-        self.read = read
-        self.buf = buf
-        self.pos = 0
+    def __init__(self, read: Callable[[int], str]) -> None:
+        self.read, self.buf, self.pos = read, "", 0
 
     def find(self, sub: str) -> int:
         """Index in ``buf`` of the first ``sub`` from ``pos`` on, reading on; -1 if none."""
@@ -148,9 +149,8 @@ class _Text:
     def more(self) -> bool:
         """Read at least as much again as is unread (so a long search stays
         linear), dropping what was read; False at the end of the input."""
-        chunk = self.read(max(_CHUNK, len(self.buf) - self.pos)) if self.read else ""
+        chunk = self.read(max(_CHUNK, len(self.buf) - self.pos))
         if not chunk:
-            self.read = None
             return False
         self.buf = self.buf[self.pos:] + chunk
         self.pos = 0

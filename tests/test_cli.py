@@ -438,6 +438,48 @@ class TestStreamedInput:
             tracemalloc.stop()
         assert peak < 1.5 * len(text)
 
+    @pytest.mark.parametrize("command", [("validate", "--strict"), ("run",)])
+    def test_pipe_peaks_as_the_file(self, dense_document, tmp_path, capsys, monkeypatch,
+                                    deadline, command):
+        # A pipe on standard input is copied to a temporary file and
+        # streamed from there: it holds no more than the file reading, and
+        # writes the same bytes.
+        import knapdep.stream  # noqa: F401
+
+        out = tmp_path / "out.json"
+
+        def peak(*argv):
+            tracemalloc.start()
+            try:
+                assert cli(*command, *argv, "--out", str(out)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        from_file = peak("--input", str(dense_document))
+        expected = out.read_bytes()
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=write_all, args=(write_end, dense_document.read_bytes()),
+                                  daemon=True)
+        with open(read_end, encoding="utf-8", newline="\n") as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            writer.start()
+            from_pipe = peak()
+        writer.join(5.0)
+        assert not writer.is_alive()
+        assert out.read_bytes() == expected
+        assert from_pipe < 1.2 * from_file
+
+
+def write_all(fd, data):
+    """Write ``data`` to the file descriptor ``fd``, then close it."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
 
 class TestBenchTune:
     def make_suite(self, tmp_path, capsys, n=8, count=3):
@@ -1180,6 +1222,45 @@ class TestRefusal:
             assert not writer.is_alive()
             pipe.unlink()
         assert expected == (1, "", "error: item 49, knapsack 0: nonpositive size -1.0\n")
+
+    @pytest.mark.parametrize("command", [("run",), ("validate", "--strict")])
+    def test_stdin_from_a_file_reads_on_from_its_offset(self, tmp_path, capsys, command):
+        # Standard input redirected from a regular file is read from where
+        # it stands, by the streamed pass and by the whole reading it falls
+        # back to alike: as --input of the bytes after that offset.
+        prefix = b"not JSON, "
+        for text in (three_item_text(), reversed_keys(), late_fault_and_syntax_error()):
+            doc = tmp_path / "doc.json"
+            doc.write_text(text)
+            rc = cli(*command, "--input", str(doc))
+            expected = (rc, *capsys.readouterr())
+            shifted = tmp_path / "shifted.json"
+            shifted.write_bytes(prefix + text.encode())
+            with open(shifted, "rb", buffering=0) as stdin:
+                stdin.seek(len(prefix))
+                piped = subprocess.run([sys.executable, "-m", "knapdep.cli", *command],
+                                       stdin=stdin, capture_output=True, text=True)
+            assert (piped.returncode, piped.stdout, piped.stderr) == expected
+        assert expected[2] == f"error: {INPUT_FORMS['late-field-fault-then-syntax-error']()[1]}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_crlf_fault_offsets_from_stdin_and_a_named_pipe(self, tmp_path, capsys, deadline):
+        # Standard input translates no "\r\n", so a fault's offset counts
+        # each "\r"; a path is opened with universal newlines, so from a
+        # named pipe the offset is the translated text's.
+        data = late_fault_and_syntax_error().replace("\n", "\r\n").encode()
+        fault = "error: invalid JSON: Expecting ',' delimiter: line 53 column 1 (char {})\n"
+        piped = subprocess.run([sys.executable, "-m", "knapdep.cli", "run"], input=data,
+                               capture_output=True)
+        assert (piped.returncode, piped.stdout, piped.stderr.decode()) == (1, b"", fault.format(885))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        rc = cli("run", "--input", str(pipe))
+        assert (rc, *capsys.readouterr()) == (1, "", fault.format(833))
+        writer.join(5.0)
+        assert not writer.is_alive()
 
     def test_bench_error_rows_exit_1_with_report(self, tmp_path, capsys):
         inst = tmp_path / "one.json"

@@ -443,6 +443,7 @@ class TestDecisionsView:
         result = run(Instance(10, (ks,), ()), [flat()])
         assert len(result.decisions) == 0
         assert result.decisions == [] and [] == result.decisions
+        assert not result.decisions == 3 and result.decisions != 3  # not a sequence
         assert list(result.decisions) == []
         assert result.assignment() == []
         with pytest.raises(IndexError):

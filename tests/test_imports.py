@@ -5,8 +5,10 @@ test_cli.test_public_names_resolve.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +29,15 @@ sys.stderr.write("\\n" + " ".join(sorted(sys.modules)) + "\\n")
 POOL = {"concurrent.futures", "multiprocessing"}
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, flags=(), stdin=None):
+    # Under -S the package is found through PYTHONPATH alone.
+    env = dict(os.environ, PYTHONPATH=str(Path(knapdep.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-c", MODULES_AFTER_CLI, *argv],
+        [sys.executable, *flags, "-c", MODULES_AFTER_CLI, *argv],
+        input=stdin,
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     return set(result.stderr.splitlines()[-1].split())
@@ -53,6 +59,17 @@ def test_stream_commands_load_neither_oracle_nor_bench(suite, command):
     loaded = loaded_by(*argv)
     assert "knapdep.engine" in loaded
     assert not loaded & (POOL | {"knapdep.oracle", "knapdep.bench", "csv"})
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_only_a_piped_input_loads_the_spill(suite, command):
+    # Input that cannot seek is copied to a temporary file; a file named by
+    # --input is read as it is.  Site start-up may import tempfile itself,
+    # so both run with -S.  (shutil is loaded either way: argparse's help
+    # formatter asks it for the terminal width.)
+    document = suite / "i1.json"
+    assert "tempfile" not in loaded_by(command, "--input", str(document), flags=["-S"])
+    assert "tempfile" in loaded_by(command, flags=["-S"], stdin=document.read_text())
 
 
 def test_opt_loads_oracle_only(suite):

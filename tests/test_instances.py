@@ -121,6 +121,13 @@ class TestGenSpecRefusal:
             GenSpec("uniform", 3, 40, (ksp(), KnapsackSpec(10.0, 4.0, 1, 4.5, 10.0)), 0)
         assert str(exc.value) == "duration_hi must be an integer >= 1 (duration_lo), got 4.5"
 
+    def test_family(self):
+        with pytest.raises(ValueError) as exc:
+            GenSpec("poisson", 3, 40, (ksp(),), 0)
+        assert str(exc.value) == (
+            "unknown family 'poisson', expected one of ('uniform', 'staircase', 'burst')"
+        )
+
 
 class TestGenBurst:
     def test_valid_and_deterministic(self):

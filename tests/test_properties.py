@@ -63,6 +63,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
@@ -346,7 +347,8 @@ def stream_chunk(size):
 
 def streamed(path, text=None):
     """The horizon, knapsacks and items of one streamed pass over ``path`` (or ``text``)."""
-    with stream.streamed_instance(path, text) as inst:
+    with open(path) if text is None else io.StringIO(text) as f:
+        inst = stream._streamed(f.read, os.path.getsize(path) if text is None else len(text))
         return inst.horizon, inst.knapsacks, tuple(inst.items)
 
 
