@@ -24,10 +24,11 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, count
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from .jsontext import json_block, json_scalar
 from .threshold import size_precondition
 
 # Tolerance for fluctuation-bound comparisons (density/size caps).  Values
@@ -171,10 +172,14 @@ class Instance:
         return len(self.items)
 
 
-def checked_items(horizon: int, K: int, items: Iterable[Item]) -> Iterator[Item]:
-    """``items`` in order, each once it keeps ``Instance``'s rules.
+def checked_items(horizon: int, K: int, items: Iterable) -> Iterator[Item]:
+    """``items`` in order, each as a record once it keeps ``Instance``'s rules.
 
-    ValueError at the first break; the horizon's on the first draw.
+    An item is a record (a tuple) or a parsed item object, built as
+    ``item_records`` builds it.  An object of exactly ``json.loads``' types
+    whose id runs on and that keeps every rule is built and checked in one
+    pass; any other goes the general way, whose messages name its first
+    fault.  ValueError at the first break; the horizon's on the first draw.
     """
     check_count("horizon", horizon, 1)
     inf = math.inf
@@ -182,7 +187,30 @@ def checked_items(horizon: int, K: int, items: Iterable[Item]) -> Iterator[Item]
     seen: Optional[set[int]] = None  # made at the first id off the run first, first + 1, ...
     first = 0
     prev_arrival = 1
+    new = tuple.__new__
     for position, item in enumerate(items):
+        if type(item) is dict and item.keys() == _ITEM_KEYS:
+            item_id, arrival, odata = _item_values(item)
+            if (type(item_id) is type(arrival) is int and type(odata) is list and len(odata) == K
+                    and seen is None and item_id == first + position and prev_arrival <= arrival):
+                options = []
+                for oobj in odata:
+                    if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
+                        eligible, size, value, start, duration = fields = _option_values(oobj)
+                        if (type(eligible) is bool and type(size) is type(value) is float
+                                and type(start) is type(duration) is int
+                                and size - size == value - value == 0.0
+                                and start >= 1 and duration >= 1 and (not eligible or (
+                                    size > 0 and value > 0 and start + duration <= limit))):
+                            options.append(new(ItemOption, fields))
+                            continue
+                    break
+                else:
+                    prev_arrival = arrival
+                    yield new(Item, (item_id, arrival, tuple(options)))
+                    continue
+        if not isinstance(item, tuple):
+            item = _item_record(item, position)
         item_id, arrival, options = item
         if type(item_id) is not int and not _integer(item_id):
             raise ValueError(
@@ -235,28 +263,29 @@ def checked_items(horizon: int, K: int, items: Iterable[Item]) -> Iterator[Item]
 class UtilizationState:
     """Per-knapsack, per-slot committed size; the engine's only mutable state.
 
-    Each knapsack holds one dense row of C doubles (``array('d')``, 8
-    bytes per slot) indexed by slot, 0 to ``horizon`` (index 0 is unused).
-    ``window`` returns a new list of floats, never a view of the row.  A
-    window outside slots 1 to ``horizon`` is refused (ValueError); the
-    eligible options of an ``Instance`` never hold one.  Utilization only
-    ever grows: departures are encoded in the time-indexed windows, never
-    by decrementing.
+    Each knapsack holds one dense row of C doubles (``rows[k]``, 8 bytes
+    per slot) indexed by slot, 0 to ``horizon`` (index 0 is unused).
+    ``window`` returns a new list of floats, never a view of the row, which
+    ``grow`` writes back with a size added; ``add`` is the two.  A window
+    outside slots 1 to ``horizon`` is refused (ValueError); the eligible
+    options of an ``Instance`` never hold one.  Utilization only ever
+    grows: departures are encoded in the time-indexed windows, never by
+    decrementing.
     """
 
     def __init__(self, num_knapsacks: int, horizon: int) -> None:
         # Each row is read and written through a view of its array, which
         # stores a float without parsing it as the array's own writes do.
-        self._z = [memoryview(array("d", [0.0]) * (horizon + 1)) for _ in range(num_knapsacks)]
+        self.rows = [memoryview(array("d", [0.0]) * (horizon + 1)) for _ in range(num_knapsacks)]
 
     @property
     def num_knapsacks(self) -> int:
-        return len(self._z)
+        return len(self.rows)
 
     def window(self, knapsack: int, start: int, duration: int) -> list[float]:
         """Utilization of slots ``start`` to ``start + duration - 1``, in order; never empty."""
         stop = start + duration
-        row = self._z[knapsack]
+        row = self.rows[knapsack]
         if duration < 1:
             raise ValueError(f"window duration must be >= 1, got {duration}")
         if start < 1 or stop > len(row):
@@ -265,19 +294,28 @@ class UtilizationState:
 
     def add(self, knapsack: int, start: int, duration: int, size: float) -> None:
         """Add ``size`` to slots ``start`` to ``start + duration - 1``."""
+        # A bad size is refused (by grow) before the window is read.
+        window = self.window(knapsack, start, duration) if size >= 0 else []
+        self.grow(knapsack, start, window, size)
+
+    def grow(self, knapsack: int, start: int, window: list[float], size: float) -> None:
+        """Write ``z + size`` to each slot from ``start`` on, ``z`` what ``window`` read there."""
         if not size >= 0:  # NaN too, which would poison every slot it touched
             raise ValueError(f"utilization updates must be nonnegative, got {size}")
-        row = self._z[knapsack]
-        for t, z in enumerate(self.window(knapsack, start, duration), start):
+        row = self.rows[knapsack]
+        for t, z in enumerate(window, start):
             row[t] = z + size
 
     def covered(self, knapsack: int) -> Iterator[tuple[int, float]]:
         """(slot, utilization) of each slot some positive ``add`` covered, ascending."""
-        row = self._z[knapsack]
+        return ((t, self.rows[knapsack][t]) for t in self.covered_slots(knapsack))
+
+    def covered_slots(self, knapsack: int) -> Iterator[int]:
+        """Each slot some positive ``add`` covered, ascending."""
+        row = self.rows[knapsack]
         # Only +0.0 has no bit set, and a covered slot holds a positive sum:
         # the slots are chosen on the bits, so no empty slot's float is made.
-        bits = row.cast("B").cast("Q")
-        return ((t, row[t]) for t in compress(range(len(row)), bits))
+        return compress(range(len(row)), row.cast("B").cast("Q"))
 
 
 # ---------------------------------------------------------------------------
@@ -454,67 +492,6 @@ def assignment_violations(
 # JSON schema
 # ---------------------------------------------------------------------------
 
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-
-
-def json_scalar(v: object) -> str:
-    """JSON text of one scalar, as ``json.dumps`` writes it.
-
-    Exact ``float`` (finite) and ``int`` take their repr directly;
-    anything else (NaN, infinities, ``bool``, ``None``, subclasses,
-    strings) goes through ``json.dumps`` itself.
-    """
-    if type(v) is float:
-        if v - v == 0.0:
-            return _float_repr(v)
-    elif type(v) is int:
-        return _int_repr(v)
-    return json.dumps(v)
-
-
-def json_block(elements: list[str], indent: str, brackets: str = "[]") -> str:
-    """An array (or, with ``brackets="{}"``, an object) in ``indent=2`` layout.
-
-    ``elements`` are already rendered, each with its own indentation, and
-    the closing bracket goes at ``indent``; empty gives ``[]`` or ``{}``.
-    """
-    if not elements:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(elements) + f"\n{indent}{brackets[1]}"
-
-
-# Elements joined into one part by ``json_block_parts``: a streamed block
-# then holds one batch of text at a time (about 0.35 MB of a K = 4 run's
-# decisions), and a part of slot texts still exceeds the 8 KiB a text
-# file gathers before it writes.
-JSON_BATCH = 512
-
-
-def json_block_parts(
-    elements: Iterable[str], indent: str, brackets: str = "[]"
-) -> Iterator[str]:
-    """``json_block`` in parts of at most ``JSON_BATCH`` elements each.
-
-    ``elements`` is drawn lazily, one batch at a time, so a block of any
-    length never exists whole; ``"".join`` of the parts is ``json_block``
-    of the same elements.
-    """
-    elements = iter(elements)
-    batch = list(islice(elements, JSON_BATCH))
-    if not batch:
-        yield brackets
-        return
-    head = f"{brackets[0]}\n"
-    while batch:
-        # The head joins the first element, not the part, which would copy it.
-        batch[0] = head + batch[0]
-        head = ",\n"
-        yield ",\n".join(batch)
-        batch = list(islice(elements, JSON_BATCH))
-    yield f"\n{indent}{brackets[1]}"
-
-
 def dumps_instance(inst: Instance) -> str:
     """The instance document, byte for byte as ``json.dumps(doc, indent=2)``.
 
@@ -661,35 +638,37 @@ def knapsack_specs(kobjs: Iterable) -> tuple[KnapsackSpec, ...]:
 
 
 def item_records(item_objs: Iterable) -> Iterator[Item]:
-    """The record of each parsed item object, in order, built as it is drawn.
+    """The record of each parsed item object, in order, built as it is drawn."""
+    return map(_item_record, item_objs, count())
 
-    An item or option holding exactly the types ``json.loads`` gives (with
+
+def _item_record(iobj: object, position: int) -> Item:
+    """An item or option holding exactly the types ``json.loads`` gives (with
     finite floats) is built as it stands; any other record goes through
     ``_checked``, which names its first fault or converts its values.
     """
+    if type(iobj) is dict and iobj.keys() == _ITEM_KEYS:
+        item_id, arrival, odata = _item_values(iobj)
+        exact = type(item_id) is int and type(arrival) is int and type(odata) is list
+    else:
+        exact = False
+    if not exact:
+        where = f"item at position {position}"
+        item_id, arrival, odata = _item_values(_checked(iobj, _ITEM_FIELDS, where))
     new = tuple.__new__
-    for position, iobj in enumerate(item_objs):
-        if type(iobj) is dict and iobj.keys() == _ITEM_KEYS:
-            item_id, arrival, odata = _item_values(iobj)
-            exact = type(item_id) is int and type(arrival) is int and type(odata) is list
-        else:
-            exact = False
-        if not exact:
-            where = f"item at position {position}"
-            item_id, arrival, odata = _item_values(_checked(iobj, _ITEM_FIELDS, where))
-        options = []
-        for oobj in odata:
-            if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
-                eligible, size, value, start, duration = _option_values(oobj)
-                # Finite floats: x - x is nan for inf and nan.
-                if (type(eligible) is bool and type(size) is type(value) is float
-                        and type(start) is type(duration) is int
-                        and size - size == value - value == 0.0):
-                    options.append(new(ItemOption, (eligible, size, value, start, duration)))
-                    continue
-            where = f"item at position {position}, option {len(options)}"
-            options.append(ItemOption(*_option_values(_checked(oobj, _OPTION_FIELDS, where))))
-        yield new(Item, (item_id, arrival, tuple(options)))
+    options = []
+    for oobj in odata:
+        if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
+            eligible, size, value, start, duration = _option_values(oobj)
+            # Finite floats: x - x is nan for inf and nan.
+            if (type(eligible) is bool and type(size) is type(value) is float
+                    and type(start) is type(duration) is int
+                    and size - size == value - value == 0.0):
+                options.append(new(ItemOption, (eligible, size, value, start, duration)))
+                continue
+        where = f"item at position {position}, option {len(options)}"
+        options.append(ItemOption(*_option_values(_checked(oobj, _OPTION_FIELDS, where))))
+    return new(Item, (item_id, arrival, tuple(options)))
 
 
 class _CollectorPaused:

@@ -5,9 +5,10 @@ Per knapsack, an item is charged the summed marginal cost of its window
 at current utilization and admitted only if its value covers the charge
 and capacity holds in every requested slot.  Across knapsacks, the item
 goes to the admissible knapsack of maximum value.  ``_admit`` is the one
-admission path: it writes each check and the choice into flat columns,
-once per item for ``run`` and once per call for ``step``.  The columns
-hold no Python records, which are built from them on each read.
+admission path: it writes the chosen window back from the list its check
+read, and each check and the choice into flat columns, once per item for
+``run`` and once per call for ``step``.  The columns hold no Python
+records, which are built from them on each read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import Instance, Item, UtilizationState, json_block, json_block_parts, json_scalar
+from .core import Instance, Item, UtilizationState
+from .jsontext import json_block, json_block_parts, json_scalar
 from .threshold import ThresholdFn
 
 _FLAGS = ((False, False), (True, False), (False, True), (True, True))  # by fits | admissible << 1
@@ -56,18 +58,26 @@ class _Decisions(Sequence):
 
     Per item: the id, the chosen knapsack (-1 if declined) and the running
     end offset of its checks, after a leading 0.  Per check: the knapsack,
-    ``phi`` as a C double and ``fits | admissible << 1`` as a byte.
+    ``phi`` as a C double and ``fits | admissible << 1`` as a byte.  The
+    ids are ``range(first, stop)`` until one does not run on, then a list.
     """
 
     def __init__(self) -> None:
-        self.ids, self.chosen, self.ends = [], array("i"), array("q", [0])
+        self.first = self.stop = self.listed = None
+        self.chosen, self.ends = array("i"), array("q", [0])
         self.knapsacks, self.phis, self.flags = array("i"), array("d"), bytearray()
 
+    @property
+    def ids(self) -> Sequence:
+        if self.listed is not None:
+            return self.listed
+        return range(0) if self.first is None else range(self.first, self.stop)
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.chosen)
 
     def __getitem__(self, index):
-        i = range(len(self.ids))[index]  # IndexError past either end
+        i = range(len(self))[index]  # IndexError past either end
         if isinstance(i, range):
             return [self[j] for j in i]
         lo, hi = self.ends[i], self.ends[i + 1]
@@ -91,8 +101,8 @@ def _admit(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn
     knapsack's.  The option is admissible iff value >= charge (ties admit)
     and z_t + size <= capacity in every slot, both exact comparisons on the
     computed floats; the item goes to the admissible knapsack of maximum
-    value, ties to the lowest index.  Each check and the choice are
-    appended to ``out``'s columns.
+    value, ties to the lowest index, and its window is written back from
+    the list its check read.  Each check and the choice go to ``out``.
     """
     add_knapsack, add_phi, add_flags = out.knapsacks.append, out.phis.append, out.flags.append
     best = -1
@@ -112,10 +122,19 @@ def _admit(item: Item, state: UtilizationState, thresholds: Sequence[ThresholdFn
         if admissible and (best < 0 or value > best_value):
             best = k
             best_value = value
+            best_window = window
     if best >= 0:
         chosen = item.options[best]
-        state.add(best, chosen.start, chosen.duration, chosen.size)
-    out.ids.append(item.id)
+        state.grow(best, chosen.start, best_window, chosen.size)
+    item_id = item.id
+    if item_id == out.stop:  # the ids run on
+        out.stop = item_id + 1
+    elif out.listed is not None:
+        out.listed.append(item_id)
+    elif out.first is None and type(item_id) is int:
+        out.first, out.stop = item_id, item_id + 1
+    else:
+        out.listed, out.stop = [*out.ids, item_id], None
     out.chosen.append(best)
     out.ends.append(len(out.phis))
     return best
@@ -216,8 +235,10 @@ class RunResult:
         # the same sum, so a value's text is formed once per run of equal
         # slots.  Covered slots hold positive sums, never -0.0, so equal
         # values always have equal text.
+        row = self.state.rows[k]
         last = text = None
-        for t, z in self.state.covered(k):
+        for t in self.state.covered_slots(k):
+            z = row[t]
             if z != last:
                 last, text = z, json_scalar(z)
             yield f'      "{t}": {text}'

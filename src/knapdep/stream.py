@@ -6,9 +6,9 @@ is one seekable text file: a regular file (or standard input redirected
 from one) from where it stands, any other input a copy made once,
 undecoded, in the temporary directory.  The pass reads the head
 (``horizon`` and ``knapsacks``), then decodes the items in batches from
-a chunked read.  Each record is built by the parser's per-item branch
-(``core.item_records``) and checked by ``Instance``'s per-item rule
-(``core.checked_items``) as it is drawn, and none is kept.
+a chunked read.  Each record is built from its item object and checked
+by ``Instance``'s rules in one loop (``core.checked_items``) as it is
+drawn, and none is kept.
 
 Only the text ``gen`` writes is read this way: ``dumps_instance``, which
 is ``json.dumps(doc, indent=2)``.  No JSON string holds a raw newline, so
@@ -44,7 +44,6 @@ from .core import (
     _checked,
     _CollectorPaused,
     checked_items,
-    item_records,
     knapsack_specs,
     loads_instance,
 )
@@ -124,7 +123,7 @@ def _streamed(read: Callable[[int], str], length: int) -> StreamedInstance:
     top = _checked(head, _INSTANCE_FIELDS, "instance")
     t.pos = start + len(_OPEN)
     horizon, specs = top["horizon"], knapsack_specs(top["knapsacks"])
-    items = checked_items(horizon, len(specs), item_records(_item_objs(t)))
+    items = checked_items(horizon, len(specs), _item_objs(t))
     # The engine's state holds a row of horizon + 1 slots per knapsack, a C
     # double (8 bytes) each; a document that is refused must not be able to
     # claim more slots than it is long before it is.

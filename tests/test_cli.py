@@ -15,9 +15,10 @@ import knapdep
 from knapdep import cli as cli_module
 from knapdep.bench import BenchConfig, TuneSpec
 from knapdep.cli import main
-from knapdep.core import JSON_BATCH, KnapsackSpec, dumps_instance, loads_instance
+from knapdep.core import KnapsackSpec, dumps_instance, loads_instance
 from knapdep.engine import run as engine_run
 from knapdep.instances import GenSpec, generate
+from knapdep.jsontext import JSON_BATCH
 from knapdep.oracle import bruteforce_accepts
 from knapdep.threshold import for_instance
 
@@ -424,8 +425,9 @@ class TestStreamedInput:
         assert peak < bound * length
 
     def test_stdin_is_held_once(self, dense_document, capsys, monkeypatch):
-        # Standard input is read whole, then streamed from that string in
-        # batches: its text is held once, and its parse never whole.
+        # Standard input that can seek, here a string, is streamed from where
+        # it stands in batches: its text is held once, and its parse never
+        # whole.
         import knapdep.stream  # noqa: F401
 
         text = dense_document.read_text()
@@ -1188,7 +1190,9 @@ class TestRefusal:
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_piped_input_file_is_read_once(self):
-        # A pipe cannot be read twice, so it is never streamed.
+        # A pipe cannot be read twice: it is copied once to an unnamed
+        # temporary file and streamed from there, and a fault is reported as
+        # the whole reading reports it.
         for text, expected in (INPUT_FORMS["late-field-fault-then-syntax-error"](),
                                INPUT_FORMS["no-closing-brace"]()):
             piped = run_pipe(["run", "--input", "/dev/stdin"], stdin_text=text)
@@ -1198,9 +1202,9 @@ class TestRefusal:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_named_pipe_input_is_read_once(self, tmp_path, capsys, deadline):
-        # A named pipe is not a regular file: run reads it once, whole, and
-        # writes what it writes for the file; a fault in the last item is
-        # reported as the whole reading reports it.
+        # A named pipe cannot seek: run copies it once to a temporary file,
+        # streams that, and writes what it writes for the file; a fault in
+        # the last item is reported as the whole reading reports it.
         good = tmp_path / "good.json"
         assert cli("gen", "--n", "50", "--out", str(good)) == 0
         doc = json.loads(good.read_text())

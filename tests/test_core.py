@@ -10,7 +10,6 @@ from types import MappingProxyType
 import pytest
 
 from knapdep.core import (
-    JSON_BATCH,
     Instance,
     Item,
     ItemOption,
@@ -21,12 +20,11 @@ from knapdep.core import (
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
-    json_block,
-    json_block_parts,
     loads_instance,
     validate_instance,
 )
 from knapdep.engine import run
+from knapdep.jsontext import JSON_BATCH, json_block, json_block_parts
 from knapdep.instances import GenSpec, generate
 from knapdep.threshold import for_instance
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from knapdep.core import (
 )
 from knapdep.engine import Decision, KnapsackAudit, run, step
 from knapdep.instances import GenSpec, gen_uniform
+from knapdep.stream import StreamedInstance
 from knapdep.threshold import ExponentialThreshold, for_instance
 
 LN9 = 2.1972245773362196
@@ -465,6 +467,50 @@ def test_run_holds_columns_not_records():
         tracemalloc.stop()
     assert len(result.decisions) == 10_000
     assert held <= 2_000_000
+
+
+def test_run_holds_no_id_per_item_while_ids_run_on():
+    # 20 000 streamed items, each id a new int past the cached small ones.
+    # As a list the ids held about 0.8 MB (a pointer and an int object per
+    # item); while they run on by one they are a range, so what the run
+    # holds is its other columns.
+    ks = KnapsackSpec(capacity=10.0, theta=8.0, duration_lo=1, duration_hi=1, size_cap=1.0)
+    options = (ItemOption(True, 1.0, 1.0, 1, 1),)
+    items = (Item(10**6 + i, 1, options) for i in range(20_000))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = run(StreamedInstance(1, (ks,), items), for_instance(Instance(1, (ks,), ())))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    columns = result.decisions
+    other = (columns.chosen, columns.ends, columns.knapsacks, columns.phis, columns.flags)
+    assert columns.ids == range(10**6, 10**6 + 20_000)
+    assert held - sum(map(sys.getsizeof, other)) <= 50_000
+
+
+@pytest.mark.parametrize("ids", [
+    [5, 3, 2**64 + 7, 9, 10, 11],  # off the run at once, then on by one
+    [2**64, 2**64 + 1, 2**64 + 2],  # a run past 2**64
+    [-2, -1, 0, 1, 4, 2],  # a run through 0, then off it
+    [7],
+    [],
+])
+def test_ids_round_trip(ids):
+    ks = KnapsackSpec(10.0, 4.0, 1, 4, 10.0)
+    inst = Instance(10, (ks,), tuple(Item(i, 1, (ItemOption(True, 1.0, 8.0, 1, 2),)) for i in ids))
+    result = run(inst, [flat()])
+    assert list(result.decisions.ids) == [d.item_id for d in result.decisions] == ids
+    assert [record["id"] for record in result.to_dict()["decisions"]] == ids
+
+
+@pytest.mark.parametrize("item_id", [True, 2.5, "a", 2**64])
+def test_step_keeps_any_id(item_id):
+    # step checks no id; whatever it is given it returns, and writes.
+    item = Item(item_id, 1, (ItemOption(True, 1.0, 8.0, 1, 2),))
+    decision = step(item, UtilizationState(1, 4), [flat()])
+    assert decision.item_id == item_id and type(decision.item_id) is type(item_id)
 
 
 def test_sparse_run_holds_doubles_not_floats():

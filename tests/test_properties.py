@@ -52,7 +52,15 @@ at: with every watch started at a drawn slot of its window, both give the
 result they give from the window's start.
 ``reference_checked_ids`` is the id rule over a set of every id:
 ``checked_items``, which stores no id while the ids run on by one, must
-take and refuse the same items, with the same message.
+take and refuse the same items, with the same message.  Given parsed item
+objects, on its one-loop branch or off it (integers in number fields,
+bools in integer fields, non-finite numbers, windows past the horizon,
+repeated ids, arrivals that go backwards, missing or extra keys), it must
+yield the records ``item_records`` builds from them, or stop at the same
+item with the same message.  The engine writes an admitted window back
+from the list its check read: the row's bits after ``step`` equal those
+after ``UtilizationState.add`` of the same window and size, sizes in
+tenths too, and a negative size is refused alike.
 ``reference_generate`` is the uniform and burst generator as it was
 before it drew integers straight from ``getrandbits``: ``generate`` must
 make the same draws in the same order, so its records and their text
@@ -90,6 +98,7 @@ from knapdep.core import (
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
+    item_records,
     loads_instance,
     validate_instance,
 )
@@ -519,6 +528,174 @@ def test_consecutive_ids_hold_no_set():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+# ---------------------------------------------------------------------------
+# Records built and checked in one loop
+# ---------------------------------------------------------------------------
+
+# Per option field, values of another type or that break a rule.
+OFF_OPTION_VALUES = {
+    "eligible": [1, 0, None],
+    "size": [2, 1, 0.0, -0.0, math.inf, -1.0, math.nan, math.inf, -math.inf, True, "1"],
+    "value": [3, 2, 0.0, -0.0, math.inf, -2.0, math.nan, math.inf, False],
+    "start": [0, -1, 1.0, True, 2**64],
+    "duration": [0, -1, 2.0, False, 2**64],
+}
+# About half the faults drawn are an option field's.  Of the rest, those
+# that the one-loop branch must catch itself (a window past the horizon, an
+# option key, an id that skips or goes back, an arrival that goes back) are
+# drawn twice as often.
+ITEM_FAULTS = [*OFF_OPTION_VALUES] * 4 + [
+    "past", "option key", "no option object", "item key", "options object",
+    "no item object", "option count", "repeat", "skip", "jump", "back", "id type",
+    "arrival back", "arrival type", "past", "option key", "skip", "back", "arrival back",
+]
+
+
+@st.composite
+def item_objects(draw):
+    """A horizon, K and parsed item objects: kept rules, then up to two faults.
+
+    The items are of exactly ``json.loads``' types, ids run on from 0, 7 or
+    2**64, arrivals do not go back, and each eligible option's window ends
+    by the horizon.  Each fault then lands on a drawn item: an option field
+    of another type or that breaks a rule (integers in number fields, bools
+    in integer fields, non-finite numbers), a window past the horizon, a
+    missing or extra key, something other than an object, one option too
+    many or too few, an id that repeats, skips one (so that a later one
+    repeats it), jumps (and the run goes on from there), goes back or is no
+    integer, an arrival that goes back or is no integer.
+    """
+    horizon = draw(st.integers(1, 5))
+    K = draw(st.integers(0, 2))
+    first = draw(st.sampled_from([0, 0, 7, 2**64]))
+    arrival = draw(st.sampled_from([1, 2]))
+    objs = []
+    for position in range(draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 3, 4, 5]))):
+        arrival += draw(st.integers(0, 1))
+        options = []
+        for _ in range(K):
+            duration = draw(st.integers(1, horizon))
+            eligible = draw(st.sampled_from([True, True, False]))
+            options.append({
+                "eligible": eligible,
+                # An ineligible option's size and value need only be finite.
+                "size": draw(st.sampled_from([0.5, 1.5] if eligible else [0.5, -1.0])),
+                "value": draw(st.sampled_from([1.0, 4.5])),
+                "start": draw(st.integers(1, horizon - duration + 1)),
+                "duration": duration,
+            })
+        objs.append({"id": first + position, "arrival": arrival, "options": options})
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])) if objs else 0):
+        fault = draw(st.sampled_from(ITEM_FAULTS))
+        i = draw(st.integers(0, len(objs) - 1))
+        if not isinstance(objs[i], dict):
+            continue
+        obj = objs[i] = dict(objs[i])
+        options = obj["options"]
+        if fault in OFF_OPTION_VALUES or fault in ("past", "option key", "no option object"):
+            if not isinstance(options, list) or not options:
+                continue
+            j = draw(st.integers(0, len(options) - 1))
+            if not isinstance(options[j], dict):
+                continue
+            option = options[j] = dict(options[j])
+            if fault == "past":
+                option.update(eligible=True, start=horizon - option["duration"] + 2)
+            elif fault == "option key":
+                option.pop("size", None) if draw(st.booleans()) else option.update(extra=1)
+            elif fault == "no option object":
+                options[j] = list(option.values())
+            else:
+                if fault in ("size", "value"):
+                    option["eligible"] = True  # where the rules on them apply
+                option[fault] = draw(st.sampled_from(OFF_OPTION_VALUES[fault]))
+        elif fault == "item key":
+            obj.pop("arrival", None) if draw(st.booleans()) else obj.update(extra=1)
+        elif fault == "options object":
+            obj["options"] = {}
+        elif fault == "no item object":
+            objs[i] = draw(st.sampled_from([None, [obj]]))
+        elif fault == "option count" and isinstance(options, list):
+            extra = {"eligible": False, "size": 1.0, "value": 1.0, "start": 1, "duration": 1}
+            obj["options"] = options[1:] if options and draw(st.booleans()) else [*options, extra]
+        elif fault in ("repeat", "skip", "jump", "back") and isinstance(obj.get("id"), int):
+            shift = {"repeat": -draw(st.integers(1, i)) if i else 0, "skip": 1, "jump": 2**63,
+                     "back": -draw(st.integers(i + 1, i + 3))}[fault]
+            for later in objs[i:] if fault == "jump" else [obj]:
+                if isinstance(later, dict) and isinstance(later.get("id"), int):
+                    later["id"] += shift
+        elif fault == "id type":
+            obj["id"] = draw(st.sampled_from([float(obj["id"]), True, str(obj["id"])]))
+        elif fault == "arrival back" and type(obj.get("arrival")) is int:
+            obj["arrival"] -= draw(st.integers(1, 2))
+        elif fault == "arrival type":
+            obj["arrival"] = draw(st.sampled_from([float(arrival), True, None]))
+    return horizon, K, objs
+
+
+def records_answer(records):
+    """The repr of each record taken, and the text of the error that stopped them, if any."""
+    taken = []
+    try:
+        for record in records:
+            taken.append(repr(record))
+    except ValueError as exc:
+        return taken, f"{type(exc).__name__}: {exc}"
+    return taken, None
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(drawn=item_objects())
+def test_objects_are_checked_as_their_records(drawn):
+    # repr tells 1 from 1.0 and True from 1, so the records' types are
+    # compared too, and a SchemaError from a field is told from the rules'
+    # ValueError.
+    horizon, K, objs = drawn
+    assert records_answer(checked_items(horizon, K, objs)) == records_answer(
+        checked_items(horizon, K, item_records(objs))
+    )
+
+
+@SETTINGS
+@given(data=st.data())
+def test_admitted_window_is_written_as_add_writes_it(data):
+    # Two knapsacks, each with a drawn window on a drawn load; the item goes
+    # to the one of higher value (ties to the first).
+    horizon = data.draw(st.integers(1, 8))
+    loads = [0.0, *TENTHS, *QUARTERS]
+    filled = [data.draw(st.lists(st.sampled_from(loads), min_size=horizon, max_size=horizon))
+              for _ in range(2)]
+    size = data.draw(st.sampled_from([*TENTHS, *QUARTERS, 5e-324, -0.0, -0.1, -2.5]))
+    options = []
+    for value in data.draw(st.sampled_from([(1e9, 1e9), (1e9, 2e9), (2e9, 1e9)])):
+        duration = data.draw(st.integers(1, horizon))
+        start = data.draw(st.integers(1, horizon - duration + 1))
+        options.append(ItemOption(True, size, value, start, duration))
+    stepped, added = (UtilizationState(2, horizon) for _ in range(2))
+    for state in (stepped, added):
+        for k, row in enumerate(filled):
+            for t, z in enumerate(row, 1):
+                state.add(k, t, 1, z)
+    before = [row.tobytes() for row in stepped.rows]
+    # Curves on a capacity no load nears, and values no charge reaches:
+    # every item of a nonnegative size is admitted.
+    fns = [ExponentialThreshold(1.0, 1e9)] * 2
+    item = Item(0, 1, tuple(options))
+    if size >= 0:
+        k = step(item, stepped, fns).knapsack
+        assert k == (1 if options[1].value > options[0].value else 0)
+        added.add(k, options[k].start, options[k].duration, size)
+        assert [row.tobytes() for row in stepped.rows] == [row.tobytes() for row in added.rows]
+        return
+    message = f"utilization updates must be nonnegative, got {size}"
+    with pytest.raises(ValueError) as info:
+        step(item, stepped, fns)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match=message):
+        added.add(0, options[0].start, options[0].duration, size)
+    assert [row.tobytes() for row in stepped.rows] == [row.tobytes() for row in added.rows] == before
 
 
 # Brute force visits up to (K+1)^n assignments: the item count is capped
