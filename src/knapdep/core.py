@@ -13,6 +13,10 @@ declared bounds in ``validate_instance`` (a trace row being ingested
 breaks them when clamping would change it), and the gamma domain and size
 precondition in :mod:`knapdep.threshold`.
 
+Every reader reads the head with ``instance_head`` and builds records
+with ``checked_items``, one item at a time, its fields before its rules,
+so the whole and the streamed reading name the same first fault.
+
 Records hold only scalars and tuples and cannot form cycles, so the bulk
 builders of them pause the cyclic collector (``_CollectorPaused``).
 """
@@ -24,7 +28,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -152,7 +156,9 @@ class Instance:
     knapsack, every option's window with integers start >= 1 and duration
     >= 1, and for each eligible option a finite size > 0, a finite value
     > 0 and a window ending by the horizon), so everything downstream
-    relies on them.  ``checked_items`` holds the rules, for streamed items too.
+    relies on them.  ``items`` may be records or parsed item objects (a
+    list will do); it is stored as the tuple of records ``checked_items``
+    yields, the horizon checked first and then each item in turn.
     """
 
     horizon: int
@@ -160,8 +166,8 @@ class Instance:
     items: tuple[Item, ...]
 
     def __post_init__(self) -> None:
-        for _ in checked_items(self.horizon, len(self.knapsacks), self.items):
-            pass
+        items = tuple(checked_items(self.horizon, len(self.knapsacks), self.items))
+        object.__setattr__(self, "items", items)
 
     @property
     def num_knapsacks(self) -> int:
@@ -175,11 +181,14 @@ class Instance:
 def checked_items(horizon: int, K: int, items: Iterable) -> Iterator[Item]:
     """``items`` in order, each as a record once it keeps ``Instance``'s rules.
 
-    An item is a record (a tuple) or a parsed item object, built as
-    ``item_records`` builds it.  An object of exactly ``json.loads``' types
-    whose id runs on and that keeps every rule is built and checked in one
-    pass; any other goes the general way, whose messages name its first
-    fault.  ValueError at the first break; the horizon's on the first draw.
+    An item is a record (a tuple) or a parsed item object; every reader
+    builds its records from objects here.  An object of exactly
+    ``json.loads``' types whose options keep every rule is built in one
+    pass, and yielded at once if its id runs on and its arrival does not
+    go back, else checked by the id and arrival rules alone; any other
+    object goes through ``_item_record``, then every rule.  ValueError
+    (SchemaError for a field) at the first break, the horizon's on the
+    first draw, so a fault is met in item order, fields before rules.
     """
     check_count("horizon", horizon, 1)
     inf = math.inf
@@ -187,12 +196,12 @@ def checked_items(horizon: int, K: int, items: Iterable) -> Iterator[Item]:
     seen: Optional[set[int]] = None  # made at the first id off the run first, first + 1, ...
     first = 0
     prev_arrival = 1
+    held = None  # the last record built here, whose options keep the rules
     new = tuple.__new__
     for position, item in enumerate(items):
         if type(item) is dict and item.keys() == _ITEM_KEYS:
             item_id, arrival, odata = _item_values(item)
-            if (type(item_id) is type(arrival) is int and type(odata) is list and len(odata) == K
-                    and seen is None and item_id == first + position and prev_arrival <= arrival):
+            if type(item_id) is type(arrival) is int and type(odata) is list and len(odata) == K:
                 options = []
                 for oobj in odata:
                     if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
@@ -206,9 +215,12 @@ def checked_items(horizon: int, K: int, items: Iterable) -> Iterator[Item]:
                             continue
                     break
                 else:
-                    prev_arrival = arrival
-                    yield new(Item, (item_id, arrival, tuple(options)))
-                    continue
+                    item = new(Item, (item_id, arrival, tuple(options)))
+                    if seen is None and item_id == first + position and prev_arrival <= arrival:
+                        prev_arrival = arrival
+                        yield item
+                        continue
+                    held = item
         if not isinstance(item, tuple):
             item = _item_record(item, position)
         item_id, arrival, options = item
@@ -233,6 +245,9 @@ def checked_items(horizon: int, K: int, items: Iterable) -> Iterator[Item]:
                 else f"item {item_id}: arrival {arrival} breaks nondecreasing order"
             )
         prev_arrival = arrival
+        if item is held:
+            yield item
+            continue
         if len(options) != K:
             raise ValueError(f"item {item_id}: expected {K} options, got {len(options)}")
         for k, (eligible, size, value, start, duration) in enumerate(options):
@@ -583,7 +598,7 @@ def _checked(obj: object, fields: dict[str, str], where: str) -> dict:
         raise SchemaError(f"{where}: expected an object")
     unknown = set(obj) - set(fields)
     if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown, key=str)}")
     missing = set(fields) - set(obj)
     if missing:
         raise SchemaError(f"{where}: missing fields {sorted(missing)}")
@@ -609,23 +624,19 @@ def instance_from_dict(data: Mapping) -> Instance:
 
     ``data`` is left as it was.
     """
+    return _parsed(*instance_head(data))
+
+
+def instance_head(data: object) -> tuple[int, tuple[KnapsackSpec, ...], list]:
+    """The horizon, the knapsacks and the item objects of a parsed document.
+
+    The top-level fields are checked, then each knapsack; the horizon's
+    rule and the items are left to ``checked_items``.  SchemaError at the
+    first fault.
+    """
     top = _checked(data, _INSTANCE_FIELDS, "instance")
-    return _build_instance(top, top["items"])
-
-
-def _build_instance(top: dict, item_objs: Iterable) -> Instance:
-    """The instance of the checked top-level fields ``top``, its items from ``item_objs``."""
-    knapsacks = knapsack_specs(top["knapsacks"])
-    items = tuple(item_records(item_objs))
-    try:
-        return Instance(top["horizon"], knapsacks, items)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def knapsack_specs(kobjs: Iterable) -> tuple[KnapsackSpec, ...]:
     knapsacks = []
-    for kobj in kobjs:
+    for kobj in top["knapsacks"]:
         where = f"knapsack {len(knapsacks)}"
         fields = _knapsack_values(_checked(kobj, _KNAPSACK_FIELDS, where))
         # Only the constructor's own ValueError gets the location prefix;
@@ -634,41 +645,28 @@ def knapsack_specs(kobjs: Iterable) -> tuple[KnapsackSpec, ...]:
             knapsacks.append(KnapsackSpec(*fields))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-    return tuple(knapsacks)
+    return top["horizon"], tuple(knapsacks), top["items"]
 
 
-def item_records(item_objs: Iterable) -> Iterator[Item]:
-    """The record of each parsed item object, in order, built as it is drawn."""
-    return map(_item_record, item_objs, count())
+def _parsed(horizon: int, knapsacks: tuple[KnapsackSpec, ...], item_objs: Iterable) -> Instance:
+    """The instance of a checked head, a rule's ValueError raised as SchemaError."""
+    try:
+        return Instance(horizon, knapsacks, item_objs)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _item_record(iobj: object, position: int) -> Item:
-    """An item or option holding exactly the types ``json.loads`` gives (with
-    finite floats) is built as it stands; any other record goes through
-    ``_checked``, which names its first fault or converts its values.
+    """The record of a parsed item object that ``checked_items`` does not
+    build itself: ``_checked`` names its first field fault, or converts its
+    values (an integer in a number field to float).
     """
-    if type(iobj) is dict and iobj.keys() == _ITEM_KEYS:
-        item_id, arrival, odata = _item_values(iobj)
-        exact = type(item_id) is int and type(arrival) is int and type(odata) is list
-    else:
-        exact = False
-    if not exact:
-        where = f"item at position {position}"
-        item_id, arrival, odata = _item_values(_checked(iobj, _ITEM_FIELDS, where))
-    new = tuple.__new__
-    options = []
-    for oobj in odata:
-        if type(oobj) is dict and oobj.keys() == _OPTION_KEYS:
-            eligible, size, value, start, duration = _option_values(oobj)
-            # Finite floats: x - x is nan for inf and nan.
-            if (type(eligible) is bool and type(size) is type(value) is float
-                    and type(start) is type(duration) is int
-                    and size - size == value - value == 0.0):
-                options.append(new(ItemOption, (eligible, size, value, start, duration)))
-                continue
-        where = f"item at position {position}, option {len(options)}"
-        options.append(ItemOption(*_option_values(_checked(oobj, _OPTION_FIELDS, where))))
-    return new(Item, (item_id, arrival, tuple(options)))
+    where = f"item at position {position}"
+    item_id, arrival, odata = _item_values(_checked(iobj, _ITEM_FIELDS, where))
+    return Item(item_id, arrival, tuple(
+        ItemOption(*_option_values(_checked(oobj, _OPTION_FIELDS, f"{where}, option {k}")))
+        for k, oobj in enumerate(odata)
+    ))
 
 
 class _CollectorPaused:
@@ -706,5 +704,5 @@ def loads_instance(text: str) -> Instance:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-        top = _checked(data, _INSTANCE_FIELDS, "instance")
-        return _build_instance(top, _drained(top["items"]))
+        horizon, knapsacks, item_objs = instance_head(data)
+        return _parsed(horizon, knapsacks, _drained(item_objs))

@@ -116,7 +116,7 @@ def _draw_instance(rng: Random, arrivals: Sequence[int], spec: GenSpec) -> Insta
             else:
                 options.append(_INELIGIBLE)
         items.append(new(Item, (item_id, arrival, tuple(options))))
-    return Instance(spec.horizon, spec.knapsacks, tuple(items))
+    return Instance(spec.horizon, spec.knapsacks, items)
 
 
 def gen_uniform(spec: GenSpec) -> Instance:
@@ -193,7 +193,7 @@ def gen_staircase(spec: GenSpec, levels: int) -> list[Instance]:
         options = (ItemOption(True, size, density * size * duration, 1, duration),)
         for _ in range(per_batch):
             items.append(Item(len(items), 1, options))
-        prefixes.append(Instance(spec.horizon, spec.knapsacks, tuple(items)))
+        prefixes.append(Instance(spec.horizon, spec.knapsacks, items))
     return prefixes
 
 
@@ -374,5 +374,5 @@ def ingest_trace(
             stats.rows_clamped += clamped
             items.append(Item(id=len(items), arrival=arrival, options=tuple(options)))
 
-    inst = Instance(horizon=horizon, knapsacks=knapsacks, items=tuple(items))
+    inst = Instance(horizon=horizon, knapsacks=knapsacks, items=items)
     return inst, stats

@@ -6,9 +6,10 @@ is one seekable text file: a regular file (or standard input redirected
 from one) from where it stands, any other input a copy made once,
 undecoded, in the temporary directory.  The pass reads the head
 (``horizon`` and ``knapsacks``), then decodes the items in batches from
-a chunked read.  Each record is built from its item object and checked
-by ``Instance``'s rules in one loop (``core.checked_items``) as it is
-drawn, and none is kept.
+a chunked read.  The head is read by ``core.instance_head``, and each
+record is built and checked as it is drawn by ``core.checked_items``,
+none kept: the code ``loads_instance`` reads with, so the pass meets a
+document's faults in the whole reading's order and names the same one.
 
 Only the text ``gen`` writes is read this way: ``dumps_instance``, which
 is ``json.dumps(doc, indent=2)``.  No JSON string holds a raw newline, so
@@ -37,14 +38,12 @@ from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .core import (
-    _INSTANCE_FIELDS,
     Instance,
     Item,
     KnapsackSpec,
-    _checked,
     _CollectorPaused,
     checked_items,
-    knapsack_specs,
+    instance_head,
     loads_instance,
 )
 
@@ -119,10 +118,8 @@ def _streamed(read: Callable[[int], str], length: int) -> StreamedInstance:
         raise ValueError("no items array in the layout gen writes")
     # Exactly the keys horizon, knapsacks and items (a repeated one's last
     # value, as the whole parse keeps it), items the last of them.
-    head = json.loads(t.buf[:start] + '\n  "items": []\n}')
-    top = _checked(head, _INSTANCE_FIELDS, "instance")
+    horizon, specs, _ = instance_head(json.loads(t.buf[:start] + '\n  "items": []\n}'))
     t.pos = start + len(_OPEN)
-    horizon, specs = top["horizon"], knapsack_specs(top["knapsacks"])
     items = checked_items(horizon, len(specs), _item_objs(t))
     # The engine's state holds a row of horizon + 1 slots per knapsack, a C
     # double (8 bytes) each; a document that is refused must not be able to

@@ -721,6 +721,17 @@ class TestJsonSchema:
             instance_from_dict(data)
         assert str(info.value) == "item at position 1: expected an object"
 
+    @pytest.mark.parametrize("where", ["instance", "item at position 1"])
+    def test_unknown_keys_of_mixed_types_are_named(self, where):
+        # A Mapping may hold keys that do not order among themselves; they
+        # are named in the order of their text.
+        data = instance_to_dict(self.roundtrip_instance())
+        target = data if where == "instance" else data["items"][1]
+        target.update({1: 0, "x": 0, (2,): 0})
+        with pytest.raises(SchemaError) as info:
+            instance_from_dict(data)
+        assert str(info.value) == f"{where}: unknown fields [(2,), 1, 'x']"
+
 
 class TestCollectorPause:
     """The bulk record builders pause the cyclic collector and restore it."""

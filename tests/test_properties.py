@@ -56,8 +56,13 @@ take and refuse the same items, with the same message.  Given parsed item
 objects, on its one-loop branch or off it (integers in number fields,
 bools in integer fields, non-finite numbers, windows past the horizon,
 repeated ids, arrivals that go backwards, missing or extra keys), it must
-yield the records ``item_records`` builds from them, or stop at the same
-item with the same message.  The engine writes an admitted window back
+yield what it yields for the same objects with every item and option
+wrapped in a read-only mapping, which no dict test takes and so every one
+goes through the field checks and every rule: equal records, or a stop at
+the same item with the same message.  With faults in up to two items, and
+perhaps a horizon of 0, a drained streamed pass over ``gen``'s layout,
+``loads_instance`` and ``instance_from_dict`` name the same first fault,
+or give the same records.  The engine writes an admitted window back
 from the list its check read: the row's bits after ``step`` equal those
 after ``UtilizationState.add`` of the same window and size, sizes in
 tenths too, and a negative size is refused alike.
@@ -98,7 +103,6 @@ from knapdep.core import (
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
-    item_records,
     loads_instance,
     validate_instance,
 )
@@ -266,6 +270,86 @@ def test_fast_and_general_branch_agree(inst, data):
         doc = json.loads(text)
         mutation(doc, data.draw)
         assert parsed(doc) == parsed(proxied(doc)), mutation.__name__
+
+
+def item_fault(item, horizon, first_id, draw):
+    """One drawn fault in ``item`` alone, or a change that keeps every rule."""
+    options = item["options"]
+    obj = draw(st.sampled_from([item, *options]))
+    fault = draw(st.sampled_from(
+        ["drop", "retype", "number", "extra", "past", "count", "repeat"]))
+    if fault == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif fault == "retype":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(
+            st.sampled_from(["1", None, [], True, 1.5, 2]))
+    elif fault == "number":
+        obj[draw(st.sampled_from(sorted(NUMBER_FIELDS & set(obj))))] = draw(
+            st.sampled_from([math.nan, math.inf, -1.0, 0, 0.0]))
+    elif fault == "extra":
+        obj["extra"] = 1
+    elif fault == "past" and options:
+        option = draw(st.sampled_from(options))
+        option.update(eligible=True, start=horizon - option["duration"] + 2)
+    elif fault == "count":
+        item["options"] = options[1:] if options else [{
+            "eligible": False, "size": 1.0, "value": 1.0, "start": 1, "duration": 1}]
+    elif fault == "repeat" and item["id"] != first_id:
+        item["id"] = first_id
+
+
+def three_readings(text):
+    """What a drained streamed pass, ``loads_instance`` and ``instance_from_dict``
+    give for ``text``: the horizon, knapsacks and records, or the message."""
+    answers = []
+    for read in (
+        lambda: streamed("-", text),
+        lambda: loads_instance(text),
+        lambda: instance_from_dict(json.loads(text)),
+    ):
+        try:
+            got = read()
+        except ValueError as exc:
+            answers.append(str(exc))
+        else:
+            answers.append(got if isinstance(got, tuple) else
+                           (got.horizon, got.knapsacks, got.items))
+    return answers
+
+
+@settings(SETTINGS, max_examples=200)
+@given(inst=instances(), data=st.data())
+def test_readers_name_the_same_first_fault(inst, data):
+    # Faults in two items: every reader refuses at the first of them in
+    # item order, and a horizon of 0 before either.
+    doc = instance_to_dict(inst)
+    items = items_of(doc, 2)
+    first_id = items[0]["id"]
+    for i in data.draw(st.lists(st.integers(0, len(items) - 1), max_size=2, unique=True)):
+        item_fault(items[i], doc["horizon"], first_id, data.draw)
+    if data.draw(st.booleans()):
+        doc["horizon"] = 0
+    streamed_answer, whole, from_dict = three_readings(json.dumps(doc, indent=2))
+    assert streamed_answer == whole == from_dict
+
+
+def test_two_faults_are_refused_at_the_first():
+    # gen's document with item 3's window moved past the horizon and item
+    # 7's arrival removed: item 3 is named, by every reader and command.
+    text = cli_answer(["gen", "--n", "10", "--k", "2", "--t", "50", "--seed", "4"])[1]
+    doc = json.loads(text)
+    doc["items"][3]["options"][0]["start"] = 50
+    del doc["items"][7]["arrival"]
+    message = "item 3, knapsack 0: window ends at 51, beyond horizon 50"
+    text = json.dumps(doc, indent=2) + "\n"
+    assert three_readings(text) == [message] * 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/doc.json"
+        with open(path, "w") as f:
+            f.write(text)
+        for argv in (["run", "--input", path], ["validate", "--strict", "--input", path],
+                     ["opt", "--input", path]):
+            assert cli_answer(argv) == (1, "", f"error: {message}\n")
 
 
 @st.composite
@@ -652,9 +736,11 @@ def test_objects_are_checked_as_their_records(drawn):
     # repr tells 1 from 1.0 and True from 1, so the records' types are
     # compared too, and a SchemaError from a field is told from the rules'
     # ValueError.
+    # Every item and option proxied is a Mapping but no dict, so it is
+    # built through the field checks and then checked by every rule.
     horizon, K, objs = drawn
     assert records_answer(checked_items(horizon, K, objs)) == records_answer(
-        checked_items(horizon, K, item_records(objs))
+        checked_items(horizon, K, proxied(objs))
     )
 
 
