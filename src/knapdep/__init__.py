@@ -47,6 +47,10 @@ _MODULE_OF = {
 
 __version__ = "0.1.0"
 
+# The instance families ``gen`` draws from: ``instances.FAMILIES``, defined
+# here so that the CLI parser reads them without loading ``instances``.
+FAMILIES = ("uniform", "staircase", "burst")
+
 __all__ = [*sorted(_MODULE_OF), "__version__"]
 
 

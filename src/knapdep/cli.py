@@ -10,26 +10,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-# oracle and bench are imported in the handlers that use them, so that
-# gen, validate and run start without them.
-from . import instances, threshold
-from .core import (
-    Instance,
-    KnapsackSpec,
-    SchemaError,
-    dumps_instance,
-    loads_instance,
-    validate_instance,
-)
-from .engine import run as engine_run
+# Each knapdep layer, and json and dataclasses, is imported in the code
+# that runs it, so --help and a usage error load no layer, and each command
+# only the layers it runs.  The family names come from the package, which
+# is loaded before this module.
+from . import FAMILIES
+
+if TYPE_CHECKING:
+    from .core import Instance, KnapsackSpec
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -60,6 +54,27 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
+# perfbench's tracing patches these three layer calls by name, so they stay
+# attributes of this module, each loading its layer when first called, and
+# the handlers call them through it.
+def loads_instance(text: str) -> Instance:
+    from .core import loads_instance
+
+    return loads_instance(text)
+
+
+def validate_instance(inst: Instance, strict: bool = False, gamma: Optional[Sequence[float]] = None):
+    from .core import validate_instance
+
+    return validate_instance(inst, strict=strict, gamma=gamma)
+
+
+def engine_run(inst: Instance, thresholds: Sequence):
+    from .engine import run
+
+    return run(inst, thresholds)
+
+
 def _gamma_config(raw: str) -> dict:
     if raw == "auto":
         return {"kind": "exponential", "gamma": "auto"}
@@ -69,7 +84,23 @@ def _gamma_config(raw: str) -> dict:
         raise _FlagError(f"--gamma must be a number or 'auto', got {raw!r}") from None
 
 
+def _thresholds(inst: Instance, raw: str) -> list:
+    """One threshold per knapsack of ``inst`` for the --gamma value ``raw``.
+
+    The value is checked even when ``inst`` has no knapsack to build a
+    threshold for, so no document lets a bad gamma pass.
+    """
+    from . import threshold
+
+    config = _gamma_config(raw)
+    if config["gamma"] != "auto":
+        threshold.check_gamma(config["gamma"])
+    return threshold.for_instance(inst, config)
+
+
 def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
+    from .core import KnapsackSpec
+
     if not 1 <= args.alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 1, got {args.alpha}")
     try:
@@ -88,6 +119,9 @@ def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import instances
+    from .core import dumps_instance
+
     if args.family != "staircase" and (args.level is not None or args.levels is not None):
         raise _usage_error("--level and --levels apply only to --family staircase")
     spec = instances.GenSpec(
@@ -119,13 +153,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    import json
+
     from .stream import through_items  # only run and validate stream their input
 
     def validate(inst: Instance):
         gamma = None
         if args.gamma is not None:
-            fns = threshold.for_instance(inst, _gamma_config(args.gamma))
-            gamma = [fn.gamma for fn in fns]
+            gamma = [fn.gamma for fn in _thresholds(inst, args.gamma)]
         return validate_instance(inst, strict=args.strict, gamma=gamma)
 
     report = through_items(args.input, validate)
@@ -141,7 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .stream import through_items
 
     def run(inst: Instance):
-        return engine_run(inst, threshold.for_instance(inst, _gamma_config(args.gamma)))
+        return engine_run(inst, _thresholds(inst, args.gamma))
 
     result = through_items(args.input, run)
     _emit(result.json_parts(), args.out)
@@ -150,6 +185,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_opt(args: argparse.Namespace) -> int:
+    import json
+
     from . import oracle
 
     if args.method != "exact" and args.node_budget is not None:
@@ -174,6 +211,8 @@ def _config_keys() -> tuple[frozenset[str], frozenset[str]]:
     The file holds the bench settings, the suite, and the tuner settings
     under their own key.
     """
+    from dataclasses import fields
+
     from . import bench
 
     top = frozenset(f.name for f in fields(bench.BenchConfig)) | {"instances", "tuner"}
@@ -181,6 +220,10 @@ def _config_keys() -> tuple[frozenset[str], frozenset[str]]:
 
 
 def _read_config(path: Optional[str]) -> dict:
+    import json
+
+    from . import threshold
+
     if path is None:
         return {}
     try:
@@ -204,6 +247,8 @@ def _settings(cls: type, file_cfg: dict, args: argparse.Namespace, **flags: obje
     A field's flag is its entry in ``flags``, else the ``args`` attribute
     of its name; None means the flag was not given.
     """
+    from dataclasses import fields
+
     values = {}
     for f in fields(cls):
         flag = flags.get(f.name, getattr(args, f.name, None))
@@ -217,6 +262,8 @@ def _settings(cls: type, file_cfg: dict, args: argparse.Namespace, **flags: obje
 def _load_suite(args: argparse.Namespace, file_cfg: dict) -> list[tuple[str, Instance]]:
     """The suite of bench and tune: each --input source, then each of the
     config's ``instances``, a directory giving its *.json files by name."""
+    from .core import SchemaError
+
     sources = list(args.input or []) + file_cfg.get("instances", [])
     if not sources:
         raise _usage_error("no instances: pass --input files/dirs or --config")
@@ -255,6 +302,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    import json
+
     from . import bench
 
     file_cfg = _read_config(args.config)
@@ -292,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance (JSON to stdout/--out)")
-    gen.add_argument("--family", choices=instances.FAMILIES, default="uniform")
+    gen.add_argument("--family", choices=FAMILIES, default="uniform")
     gen.add_argument("--n", type=int, default=20, help="item count")
     gen.add_argument("--k", type=int, default=1, help="knapsack count")
     gen.add_argument("--t", type=int, default=50, help="horizon (slots)")

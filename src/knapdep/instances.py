@@ -17,6 +17,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Optional, Sequence
 
+from . import FAMILIES
 from .core import (
     Instance,
     Item,
@@ -25,8 +26,6 @@ from .core import (
     _CollectorPaused,
     check_count,
 )
-
-FAMILIES = ("uniform", "staircase", "burst")
 
 # Most items a staircase's prefix instances may hold in all.  Each prefix
 # holds its own tuple, so that is per_batch * levels * (levels + 1) / 2:

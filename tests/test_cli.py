@@ -17,7 +17,7 @@ from knapdep.bench import BenchConfig, TuneSpec
 from knapdep.cli import main
 from knapdep.core import KnapsackSpec, dumps_instance, loads_instance
 from knapdep.engine import run as engine_run
-from knapdep.instances import GenSpec, generate
+from knapdep.instances import FAMILIES, GenSpec, generate
 from knapdep.jsontext import JSON_BATCH
 from knapdep.oracle import bruteforce_accepts
 from knapdep.threshold import for_instance
@@ -118,6 +118,19 @@ class TestGen:
         result = run_pipe(["gen", "--bogus"])
         assert result.returncode == 2
         assert "usage" in result.stderr
+
+    def test_family_choices_are_the_generator_families(self, capsys):
+        (commands,) = [a for a in cli_module._build_parser()._actions if a.dest == "command"]
+        (family,) = [a for a in commands.choices["gen"]._actions if a.dest == "family"]
+        assert family.choices is FAMILIES
+        with pytest.raises(SystemExit) as info:
+            cli("gen", "--family", "nope")
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = captured.err.splitlines()[-1]
+        assert line.startswith("knapdep gen: error: argument --family: invalid choice: 'nope' ")
+        assert all(name in line for name in FAMILIES)
 
     @pytest.mark.parametrize(
         "flags",
@@ -1186,6 +1199,17 @@ class TestRefusal:
         assert cli(command, "--input", str(path), "--gamma", "abc") == 1
         assert capsys.readouterr() == (
             "", "error: invalid JSON: Expecting ',' delimiter: line 53 column 1 (char 833)\n"
+        )
+
+    @pytest.mark.parametrize("raw", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_gamma_outside_domain_refused_without_knapsacks(self, tmp_path, capsys, command, raw):
+        # No knapsack builds a threshold, so the flag is checked on its own.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"horizon": 5, "knapsacks": [], "items": []}, indent=2))
+        assert cli(command, "--input", str(path), "--gamma", raw) == 1
+        assert capsys.readouterr() == (
+            "", f"error: gamma must be a finite number > 0, got {float(raw)}\n"
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

@@ -53,12 +53,26 @@ def suite(tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("command", ["--help", "validate", "run"])
-def test_stream_commands_load_neither_oracle_nor_bench(suite, command):
-    argv = [command] if command == "--help" else [command, "--input", str(suite / "i1.json")]
-    loaded = loaded_by(*argv)
-    assert "knapdep.engine" in loaded
-    assert not loaded & (POOL | {"knapdep.oracle", "knapdep.bench", "csv"})
+# Every command that reads or writes an instance loads core, and with it
+# threshold and jsontext.  The CLI runs as __main__, so it is not among
+# the knapdep modules.
+CORE = {"core", "threshold", "jsontext"}
+
+
+@pytest.mark.parametrize("argv, layers, excluded", [
+    (["--help"], set(), POOL | {"csv"}),
+    (["run", "--no-such-flag"], set(), POOL | {"csv"}),
+    (["gen", "--n", "3"], CORE | {"instances"}, POOL | {"csv"}),
+    (["validate", "--input", "{doc}"], CORE | {"stream"}, POOL | {"csv"}),
+    (["run", "--input", "{doc}"], CORE | {"stream", "engine"}, POOL | {"csv"}),
+    (["opt", "--input", "{doc}"], CORE | {"oracle"}, POOL | {"csv"}),
+    (["bench", "--input", "{suite}", "--jobs", "1"], CORE | {"engine", "oracle", "bench"}, POOL),
+], ids=["help", "usage-error", "gen", "validate", "run", "opt", "serial-bench"])
+def test_each_command_loads_only_its_layers(suite, argv, layers, excluded):
+    loaded = loaded_by(*(a.format(doc=suite / "i1.json", suite=suite) for a in argv))
+    ours = {m for m in loaded if m.split(".")[0] == "knapdep"}
+    assert ours == {"knapdep"} | {f"knapdep.{m}" for m in layers}
+    assert not loaded & excluded
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -70,18 +84,6 @@ def test_only_a_piped_input_loads_the_spill(suite, command):
     document = suite / "i1.json"
     assert "tempfile" not in loaded_by(command, "--input", str(document), flags=["-S"])
     assert "tempfile" in loaded_by(command, flags=["-S"], stdin=document.read_text())
-
-
-def test_opt_loads_oracle_only(suite):
-    loaded = loaded_by("opt", "--input", str(suite / "i1.json"))
-    assert "knapdep.oracle" in loaded
-    assert not loaded & (POOL | {"knapdep.bench", "csv"})
-
-
-def test_serial_bench_loads_no_pool(suite):
-    loaded = loaded_by("bench", "--input", str(suite), "--jobs", "1")
-    assert {"knapdep.oracle", "knapdep.bench"} <= loaded
-    assert not loaded & POOL
 
 
 def test_package_import_loads_on_first_access():
