@@ -35,10 +35,10 @@ class BenchConfig:
     stays ``exact``, unchecked); larger instances are scored against the
     cheap upper bound only and flagged.  Each value is checked
     when the config is made (ValueError otherwise): ``threshold`` is a
-    mapping that holds no NaN or infinity, and whose exponential gamma, if
-    a number, is > 0 (``threshold.check_gamma``); the cutoffs are integers >= 0,
-    ``node_budget`` is None or an integer >= 0, and ``jobs`` is an
-    integer >= 1.
+    config that ``threshold.from_config`` accepts, so the one threshold
+    fault left to the rows (error rows) is a table whose capacity is not a
+    knapsack's; the cutoffs are integers >= 0, ``node_budget`` is None or
+    an integer >= 0, and ``jobs`` is an integer >= 1.
     """
 
     threshold: Mapping = field(default_factory=lambda: {"kind": "exponential", "gamma": "auto"})
@@ -48,14 +48,10 @@ class BenchConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.threshold, Mapping):
-            raise ValueError(f"threshold must be an object, got {self.threshold!r}")
-        threshold.check_finite(self.threshold)  # the report echoes it as JSON
-        # A numeric gamma is refused here, or every row would be an error row.
-        kind, gamma = self.threshold.get("kind", "exponential"), self.threshold.get("gamma")
-        if kind == "exponential" and type(gamma) in (int, float):
-            threshold.check_gamma(gamma)
-        # A plain dict pickles to the worker processes of a parallel run.
+        # Checked whole here, before any row, and dropped: the builder is a
+        # closure, and a plain dict pickles to the worker processes of a
+        # parallel run.
+        threshold.from_config(self.threshold)
         object.__setattr__(self, "threshold", dict(self.threshold))
         check_count("exact_cutoff", self.exact_cutoff, 0)
         check_count("crosscheck_cutoff", self.crosscheck_cutoff, 0)
@@ -153,7 +149,9 @@ def _shared_knapsack_echo(
     """Effective per-knapsack (gamma, theta, alpha, size cap) for the echo.
 
     Only well-defined when every instance shares the same knapsack specs;
-    heterogeneous suites echo None and rely on per-instance sources.
+    heterogeneous suites echo None and rely on per-instance sources.  So
+    does a table whose capacity is not the knapsacks', the one threshold
+    fault that ``BenchConfig`` leaves to the rows.
     """
     if not instances:
         return None

@@ -92,10 +92,7 @@ def _thresholds(inst: Instance, raw: str) -> list:
     """
     from . import threshold
 
-    config = _gamma_config(raw)
-    if config["gamma"] != "auto":
-        threshold.check_gamma(config["gamma"])
-    return threshold.for_instance(inst, config)
+    return threshold.for_instance(inst, _gamma_config(raw))
 
 
 def _knapsack_specs(args: argparse.Namespace) -> tuple[KnapsackSpec, ...]:
@@ -222,7 +219,7 @@ def _config_keys() -> tuple[frozenset[str], frozenset[str]]:
 def _read_config(path: Optional[str]) -> dict:
     import json
 
-    from . import threshold
+    from . import bench, threshold
 
     if path is None:
         return {}
@@ -232,12 +229,16 @@ def _read_config(path: Optional[str]) -> dict:
         raise ValueError(f"config {path}: invalid JSON: {exc}") from exc
     config_keys, tuner_keys = _config_keys()
     threshold.check_keys(cfg, config_keys, f"config {path}")
-    threshold.check_keys(cfg.get("tuner", {}), tuner_keys, f"config {path}, tuner")
-    # The other values are checked by BenchConfig and TuneSpec, which
-    # also check the flags layered over them.
+    tuner = cfg.get("tuner", {})
+    threshold.check_keys(tuner, tuner_keys, f"config {path}, tuner")
     listed = cfg.get("instances", [])
     if not (isinstance(listed, list) and all(isinstance(p, str) for p in listed)):
         raise ValueError(f"config {path}: 'instances' must be an array of paths, got {listed!r}")
+    # Every section is checked for both commands, even where a flag
+    # overrides it; BenchConfig and TuneSpec check the flags layered over
+    # it again.
+    bench.BenchConfig(**{k: v for k, v in cfg.items() if k not in ("instances", "tuner")})
+    bench.TuneSpec(**tuner)
     return cfg
 
 

@@ -8,6 +8,9 @@ configs and ablations.  The tuner scales only the exponential defaults.
 
 The exponential curve's domain (finite gamma and capacity > 0) and the
 size precondition are coded here only; ``validate_instance`` uses them.
+So are the rules of a threshold config: ``from_config`` checks one whole,
+before any knapsack is known, and leaves only a table's capacity to the
+knapsack.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import abc
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:  # core imports this module, for size_precondition
     from .core import Instance, KnapsackSpec
@@ -37,24 +40,6 @@ def _check_curve(capacity: float, gamma: float) -> None:
     if not 0 < capacity < math.inf:
         raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
     check_gamma(gamma)
-
-
-def check_finite(config: Mapping) -> None:
-    """Refuse a threshold config that holds a NaN or an infinity, at any depth.
-
-    No curve is built from one, and JSON cannot hold one, so a caller that
-    echoes its config refuses it before any knapsack is known.  The other
-    rules need the knapsack and are left to ``from_config``.
-    """
-    stack: list = [config]
-    while stack:  # not recursive: a parsed config may nest deeply
-        value = stack.pop()
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"threshold must hold only finite numbers, got {value}")
-        if isinstance(value, Mapping):
-            stack.extend(value.values())
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
 
 
 class ThresholdFn(abc.ABC):
@@ -195,23 +180,29 @@ def size_precondition(capacity: float, gamma: float) -> float:
     return capacity * math.log(2.0) / gamma
 
 
-def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
-    """Build a threshold from experiment-file config for one knapsack.
+def from_config(config: object) -> Callable[[KnapsackSpec], ThresholdFn]:
+    """Check an experiment-file threshold config whole; return its builder.
 
     Schema: {"kind": "exponential", "gamma": float | "auto"} where "auto"
-    means ``default_gamma`` from the knapsack's declared theta and alpha;
+    means ``default_gamma`` from each knapsack's declared theta and alpha;
     or {"kind": "table", "points": [[z, phi], ...]}.  Any other key is refused.
+    Every rule is checked here, so the builder, which makes the curve for
+    one knapsack, refuses only a table whose capacity is not the knapsack's.
     """
+    if not isinstance(config, Mapping):
+        raise ValueError(f"threshold must be an object, got {config!r}")
     kind = config.get("kind", "exponential")
     if kind == "exponential":
         check_keys(config, {"kind", "gamma"}, "exponential threshold")
         gamma = config.get("gamma", "auto")
         if gamma == "auto":
-            gamma = default_gamma(spec.theta, spec.alpha)
-        elif isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+            return lambda spec: ExponentialThreshold(
+                gamma=default_gamma(spec.theta, spec.alpha), capacity=spec.capacity
+            )
+        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
             raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
         check_gamma(gamma)  # before float(), which overflows on a huge int
-        return ExponentialThreshold(gamma=float(gamma), capacity=spec.capacity)
+        return lambda spec: ExponentialThreshold(gamma=float(gamma), capacity=spec.capacity)
     if kind == "table":
         check_keys(config, {"kind", "points"}, "table threshold")
         raw = config.get("points")
@@ -222,12 +213,16 @@ def from_config(config: Mapping, spec: KnapsackSpec) -> ThresholdFn:
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"table points must be [z, phi] number pairs, got {raw!r}") from None
         fn = TableThreshold(points=points)
-        if fn.capacity != spec.capacity:
-            raise ValueError(
-                f"table capacity {fn.capacity} does not match "
-                f"knapsack capacity {spec.capacity}"
-            )
-        return fn
+
+        def build(spec: KnapsackSpec) -> ThresholdFn:
+            if fn.capacity != spec.capacity:
+                raise ValueError(
+                    f"table capacity {fn.capacity} does not match "
+                    f"knapsack capacity {spec.capacity}"
+                )
+            return fn
+
+        return build
     raise ValueError(f"unknown threshold kind {kind!r}")
 
 
@@ -241,6 +236,6 @@ def check_keys(obj: object, known: AbstractSet[str], where: str) -> None:
 
 
 def for_instance(inst: Instance, config: Mapping | None = None) -> list[ThresholdFn]:
-    """One threshold per knapsack of ``inst`` from a shared config."""
-    cfg = {"kind": "exponential", "gamma": "auto"} if config is None else config
-    return [from_config(cfg, spec) for spec in inst.knapsacks]
+    """One threshold per knapsack of ``inst`` from a shared config, checked once."""
+    build = from_config({"kind": "exponential", "gamma": "auto"} if config is None else config)
+    return [build(spec) for spec in inst.knapsacks]

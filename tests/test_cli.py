@@ -496,6 +496,17 @@ def write_all(fd, data):
         os.close(fd)
 
 
+def nested(depth):
+    """An empty array nested ``depth`` deep, as a config file may hold."""
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+DEEP = nested(600)
+
+
 class TestBenchTune:
     def make_suite(self, tmp_path, capsys, n=8, count=3):
         suite_dir = tmp_path / "suite"
@@ -744,6 +755,25 @@ class TestBenchTune:
              f"grid_points must be at most 2**53, got {10**400}"),
             ("tune", {"tuner": {"grid_points": 10**400}}, (),
              f"grid_points must be at most 2**53, got {10**400}"),
+            ("bench", {"threshold": {"kind": "table"}}, (),
+             "table points must be [z, phi] number pairs, got None"),
+            # Each section is checked for both commands, flags or not.
+            ("tune", {"exact_cutoff": "x", "jobs": -3, "threshold": {"gamma": math.nan}}, (),
+             "gamma must be a finite number > 0, got nan"),
+            ("tune", {"jobs": 0}, ("--grid-points", "3"), "jobs must be an integer >= 1, got 0"),
+            ("bench", {"tuner": {"delta": 5}}, (), "delta must be a number in (0, 1), got 5"),
+            ("bench", {"jobs": 0}, ("--jobs", "2"), "jobs must be an integer >= 1, got 0"),
+            # Nested deeper than asdict() can copy: refused before the echo.
+            *(pytest.param(command, body, (), message, id=f"{command}-deep-{key}")
+              for command in ("bench", "tune")
+              for key, body, message in (
+                  ("key", {"threshold": {"extra": DEEP}},
+                   "exponential threshold: unknown keys ['extra']"),
+                  ("gamma", {"threshold": {"gamma": DEEP}},
+                   f"gamma must be a number or 'auto', got {DEEP!r}"),
+                  ("points", {"threshold": {"kind": "table", "points": DEEP}},
+                   f"table points must be [z, phi] number pairs, got {DEEP!r}"),
+              )),
         ],
     )
     def test_bad_config_value_exits_1(
@@ -801,17 +831,32 @@ class TestBenchTune:
         assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize(
-        "body, flags, bad",
+        "body, flags, message",
         [
-            ({}, ("--gamma", "nan"), "nan"),
-            ({}, ("--gamma", "inf"), "inf"),
-            ({"threshold": {"gamma": math.nan}}, (), "nan"),
-            ({"threshold": {"kind": "exponential", "gamma": -math.inf}}, (), "-inf"),
+            ({}, ("--gamma", "-1"), "gamma must be a finite number > 0, got -1.0"),
+            ({}, ("--gamma", "0"), "gamma must be a finite number > 0, got 0.0"),
+            ({}, ("--gamma", "nan"), "gamma must be a finite number > 0, got nan"),
+            ({}, ("--gamma", "inf"), "gamma must be a finite number > 0, got inf"),
+            ({"threshold": {"gamma": -1}}, (), "gamma must be a finite number > 0, got -1"),
+            ({"threshold": {"kind": "exponential", "gamma": 0.0}}, (),
+             "gamma must be a finite number > 0, got 0.0"),
+            ({"threshold": {"gamma": 10**400}}, (),  # float() overflows
+             f"gamma must be a finite number > 0, got {10**400}"),
+            ({"threshold": {"gamma": math.nan}}, (), "gamma must be a finite number > 0, got nan"),
+            ({"threshold": {"kind": "exponential", "gamma": -math.inf}}, (),
+             "gamma must be a finite number > 0, got -inf"),
+            ({"threshold": {"kind": "exponential", "gama": 0.5}}, (),
+             "exponential threshold: unknown keys ['gama']"),
+            ({"threshold": {"kind": "quadratic"}}, (), "unknown threshold kind 'quadratic'"),
+            ({"threshold": {"kind": "table", "points": [[0, 0], [1, math.nan]]}}, (),
+             "table points must be finite numbers"),
         ],
-        ids=["flag-nan", "flag-inf", "config-nan", "config-inf"],
+        ids=["flag-negative", "flag-zero", "flag-nan", "flag-inf", "config-negative",
+             "config-zero", "config-huge", "config-nan", "config-inf", "unknown-key",
+             "unknown-kind", "nan-point"],
     )
-    def test_non_finite_threshold_refused_before_suite_read(
-        self, tmp_path, capsys, body, flags, bad
+    def test_threshold_fault_refused_before_suite_read(
+        self, tmp_path, capsys, body, flags, message
     ):
         # One error line, no report, and the malformed suite file is not read.
         (good,) = self.make_suite(tmp_path, capsys, n=4, count=1)
@@ -824,36 +869,7 @@ class TestBenchTune:
                 "--out", str(out), *flags)
         assert cli(*argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: threshold must hold only finite numbers, got {bad}\n"
-        assert captured.out == ""
-        assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
-
-    @pytest.mark.parametrize(
-        "body, flags, bad",
-        [
-            ({}, ("--gamma", "-1"), "-1.0"),
-            ({}, ("--gamma", "0"), "0.0"),
-            ({"threshold": {"gamma": -1}}, (), "-1"),
-            ({"threshold": {"kind": "exponential", "gamma": 0.0}}, (), "0.0"),
-            ({"threshold": {"gamma": 10**400}}, (), str(10**400)),  # float() overflows
-        ],
-        ids=["flag-negative", "flag-zero", "config-negative", "config-zero", "config-huge"],
-    )
-    def test_gamma_outside_domain_refused_before_suite_read(
-        self, tmp_path, capsys, body, flags, bad
-    ):
-        # One error line, no report, and the malformed suite file is not read.
-        (good,) = self.make_suite(tmp_path, capsys, n=4, count=1)
-        broken = tmp_path / "broken.json"
-        broken.write_text("{")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(body))
-        out = tmp_path / "rep"
-        argv = ("bench", "--input", str(good), str(broken), "--config", str(cfg),
-                "--out", str(out), *flags)
-        assert cli(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: gamma must be a finite number > 0, got {bad}\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rep.csv").exists()
 
@@ -870,18 +886,6 @@ class TestBenchTune:
         assert captured.err == f"error: no *.json instance files in {empty}, {other}\n"
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "other"]
-
-    def test_unknown_threshold_key_gives_error_rows(self, tmp_path, capsys):
-        self.make_suite(tmp_path, capsys, n=4, count=2)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threshold": {"kind": "exponential", "gama": 0.5}}))
-        assert cli("bench", "--input", str(tmp_path / "suite"), "--config", str(cfg)) == 1
-        captured = capsys.readouterr()
-        rows = json.loads(captured.out)["rows"]
-        assert [r["opt_tag"] for r in rows] == ["error", "error"]
-        for name in ("s0.json", "s1.json"):
-            assert (f"error: {name}: ValueError: exponential threshold: "
-                    f"unknown keys ['gama']\n") in captured.err
 
     @pytest.mark.parametrize("budget", ["1", "5000000", "-5"])
     def test_opt_node_budget_refused_for_bruteforce(self, instance_file, capsys, budget):
@@ -1294,12 +1298,15 @@ class TestRefusal:
         inst = tmp_path / "one.json"
         inst.write_text(json.dumps(one_item_instance()))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threshold": {"kind": "table"}}))
+        # The one threshold fault left to the rows: the table's capacity
+        # is not the knapsack's, 10.0.
+        cfg.write_text(json.dumps({"threshold": {"kind": "table", "points": [[0, 0], [5, 1]]}}))
         out = tmp_path / "rep"
         assert cli("bench", "--input", str(inst), "--config", str(cfg),
                    "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert "error: one.json: ValueError: table points must be [z, phi] number pairs" in err
+        assert err.endswith("error: one.json: ValueError: table capacity 5.0 does not match "
+                            "knapsack capacity 10.0\n")
         rows = json.loads((tmp_path / "rep.json").read_text())["rows"]
         assert [r["opt_tag"] for r in rows] == ["error"]
         assert (tmp_path / "rep.csv").exists()

@@ -11,7 +11,6 @@ from knapdep.threshold import (
     ExponentialThreshold,
     TableThreshold,
     ThresholdFn,
-    check_finite,
     default_gamma,
     for_instance,
     from_config,
@@ -189,31 +188,32 @@ class TestConfig:
         return KnapsackSpec(10.0, 4.0, 1, 2, 10.0)  # alpha = 2
 
     def test_auto_gamma(self):
-        fn = from_config({"kind": "exponential", "gamma": "auto"}, self.spec())
+        fn = from_config({"kind": "exponential", "gamma": "auto"})(self.spec())
         assert fn.gamma == pytest.approx(LN9, abs=1e-15)  # ln(1+2*4)
 
     def test_explicit_gamma(self):
-        fn = from_config({"kind": "exponential", "gamma": 1.25}, self.spec())
+        fn = from_config({"kind": "exponential", "gamma": 1.25})(self.spec())
         assert fn.gamma == 1.25
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
-            from_config({"kind": "exponential", "gamma": "fast"}, self.spec())
+            from_config({"kind": "exponential", "gamma": "fast"})
 
     def test_huge_int_gamma_refused(self):
         # float() of it would raise OverflowError, not a ValueError.
         with pytest.raises(ValueError, match="gamma must be a finite number > 0, got 1000"):
-            from_config({"kind": "exponential", "gamma": 10**400}, self.spec())
+            from_config({"kind": "exponential", "gamma": 10**400})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            from_config({"kind": "quadratic"}, self.spec())
+            from_config({"kind": "quadratic"})
 
     def test_table_capacity_must_match(self):
-        with pytest.raises(ValueError):
-            from_config(
-                {"kind": "table", "points": [[0.0, 0.0], [5.0, 1.0]]}, self.spec()
-            )
+        # The one rule left to the knapsack: the config itself is accepted.
+        build = from_config({"kind": "table", "points": [[0.0, 0.0], [5.0, 1.0]]})
+        with pytest.raises(ValueError) as info:
+            build(self.spec())
+        assert str(info.value) == "table capacity 5.0 does not match knapsack capacity 10.0"
 
     @pytest.mark.parametrize(
         "config",
@@ -231,7 +231,7 @@ class TestConfig:
     )
     def test_malformed_table_points(self, config):
         with pytest.raises(ValueError, match="table points must be "):
-            from_config(config, self.spec())
+            from_config(config)
 
     @pytest.mark.parametrize(
         "config, message",
@@ -245,48 +245,40 @@ class TestConfig:
     )
     def test_unknown_keys_refused(self, config, message):
         with pytest.raises(ValueError) as info:
-            from_config(config, self.spec())
+            from_config(config)
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "config, bad",
+        "config, message",
         [
-            ({"kind": "exponential", "gamma": math.nan}, "nan"),
-            ({"gamma": math.inf}, "inf"),
-            ({"kind": "table", "points": [[0.0, 0.0], [10.0, -math.inf]]}, "-inf"),
-            ({"kind": "table", "points": ((0.0, 0.0), (math.nan, 1.0))}, "nan"),
-            ({"extra": {"deep": [[math.nan]]}}, "nan"),
+            ({"kind": "exponential", "gamma": math.nan}, "gamma must be a finite number > 0, got nan"),
+            ({"gamma": math.inf}, "gamma must be a finite number > 0, got inf"),
+            ({"kind": "table", "points": [[0.0, 0.0], [10.0, -math.inf]]},
+             "table points must be finite numbers"),
+            ({"kind": "table", "points": ((0.0, 0.0), (math.nan, 1.0))},
+             "table points must be finite numbers"),
+            ({"extra": {"deep": [[math.nan]]}}, "exponential threshold: unknown keys ['extra']"),
+            (5, "threshold must be an object, got 5"),
         ],
-        ids=["nan-gamma", "inf-gamma", "table-point", "tuple-point", "nested"],
+        ids=["nan-gamma", "inf-gamma", "table-point", "tuple-point", "nested", "not-an-object"],
     )
-    def test_check_finite_refuses(self, config, bad):
+    def test_refused_before_any_knapsack(self, config, message):
+        # A non-finite number cannot reach the report's JSON echo.
         with pytest.raises(ValueError) as info:
-            check_finite(config)
-        assert str(info.value) == f"threshold must hold only finite numbers, got {bad}"
+            from_config(config)
+        assert str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"kind": "exponential", "gamma": "auto"},
-            {"gamma": -1.0},  # finite: from_config refuses it per knapsack
-            {"kind": "table", "points": [[0, 0], [10**400, 1]]},  # an int, not a float
-            {"kind": "table", "points": 3},
-        ],
-        ids=["auto", "negative", "huge-int", "malformed"],
-    )
-    def test_check_finite_accepts(self, config):
-        check_finite(config)
-
-    def test_check_finite_walks_deep_nesting(self):
-        # Deeper than the recursion limit, as a parsed config file may be.
+    def test_deep_nesting_refused_by_its_key(self):
+        # Deeper than the recursion limit: no rule walks into the value.
         deep: list = [math.nan]
         for _ in range(sys.getrecursionlimit() + 10):
             deep = [deep]
-        with pytest.raises(ValueError, match="got nan"):
-            check_finite({"points": deep})
+        with pytest.raises(ValueError) as info:
+            from_config({"points": deep})
+        assert str(info.value) == "exponential threshold: unknown keys ['points']"
 
     def test_table_from_config(self):
-        fn = from_config({"kind": "table", "points": [[0, 0], [10, 5.5]]}, self.spec())
+        fn = from_config({"kind": "table", "points": [[0, 0], [10, 5.5]]})(self.spec())
         assert fn.points == ((0.0, 0.0), (10.0, 5.5))
 
     def test_for_instance_defaults(self):
